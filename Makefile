@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke bench bench-quick bench-incremental bench-incremental-quick bench-resolve bench-resolve-quick bench-sat bench-sat-quick bench-telemetry bench-telemetry-quick bench-service bench-service-quick bench-parallel bench-parallel-quick
+.PHONY: check fmt vet build test race fuzz-smoke perfbench-test bench bench-quick bench-incremental bench-incremental-quick bench-resolve bench-resolve-quick bench-sat bench-sat-quick bench-telemetry bench-telemetry-quick bench-service bench-service-quick bench-parallel bench-parallel-quick
 
-check: fmt vet build race fuzz-smoke bench-incremental-quick bench-resolve-quick bench-telemetry-quick bench-service-quick bench-parallel-quick
+check: fmt vet build race fuzz-smoke perfbench-test bench-incremental-quick bench-resolve-quick bench-telemetry-quick bench-service-quick bench-parallel-quick
 
 # Fails listing the files that need gofmt; run `gofmt -w .` to fix.
 fmt:
@@ -30,6 +30,19 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# perfbench (the repository benchmark, see perfbench/README.md) is a
+# module of its own, so the root `go test ./...` never reaches its
+# self-tests.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Quick benchmark runs inside `make check` write here, so the gate never
+# overwrites the committed full-scale BENCH_*.json artifacts.
+QUICK_OUT := .bench_build/quick
+
+$(QUICK_OUT):
+	mkdir -p $@
+
 # Seed benchmarks (paper headline metrics); -benchmem surfaces the
 # nil-tracer 0 allocs/op guarantee in obs and sat.
 bench:
@@ -44,8 +57,8 @@ bench-quick:
 bench-incremental:
 	$(GO) run ./cmd/aedbench -experiment incremental -scale full -out BENCH_incremental.json
 
-bench-incremental-quick:
-	$(GO) run ./cmd/aedbench -experiment incremental -scale quick -out BENCH_incremental.json
+bench-incremental-quick: | $(QUICK_OUT)
+	$(GO) run ./cmd/aedbench -experiment incremental -scale quick -out $(QUICK_OUT)/BENCH_incremental.json
 
 # Live-instance re-solve benchmark (tier-2 of the session ladder): a
 # one-line local-preference edit re-solved by flipping retractable
@@ -55,8 +68,8 @@ bench-incremental-quick:
 bench-resolve:
 	$(GO) run ./cmd/aedbench -experiment resolve -scale full -out BENCH_resolve.json
 
-bench-resolve-quick:
-	$(GO) run ./cmd/aedbench -experiment resolve -scale quick -out BENCH_resolve.json
+bench-resolve-quick: | $(QUICK_OUT)
+	$(GO) run ./cmd/aedbench -experiment resolve -scale quick -out $(QUICK_OUT)/BENCH_resolve.json
 
 # Short fuzz passes on every gate: ten seconds of differential CDCL
 # fuzzing against brute-force enumeration (assumptions + solver reuse),
@@ -78,9 +91,9 @@ bench-sat:
 	$(GO) test -run '^$$' -bench 'Propagate|ConflictAnalysis' -benchmem ./internal/sat/
 	$(GO) run ./cmd/aedbench -experiment satperf -scale full -out BENCH_satperf.json
 
-bench-sat-quick:
+bench-sat-quick: | $(QUICK_OUT)
 	$(GO) test -run '^$$' -bench 'Propagate|ConflictAnalysis' -benchmem ./internal/sat/
-	$(GO) run ./cmd/aedbench -experiment satperf -scale quick -out BENCH_satperf.json
+	$(GO) run ./cmd/aedbench -experiment satperf -scale quick -out $(QUICK_OUT)/BENCH_satperf.json
 
 # Telemetry-format benchmark: the AEDT binary codec against the JSONL
 # baseline (bytes/event, encode/decode throughput, steady-state decode
@@ -90,8 +103,8 @@ bench-telemetry:
 	$(GO) test -run '^$$' -bench 'ReaderNext|WriterAppend|RecorderEventsAppend' -benchmem ./internal/obs/...
 	$(GO) run ./cmd/aedbench -experiment telemetry -scale full -out BENCH_telemetry.json
 
-bench-telemetry-quick:
-	$(GO) run ./cmd/aedbench -experiment telemetry -scale quick -out BENCH_telemetry.json
+bench-telemetry-quick: | $(QUICK_OUT)
+	$(GO) run ./cmd/aedbench -experiment telemetry -scale quick -out $(QUICK_OUT)/BENCH_telemetry.json
 
 # Parallel-synthesis benchmark: destination scaling across worker
 # counts (LPT scheduling over per-destination instances) and the
@@ -103,8 +116,8 @@ bench-telemetry-quick:
 bench-parallel:
 	$(GO) run ./cmd/aedbench -experiment parallel -scale full -out BENCH_parallel.json
 
-bench-parallel-quick:
-	$(GO) run ./cmd/aedbench -experiment parallel -scale quick -out BENCH_parallel.json
+bench-parallel-quick: | $(QUICK_OUT)
+	$(GO) run ./cmd/aedbench -experiment parallel -scale quick -out $(QUICK_OUT)/BENCH_parallel.json
 
 # aedd service load benchmark: an in-process service driven over real
 # HTTP with mixed cold/warm/watch traffic, an oversubscribed burst
@@ -115,5 +128,5 @@ bench-parallel-quick:
 bench-service:
 	$(GO) run ./cmd/aedbench -experiment service -scale full -out BENCH_service.json
 
-bench-service-quick:
-	$(GO) run ./cmd/aedbench -experiment service -scale quick -out BENCH_service.json
+bench-service-quick: | $(QUICK_OUT)
+	$(GO) run ./cmd/aedbench -experiment service -scale quick -out $(QUICK_OUT)/BENCH_service.json

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -57,8 +58,10 @@ type Solver struct {
 	varDecayF float64
 	rngState  uint64
 
-	// Reusable conflict-analysis scratch, so the analyze/minimize path
-	// allocates nothing once the buffers have grown to steady state.
+	// Reusable clause-normalization and conflict-analysis scratch, so
+	// AddClause and the analyze/minimize path allocate nothing once the
+	// buffers have grown to steady state.
+	addBuf     []Lit   // AddClause normalization
 	learntBuf  []Lit   // learned clause under construction
 	preBuf     []Lit   // pre-minimization copy for the onMinimize hook
 	markBuf    []bool  // per-var marks for clause minimization
@@ -152,19 +155,19 @@ func New() *Solver {
 }
 
 // growCap returns s with capacity for at least n elements, preserving
-// length and contents.
+// length and contents. It grows geometrically (append's policy, via
+// slices.Grow), so a long run of small Grow calls costs amortized O(1)
+// copies per element instead of one full copy each.
 func growCap[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s
 	}
-	ns := make([]T, len(s), n)
-	copy(ns, s)
-	return ns
+	return slices.Grow(s, n-len(s))
 }
 
 // Grow preallocates internal storage for n additional variables, so a
 // following burst of NewVar calls (domain indicators, totalizer trees,
-// Tseitin gates) extends seven per-variable slices in place instead of
+// Tseitin gates) extends the per-variable slices in place instead of
 // reallocating them one append at a time.
 func (s *Solver) Grow(n int) {
 	if n <= 0 {
@@ -234,9 +237,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause called at non-root decision level")
 	}
 	// Normalize: sort, dedup, drop false lits, detect tautology/satisfied.
-	ls := make([]Lit, len(lits))
-	copy(ls, lits)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// The sorted copy lives in a reusable buffer (the arena copies the
+	// surviving literals), so a steady stream of additions allocates
+	// nothing here.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {

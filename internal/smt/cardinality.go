@@ -2,32 +2,14 @@ package smt
 
 import "github.com/aed-net/aed/internal/sat"
 
-// totalizer builds a totalizer tree over the input literals and returns
-// output literals out[0..n-1], where out[k] is forced true whenever at
-// least k+1 inputs are true (and can be assumed false to bound the
-// count). Inputs and outputs are raw SAT literals; the defining clauses
-// are added to the context's solver.
-//
-// The totalizer lets the MaxSAT engine tighten the bound incrementally
-// by assuming ¬out[k] for decreasing k, without rebuilding the formula.
-func (c *Context) totalizer(inputs []sat.Lit) []sat.Lit {
-	if len(inputs) == 0 {
-		return nil
-	}
-	if len(inputs) == 1 {
-		return inputs
-	}
-	mid := len(inputs) / 2
-	return c.totalizerMerge(c.totalizer(inputs[:mid]), c.totalizer(inputs[mid:]))
-}
-
 // weightedTotalizer builds a totalizer whose k-th output means "total
 // violated weight ≥ k+1", with one input literal per soft constraint
 // and its integer weight alongside. A weight-w leaf is the degenerate
 // unary counter [l, l, …, l] (w copies): its count jumps from 0 to w
 // when l is true, at no extra variables or clauses. The merge tree is
 // the standard totalizer merge, so the outputs stay a monotone unary
-// counter that the bounding search can assume against.
+// counter: the MaxSAT engine tightens the bound incrementally by
+// assuming ¬out[k] for decreasing k, without rebuilding the formula.
 func (c *Context) weightedTotalizer(inputs []sat.Lit, weights []int) []sat.Lit {
 	if len(inputs) == 0 {
 		return nil
@@ -77,7 +59,8 @@ func (c *Context) totalizerMerge(left, right []sat.Lit) []sat.Lit {
 			if k == 0 || k > n {
 				continue
 			}
-			clause := make([]sat.Lit, 0, 3)
+			var buf [3]sat.Lit
+			clause := buf[:0]
 			if a > 0 {
 				clause = append(clause, left[a-1].Neg())
 			}

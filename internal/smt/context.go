@@ -3,6 +3,7 @@ package smt
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/aed-net/aed/internal/obs"
@@ -16,31 +17,37 @@ import (
 type Context struct {
 	solver *sat.Solver
 
-	names map[int]string // boolean var index -> debug name
-	next  int            // next boolean var index
-	vars  map[int]sat.Var
+	// Boolean variables by dense index (Formula.v): debug name and
+	// backing SAT variable.
+	names []string
+	vars  []sat.Var
 
 	soft []softConstraint
 
-	// tseitinCache memoizes the definitional literal per formula node
+	// The Tseitin memo: the definitional literal of every encoded node,
 	// so shared subformulas (ubiquitous in the routing encoding, where
-	// filter and forwarding formulas feed many constraints) are
-	// encoded once.
-	tseitinCache map[*Formula]sat.Lit
+	// filter and forwarding formulas feed many constraints) are encoded
+	// once. It lives on the nodes themselves, stamped with id (see
+	// Formula); foreign holds the nodes this context may not stamp — the
+	// shared constants and nodes already stamped by another context.
+	id      uint32
+	foreign map[*Formula]sat.Lit
 
-	// Structural hash-consing: the pointer-keyed tseitinCache only
-	// collapses physically shared nodes, but the encoder rebuilds
-	// structurally identical subformulas per env × router × peer
-	// (adjacency sides, `preferred` chains, filter outcomes). internTab
-	// interns encoded nodes by structural key so every such rebuild
-	// reuses one definitional literal instead of emitting fresh CNF;
-	// hashMemo caches the structural hash per node so DAG sharing keeps
-	// hashing linear. See docs/PERFORMANCE.md §hash-consing.
+	// Structural hash-consing: the memo above only collapses physically
+	// shared nodes, but the encoder rebuilds structurally identical
+	// subformulas per env × router × peer (adjacency sides, `preferred`
+	// chains, filter outcomes). internTab interns encoded nodes by their
+	// constructor-computed structural hash so every such rebuild reuses
+	// one definitional literal instead of emitting fresh CNF. See
+	// docs/PERFORMANCE.md §hash-consing.
 	internOn     bool
-	hashMemo     map[*Formula]uint64
 	internTab    map[uint64][]internEntry
 	internHits   int
 	internMisses int
+
+	// litBuf is a stack of clause literals under construction, shared
+	// by nested gate encodings (each works above its caller's mark).
+	litBuf []sat.Lit
 
 	// hardCount counts clauses added as hard constraints, used for
 	// reporting problem sizes in benchmarks.
@@ -106,18 +113,30 @@ type internEntry struct {
 	lit sat.Lit
 }
 
+// contextIDs hands out Context ids, the owner stamps of node-resident
+// Tseitin literals. 0 means "not stamped" and is skipped. Ids are 32
+// bits and wrap after 2^32 contexts; a node outliving that many
+// contexts is not a case the encoder produces (its formulas live as
+// long as their context).
+var contextIDs atomic.Uint32
+
+func nextContextID() uint32 {
+	for {
+		if id := contextIDs.Add(1); id != 0 {
+			return id
+		}
+	}
+}
+
 // NewContext returns a fresh solving context with structural
 // hash-consing enabled.
 func NewContext() *Context {
 	return &Context{
-		solver:       sat.New(),
-		names:        make(map[int]string),
-		vars:         make(map[int]sat.Var),
-		tseitinCache: make(map[*Formula]sat.Lit),
-		internOn:     true,
-		hashMemo:     make(map[*Formula]uint64),
-		internTab:    make(map[uint64][]internEntry),
-		totalN:       -1,
+		solver:    sat.New(),
+		id:        nextContextID(),
+		internOn:  true,
+		internTab: make(map[uint64][]internEntry),
+		totalN:    -1,
 
 		portfolioWinner: -1,
 	}
@@ -139,16 +158,15 @@ func (c *Context) InternStats() (hits, misses int) {
 // BoolVar allocates a fresh boolean variable with a debug name and
 // returns it as a formula.
 func (c *Context) BoolVar(name string) *Formula {
-	idx := c.next
-	c.next++
-	c.names[idx] = name
-	c.vars[idx] = c.solver.NewVar()
-	return &Formula{op: opVar, v: idx}
+	idx := len(c.vars)
+	c.names = append(c.names, name)
+	c.vars = append(c.vars, c.solver.NewVar())
+	return varFormula(idx)
 }
 
 // Name returns the debug name of a variable formula, or "".
 func (c *Context) Name(f *Formula) string {
-	if f.op != opVar {
+	if f.op != opVar || int(f.v) >= len(c.names) {
 		return ""
 	}
 	return c.names[f.v]
@@ -156,11 +174,10 @@ func (c *Context) Name(f *Formula) string {
 
 // satVar returns the SAT variable backing a formula variable.
 func (c *Context) satVar(f *Formula) sat.Var {
-	v, ok := c.vars[f.v]
-	if !ok {
+	if f.v < 0 || int(f.v) >= len(c.vars) {
 		panic(fmt.Sprintf("smt: unknown variable b%d", f.v))
 	}
-	return v
+	return c.vars[f.v]
 }
 
 // freshSatVar allocates an anonymous SAT variable for Tseitin
@@ -186,11 +203,13 @@ func (c *Context) Assert(f *Formula) {
 		}
 		return
 	case opOr:
-		clause := make([]sat.Lit, len(f.kids))
-		for i, k := range f.kids {
-			clause[i] = c.tseitin(k)
+		mark := len(c.litBuf)
+		for _, k := range f.kids {
+			l := c.tseitin(k)
+			c.litBuf = append(c.litBuf, l)
 		}
-		c.solver.AddClause(clause...)
+		c.solver.AddClause(c.litBuf[mark:]...)
+		c.litBuf = c.litBuf[:mark]
 		c.hardCount++
 		return
 	}
@@ -424,72 +443,62 @@ func (c *Context) notePortfolio(ps sat.PortfolioStats) {
 }
 
 // tseitin returns a literal equisatisfiably representing f, memoized
-// per formula node (pointer) and, when interning is on, per structural
-// key: a rebuilt-but-identical subformula reuses the definitional
-// literal of its first encoding and emits no new clauses.
+// per formula node and, when interning is on, per structural key: a
+// rebuilt-but-identical subformula reuses the definitional literal of
+// its first encoding and emits no new clauses.
 func (c *Context) tseitin(f *Formula) sat.Lit {
-	if l, ok := c.tseitinCache[f]; ok {
-		return l
+	if f.op == opVar { // a variable is its own literal, never memoized
+		return sat.PosLit(c.satVar(f))
 	}
-	if c.internOn && f.op != opVar && f.op != opConst {
-		h := c.structHash(f)
-		for _, e := range c.internTab[h] {
+	m := f.memo.Load()
+	if uint32(m>>32) == c.id {
+		return sat.Lit(uint32(m))
+	}
+	if m != 0 || f.op == opConst {
+		if l, ok := c.foreign[f]; ok {
+			return l
+		}
+	}
+	if c.internOn && f.op != opConst {
+		for _, e := range c.internTab[f.hash] {
 			if structEq(e.f, f) {
 				c.internHits++
-				c.tseitinCache[f] = e.lit
+				c.remember(f, e.lit)
 				return e.lit
 			}
 		}
 		l := c.tseitinUncached(f)
 		c.internMisses++
-		c.tseitinCache[f] = l
-		c.internTab[h] = append(c.internTab[h], internEntry{f: f, lit: l})
+		c.remember(f, l)
+		c.internTab[f.hash] = append(c.internTab[f.hash], internEntry{f: f, lit: l})
 		return l
 	}
 	l := c.tseitinUncached(f)
-	c.tseitinCache[f] = l
+	c.remember(f, l)
 	return l
 }
 
-// structHash computes a structural FNV-style hash of f, memoized per
-// node so shared subtrees hash once.
-func (c *Context) structHash(f *Formula) uint64 {
-	if h, ok := c.hashMemo[f]; ok {
-		return h
+// remember records l as f's literal in this context: on the node when
+// this context wins its stamp, in the foreign map otherwise.
+func (c *Context) remember(f *Formula, l sat.Lit) {
+	if f.op != opConst && f.memo.CompareAndSwap(0, uint64(c.id)<<32|uint64(uint32(l))) {
+		return
 	}
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime
+	if c.foreign == nil {
+		c.foreign = make(map[*Formula]sat.Lit)
 	}
-	mix(uint64(f.op) + 1)
-	switch f.op {
-	case opConst:
-		if f.b {
-			mix(1)
-		} else {
-			mix(2)
-		}
-	case opVar:
-		mix(uint64(f.v) + 3)
-	default:
-		for _, k := range f.kids {
-			mix(c.structHash(k))
-		}
-	}
-	c.hashMemo[f] = h
-	return h
+	c.foreign[f] = l
 }
 
 // structEq reports structural equality of two formulas. Interned DAGs
 // converge to shared pointers quickly, so the pointer fast path keeps
-// repeated comparisons cheap.
+// repeated comparisons cheap, and the constructor hashes reject most
+// mismatches without descending.
 func structEq(a, b *Formula) bool {
 	if a == b {
 		return true
 	}
-	if a.op != b.op || len(a.kids) != len(b.kids) {
+	if a.hash != b.hash || a.op != b.op || len(a.kids) != len(b.kids) {
 		return false
 	}
 	switch a.op {
@@ -517,43 +526,34 @@ func (c *Context) tseitinUncached(f *Formula) sat.Lit {
 			c.solver.AddClause(sat.NegLit(v))
 		}
 		return sat.PosLit(v)
-	case opVar:
-		return sat.PosLit(c.satVar(f))
 	case opNot:
 		return c.tseitin(f.kids[0]).Neg()
-	case opAnd:
+	case opAnd, opOr:
 		out := sat.PosLit(c.freshSatVar())
-		kidLits := make([]sat.Lit, len(f.kids))
-		for i, k := range f.kids {
-			kidLits[i] = c.tseitin(k)
+		// The kids' literals are stacked on litBuf above the caller's
+		// mark: nested encodings push and pop above them.
+		mark := len(c.litBuf)
+		for _, k := range f.kids {
+			l := c.tseitin(k)
+			c.litBuf = append(c.litBuf, l)
 		}
-		// out -> each kid
-		for _, kl := range kidLits {
-			c.solver.AddClause(out.Neg(), kl)
+		kids := c.litBuf[mark:]
+		if f.op == opAnd {
+			// out -> each kid; all kids -> out
+			for i, kl := range kids {
+				c.solver.AddClause(out.Neg(), kl)
+				kids[i] = kl.Neg()
+			}
+			c.litBuf = append(c.litBuf, out)
+		} else {
+			// each kid -> out; out -> some kid
+			for _, kl := range kids {
+				c.solver.AddClause(kl.Neg(), out)
+			}
+			c.litBuf = append(c.litBuf, out.Neg())
 		}
-		// all kids -> out
-		cl := make([]sat.Lit, 0, len(kidLits)+1)
-		for _, kl := range kidLits {
-			cl = append(cl, kl.Neg())
-		}
-		cl = append(cl, out)
-		c.solver.AddClause(cl...)
-		return out
-	case opOr:
-		out := sat.PosLit(c.freshSatVar())
-		kidLits := make([]sat.Lit, len(f.kids))
-		for i, k := range f.kids {
-			kidLits[i] = c.tseitin(k)
-		}
-		// each kid -> out
-		for _, kl := range kidLits {
-			c.solver.AddClause(kl.Neg(), out)
-		}
-		// out -> some kid
-		cl := make([]sat.Lit, 0, len(kidLits)+1)
-		cl = append(cl, kidLits...)
-		cl = append(cl, out.Neg())
-		c.solver.AddClause(cl...)
+		c.solver.AddClause(c.litBuf[mark:]...)
+		c.litBuf = c.litBuf[:mark]
 		return out
 	}
 	panic("smt: unknown formula op")
@@ -575,6 +575,9 @@ func (m *Model) Bool(f *Formula) bool {
 	}
 	if f.op != opVar {
 		return m.Eval(f)
+	}
+	if int(f.v) >= len(m.ctx.vars) {
+		return false
 	}
 	v := m.ctx.vars[f.v]
 	return int(v) < len(m.assign) && m.assign[v] == sat.True
