@@ -72,13 +72,19 @@ bench-resolve-quick: | $(QUICK_OUT)
 	$(GO) run ./cmd/aedbench -experiment resolve -scale quick -out $(QUICK_OUT)/BENCH_resolve.json
 
 # Short fuzz passes on every gate: ten seconds of differential CDCL
-# fuzzing against brute-force enumeration (assumptions + solver reuse),
-# then five seconds each on the AEDT telemetry codec — round-trip
-# equality and decoder robustness on arbitrary bytes (`go test -fuzz`
-# takes one target per invocation).
+# fuzzing against brute-force enumeration (assumptions + solver reuse);
+# five seconds each on the untrusted-input parsers — policy, objective
+# and config text round trips, and api.Request.Materialize never
+# panicking and wrapping every error in ErrInvalidRequest; then five
+# seconds each on the AEDT telemetry codec — round-trip equality and
+# decoder robustness on arbitrary bytes (`go test -fuzz` takes one
+# target per invocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 10s ./internal/sat/
-	$(GO) test -run '^$$' -fuzz FuzzPortfolio -fuzztime 10s ./internal/sat/
+	$(GO) test -run '^$$' -fuzz FuzzPolicyParse -fuzztime 5s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz FuzzObjectiveParse -fuzztime 5s ./internal/objective/
+	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 5s ./internal/config/
+	$(GO) test -run '^$$' -fuzz FuzzMaterialize -fuzztime 5s ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzAEDTRoundTrip -fuzztime 5s ./internal/obs/aedt/
 	$(GO) test -run '^$$' -fuzz FuzzAEDTDecode -fuzztime 5s ./internal/obs/aedt/
 
@@ -107,12 +113,11 @@ bench-telemetry-quick: | $(QUICK_OUT)
 	$(GO) run ./cmd/aedbench -experiment telemetry -scale quick -out $(QUICK_OUT)/BENCH_telemetry.json
 
 # Parallel-synthesis benchmark: destination scaling across worker
-# counts (LPT scheduling over per-destination instances) and the
-# configured-CDCL portfolio race with glue-clause sharing on a
-# phase-transition 3-SAT probe, sharing ablation included; writes
+# counts (LPT scheduling over per-destination instances); writes
 # BENCH_parallel.json. Speedups are core-bounded — the artifact records
-# GOMAXPROCS; see docs/PERFORMANCE.md. The quick variant runs as part
-# of `make check`.
+# GOMAXPROCS and the CPU count, so rebaseline it on a multi-core
+# machine; see docs/PERFORMANCE.md. The quick variant runs as part of
+# `make check`.
 bench-parallel:
 	$(GO) run ./cmd/aedbench -experiment parallel -scale full -out BENCH_parallel.json
 

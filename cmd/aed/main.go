@@ -83,7 +83,6 @@ func main() {
 		monolithic = flag.Bool("monolithic", false, "solve one joint instance instead of per-destination")
 		sequential = flag.Bool("sequential", false, "solve destination instances one at a time (default: parallel, GOMAXPROCS-bounded)")
 		workers    = flag.Int("workers", 0, "bound concurrent destination solves (0 = GOMAXPROCS)")
-		portfolio  = flag.Int("portfolio", 0, "race N configured CDCL solvers with glue-clause sharing on the hardest instance (0/1 = off)")
 		outDir     = flag.String("out", "", "directory for updated configs (default: print to stdout)")
 		quiet      = flag.Bool("q", false, "only print the change summary")
 		keepReach  = flag.Bool("keep-reachability", false,
@@ -171,7 +170,6 @@ func main() {
 	opts.Monolithic = *monolithic
 	opts.Sequential = *sequential
 	opts.Workers = *workers
-	opts.Portfolio = *portfolio
 	opts.Explain = *explain
 	if *objFile != "" {
 		text, err := os.ReadFile(*objFile)
@@ -477,8 +475,6 @@ func loadPolicies(path string, net *config.Network, topo *topology.Topology, kee
 // retractable bindings (a -watch session's tier-2 path) instead of
 // re-encoding. slow marks instances whose solve exceeded the
 // -slow-solve watchdog threshold (each produced an incident record).
-// shared is exported+imported glue-clause traffic between -portfolio
-// workers (0 without portfolio racing).
 func printStats(res *core.Result) {
 	avgLBD := func(s sat.Stats) float64 {
 		if s.Learned == 0 {
@@ -486,31 +482,28 @@ func printStats(res *core.Result) {
 		}
 		return float64(s.LBDSum) / float64(s.Learned)
 	}
-	shared := func(s sat.Stats) int64 {
-		return s.SharedExported + s.SharedImported
-	}
-	fmt.Printf("%-20s %-5s %8s %8s %6s %10s %10s %9s %8s %6s %6s %7s %12s %6s %7s %5s\n",
+	fmt.Printf("%-20s %-5s %8s %8s %6s %10s %10s %9s %8s %6s %6s %12s %6s %7s %5s\n",
 		"destination", "sat", "policies", "vars", "iters",
-		"decisions", "conflicts", "restarts", "learned", "glue", "avgLBD", "shared", "time", "cached", "rebound", "slow")
+		"decisions", "conflicts", "restarts", "learned", "glue", "avgLBD", "time", "cached", "rebound", "slow")
 	var iters, policies int
 	for _, is := range res.Instances {
 		dest := is.Destination.String()
 		if is.Destination.Len == 0 {
 			dest = "(joint)"
 		}
-		fmt.Printf("%-20s %-5v %8d %8d %6d %10d %10d %9d %8d %6d %6.1f %7d %12v %6v %7v %5v\n",
+		fmt.Printf("%-20s %-5v %8d %8d %6d %10d %10d %9d %8d %6d %6.1f %12v %6v %7v %5v\n",
 			dest, is.Sat, is.Policies, is.NumVars, is.Iterations,
 			is.Solver.Decisions, is.Solver.Conflicts, is.Solver.Restarts,
 			is.Solver.Learned, is.Solver.GlueLearned, avgLBD(is.Solver),
-			shared(is.Solver), is.Duration.Round(1000), is.Cached, is.Rebound, is.Slow)
+			is.Duration.Round(1000), is.Cached, is.Rebound, is.Slow)
 		iters += is.Iterations
 		policies += is.Policies
 	}
-	fmt.Printf("%-20s %-5v %8d %8s %6d %10d %10d %9d %8d %6d %6.1f %7d %12v\n",
+	fmt.Printf("%-20s %-5v %8d %8s %6d %10d %10d %9d %8d %6d %6.1f %12v\n",
 		"total", res.Unsat() == nil, policies, "-", iters,
 		res.Solver.Decisions, res.Solver.Conflicts, res.Solver.Restarts,
 		res.Solver.Learned, res.Solver.GlueLearned, avgLBD(res.Solver),
-		shared(res.Solver), res.SolveTime.Round(1000))
+		res.SolveTime.Round(1000))
 }
 
 func check(err error) {

@@ -206,26 +206,28 @@ func TestMaterializeInvalid(t *testing.T) {
 }
 
 // TestMaterializeParallelOptions pins the wire-to-core mapping of the
-// parallelism knobs, Portfolio included: what a remote caller sets in
-// options must land verbatim in core.Options.
+// parallelism knobs: what a remote caller sets in options must land
+// verbatim in core.Options.
 func TestMaterializeParallelOptions(t *testing.T) {
 	req := validRequest()
 	req.Options.Sequential = true
 	req.Options.Workers = 3
-	req.Options.Portfolio = 4
 	prob, err := req.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prob.Opts.Sequential || prob.Opts.Workers != 3 || prob.Opts.Portfolio != 4 {
-		t.Fatalf("options not mapped: sequential=%v workers=%d portfolio=%d",
-			prob.Opts.Sequential, prob.Opts.Workers, prob.Opts.Portfolio)
+	if !prob.Opts.Sequential || prob.Opts.Workers != 3 {
+		t.Fatalf("options not mapped: sequential=%v workers=%d",
+			prob.Opts.Sequential, prob.Opts.Workers)
 	}
-	// A portfolio change must also rotate the session options key, or a
-	// live session would keep solving with the stale setting.
-	other := validRequest()
-	if req.OptionsKey() == other.OptionsKey() {
-		t.Fatal("OptionsKey ignores portfolio/workers/sequential")
+	// Each knob must also rotate the session options key, or a live
+	// session would keep solving with the stale setting.
+	seq, workers := validRequest(), validRequest()
+	seq.Options.Sequential = true
+	workers.Options.Workers = 3
+	base := validRequest().OptionsKey()
+	if seq.OptionsKey() == base || workers.OptionsKey() == base {
+		t.Fatal("OptionsKey ignores workers/sequential")
 	}
 }
 

@@ -23,12 +23,14 @@ import (
 )
 
 // TestCNFUnchanged pins the CNF the encoder emits for the perfbench
-// cold_fleet and edit_stream inputs (seed 1): per instance, the SAT
-// variable and clause counts after encoding and after the MaxSAT solve,
-// and the structural-intern hit/miss counts. Changes to the CNF
-// construction machinery (Tseitin memo, solver growth, clause
-// normalization) must leave every line identical; a deliberate change
-// to the encoding regenerates the file with
+// cold_fleet and edit_stream inputs (seed 1), and the search the solver
+// runs over it: per instance, the SAT variable and clause counts after
+// encoding and after the MaxSAT solve, the structural-intern hit/miss
+// counts, and the solve's decision, conflict and propagation counts.
+// Changes to the CNF construction machinery (Tseitin memo, solver
+// growth, clause normalization) or to solver plumbing that must not
+// alter the search must leave every line identical; a deliberate change
+// to the encoding or the search heuristics regenerates the file with
 //
 //	go test ./internal/bench -run TestCNFUnchanged -update-cnf
 //
@@ -70,7 +72,8 @@ var updateCNF = flag.Bool("update-cnf", false, "rewrite testdata/cnf_golden.txt 
 
 // cnfLines encodes and solves every instance and renders one line per
 // instance: "<workload>/<problem>/<destination> vars=… clauses=…
-// hits=… misses=… solved_vars=… solved_clauses=…".
+// hits=… misses=… sat=… cost=… solved_vars=… solved_clauses=…
+// decisions=… conflicts=… propagations=…".
 func cnfLines(short bool) []string {
 	var out []string
 	members := 12
@@ -138,8 +141,9 @@ func (p cnfProblem) lines(workload string) []string {
 		line += fmt.Sprintf(" vars=%d clauses=%d hits=%d misses=%d",
 			e.Ctx.NumSATVars(), e.Ctx.NumSATClauses(), hits, misses)
 		r := e.SolveContext(context.Background(), smt.LinearDescent)
-		line += fmt.Sprintf(" sat=%v cost=%d solved_vars=%d solved_clauses=%d",
-			r.Sat, r.ViolatedWeight, e.Ctx.NumSATVars(), e.Ctx.NumSATClauses())
+		line += fmt.Sprintf(" sat=%v cost=%d solved_vars=%d solved_clauses=%d decisions=%d conflicts=%d propagations=%d",
+			r.Sat, r.ViolatedWeight, e.Ctx.NumSATVars(), e.Ctx.NumSATClauses(),
+			r.Stats.Decisions, r.Stats.Conflicts, r.Stats.Propagations)
 		out = append(out, line)
 	}
 	return out

@@ -51,16 +51,6 @@ type Options struct {
 	Monolithic bool
 	// Workers bounds solver goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Portfolio, when > 1, races that many configured CDCL solvers on
-	// the instance predicted hardest (diversified seeds, polarity
-	// randomization, VSIDS decay, and restart schedules; first winner
-	// cancels the rest and workers exchange glue clauses — see
-	// sat.SolvePortfolio). Only the destination whose estimated solve
-	// time dominates the remaining work gets the portfolio: racing every
-	// instance would oversubscribe the Workers pool for no wall-clock
-	// gain. Monolithic mode routes the portfolio to its single joint
-	// instance. 0 or 1 disables portfolio racing.
-	Portfolio int
 	// Strategy selects the MaxSAT search algorithm; the zero value is
 	// smt.LinearDescent, the paper's choice.
 	Strategy smt.Strategy
@@ -245,11 +235,6 @@ type InstanceStats struct {
 	// Solver holds the instance's cumulative SAT-solver counters
 	// (decisions, conflicts, restarts, ...).
 	Solver sat.Stats
-	// PortfolioWinner is the portfolio configuration index that won the
-	// instance's most recent SAT race, or -1 when no race completed
-	// (portfolio disabled for this instance, or no call produced a
-	// winner). For Cached instances it describes the original solve.
-	PortfolioWinner int
 }
 
 // SynthesizeContext computes configuration updates for net on topo
@@ -361,11 +346,6 @@ func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.To
 	esp.SetInt("vars", int64(j.Ctx.NumSATVars()))
 	esp.SetInt("deltas", int64(len(j.Deltas())))
 	esp.End()
-	if opts.Portfolio > 1 {
-		// The joint instance is the hardest instance by construction.
-		j.Ctx.SetPortfolio(sat.PortfolioOptions{Workers: opts.Portfolio})
-		msp.SetInt("portfolio", int64(opts.Portfolio))
-	}
 	r := j.SolveContext(ctx, opts.Strategy)
 	if r.Err != nil {
 		return r.Err
@@ -374,9 +354,8 @@ func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.To
 	res.Instances = append(res.Instances, InstanceStats{
 		Policies: total, NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
 		Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-		Slow:            opts.markSlow(r.Duration),
-		Solver:          r.Stats,
-		PortfolioWinner: r.PortfolioWinner,
+		Slow:   opts.markSlow(r.Duration),
+		Solver: r.Stats,
 	})
 	if !r.Sat {
 		for _, d := range dests {
@@ -420,10 +399,6 @@ func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topo
 	esp.SetInt("vars", int64(e.Ctx.NumSATVars()))
 	esp.SetInt("deltas", int64(len(e.Deltas())))
 	esp.End()
-	if opts.Portfolio > 1 {
-		e.Ctx.SetPortfolio(sat.PortfolioOptions{Workers: opts.Portfolio})
-		dsp.SetInt("portfolio", int64(opts.Portfolio))
-	}
 	r := e.SolveContext(ctx, opts.Strategy)
 	var satBit int64
 	if r.Sat {
@@ -485,38 +460,6 @@ func runInstances(n int, opts Options, est []int64, f func(i int)) {
 	wg.Wait()
 }
 
-// portfolioTargets decides which instances get the portfolio race: with
-// Portfolio enabled, the instance whose estimated cost dominates the
-// combined cost of all the others (it alone sets the wall clock, so
-// extra solver goroutines on it are free), or the only instance when
-// there is just one. Returns nil when portfolio mode is off or no
-// estimate dominates.
-func portfolioTargets(n int, opts Options, est []int64) []bool {
-	if opts.Portfolio <= 1 || n == 0 {
-		return nil
-	}
-	hard := make([]bool, n)
-	if n == 1 {
-		hard[0] = true
-		return hard
-	}
-	var total int64
-	for _, e := range est {
-		total += e
-	}
-	any := false
-	for i, e := range est {
-		if e > 0 && e >= total-e {
-			hard[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return hard
-}
-
 // explainDest computes a minimal conflicting policy subset for an
 // unsatisfiable destination (Options.Explain).
 func explainDest(net *config.Network, topo *topology.Topology, d prefix.Prefix,
@@ -546,7 +489,6 @@ func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topolog
 	for i, d := range dests {
 		est[i] = int64(len(groups[d]))
 	}
-	hard := portfolioTargets(len(dests), opts, est)
 
 	runInstances(len(dests), opts, est, func(i int) {
 		d := dests[i]
@@ -556,11 +498,7 @@ func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topolog
 			outcomes[i] = outcome{dest: d, err: err}
 			return
 		}
-		iopts := opts
-		if hard == nil || !hard[i] {
-			iopts.Portfolio = 0
-		}
-		r, _, err := solveInstance(ctx, net, topo, d, groups[d], iopts, tr, root, wd)
+		r, _, err := solveInstance(ctx, net, topo, d, groups[d], opts, tr, root, wd)
 		outcomes[i] = outcome{dest: d, result: r, err: err}
 	})
 
@@ -585,9 +523,8 @@ func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topolog
 			Destination: o.dest, Policies: len(groups[dests[i]]),
 			NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
 			Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-			Slow:            opts.markSlow(r.Duration),
-			Solver:          r.Stats,
-			PortfolioWinner: r.PortfolioWinner,
+			Slow:   opts.markSlow(r.Duration),
+			Solver: r.Stats,
 		})
 		res.SolveTime += r.Duration
 		if r.Duration > critical {

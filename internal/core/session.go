@@ -12,7 +12,6 @@ import (
 	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/policy"
 	"github.com/aed-net/aed/internal/prefix"
-	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/topology"
 )
 
@@ -183,12 +182,12 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	errs := make([]error, len(dests))
 	var rebinds, ineligible int64
 
-	// Cost estimates for longest-expected-first dispatch and portfolio
-	// routing: the destination's last observed solve time when the
-	// session has one, its last CNF size as a proxy otherwise, and the
-	// policy-group size on a fully cold start. Mixed units only occur on
-	// the first warm call after new destinations appear, where any
-	// history-first ordering is still better than FIFO.
+	// Cost estimates for longest-expected-first dispatch: the
+	// destination's last observed solve time when the session has one,
+	// its last CNF size as a proxy otherwise, and the policy-group size
+	// on a fully cold start. Mixed units only occur on the first warm
+	// call after new destinations appear, where any history-first
+	// ordering is still better than FIFO.
 	est := make([]int64, len(dirty))
 	for k, i := range dirty {
 		if e, ok := s.cache[dests[i]]; ok && e.res != nil {
@@ -203,7 +202,6 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		}
 		est[k] = int64(len(groups[dests[i]]))
 	}
-	hard := portfolioTargets(len(dirty), s.opts, est)
 
 	runInstances(len(dirty), s.opts, est, func(k int) {
 		i := dirty[k]
@@ -212,19 +210,15 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 			errs[i] = err
 			return
 		}
-		iopts := s.opts
-		if hard == nil || !hard[k] {
-			iopts.Portfolio = 0
-		}
 		if ent := liveable[i]; ent != nil {
-			if r, ok := resolveLive(ctx, ent.enc, s.net, d, iopts, tr, root, wd); ok {
+			if r, ok := resolveLive(ctx, ent.enc, s.net, d, s.opts, tr, root, wd); ok {
 				results[i], encs[i], rebound[i] = r, ent.enc, true
 				atomic.AddInt64(&rebinds, 1)
 				return
 			}
 			atomic.AddInt64(&ineligible, 1)
 		}
-		results[i], encs[i], errs[i] = solveInstance(ctx, s.net, s.topo, d, groups[d], iopts, tr, root, wd)
+		results[i], encs[i], errs[i] = solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, tr, root, wd)
 	})
 
 	for _, i := range dirty {
@@ -268,9 +262,8 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 			NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
 			Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
 			Cached: cached[i], Rebound: rebound[i],
-			Slow:            !cached[i] && s.opts.markSlow(r.Duration),
-			Solver:          r.Stats,
-			PortfolioWinner: r.PortfolioWinner,
+			Slow:   !cached[i] && s.opts.markSlow(r.Duration),
+			Solver: r.Stats,
 		})
 		if !cached[i] {
 			res.Solver = res.Solver.Add(r.Stats)
@@ -319,11 +312,6 @@ func resolveLive(ctx context.Context, enc *encode.Encoder, net *config.Network,
 	if !ok {
 		return nil, false
 	}
-	// A tier-2 re-solve runs in ~ms on the warm solver; racing clones
-	// would clone the whole warm clause database per call for nothing.
-	// The live context may still carry portfolio routing from its cold
-	// solve, so switch it off explicitly.
-	enc.Ctx.SetPortfolio(sat.PortfolioOptions{})
 	dest := d.String()
 	dsp := root.Child("destination")
 	dsp.SetStr("dest", dest)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -213,60 +212,6 @@ func TestServeDebugBindsAndCloses(t *testing.T) {
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/metrics", addr)); err == nil {
 		t.Error("endpoint still serving after close")
-	}
-}
-
-// TestLiveSpansUnderConcurrentSolve is the race test for the live span
-// tree: workers create, annotate, and end spans while readers hammer
-// the /spans payload and the watchdog-style OpenSpans snapshot. Run
-// under -race this pins the span locking design.
-func TestLiveSpansUnderConcurrentSolve(t *testing.T) {
-	tr := NewTracer()
-	tr.SetRecorder(NewRecorder(64))
-	stopReaders := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stopReaders:
-					return
-				default:
-				}
-				_ = spansPayload(tr)
-				_ = tr.OpenSpans()
-				_ = metricsPayload(tr)
-			}
-		}()
-	}
-	var workers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		workers.Add(1)
-		go func(w int) {
-			defer workers.Done()
-			for i := 0; i < 200; i++ {
-				sp := tr.Start("solve")
-				sp.SetInt("iter", int64(i))
-				sp.SetStr("dest", "10.0.0.0/24")
-				child := sp.Child("maxsat")
-				child.SetBool("sat", i%2 == 0)
-				child.End()
-				sp.End()
-				tr.Recorder().Record(EvRestart, int64(w), int64(i))
-			}
-		}(w)
-	}
-	workers.Wait()
-	close(stopReaders)
-	readers.Wait()
-
-	if got := len(tr.Spans()); got != 4*200*2 {
-		t.Errorf("recorded %d spans, want %d", got, 4*200*2)
-	}
-	if got := len(tr.OpenSpans()); got != 0 {
-		t.Errorf("%d spans still open", got)
 	}
 }
 

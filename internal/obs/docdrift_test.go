@@ -18,8 +18,11 @@ var metricRegRe = regexp.MustCompile(`\.(Counter|Gauge|Histogram)\("([^"]+)"`)
 // registered anywhere in the source must be documented in
 // docs/OBSERVABILITY.md or docs/SERVICE.md, and every metric name
 // listed in those documents' metric tables must exist in the source.
-// It runs in the standard test suite, so `make check` (via its -race
-// test pass) fails on drift in either direction.
+// The same holds for flight-recorder event kinds: every eventKindNames
+// entry needs a row in the OBSERVABILITY.md event table, and every row
+// there must name a registered kind. It runs in the standard test
+// suite, so `make check` (via its -race test pass) fails on drift in
+// either direction.
 func TestMetricDocDrift(t *testing.T) {
 	root := "../.."
 
@@ -135,6 +138,55 @@ func TestMetricDocDrift(t *testing.T) {
 			if !prefixed {
 				t.Errorf("%s documents metric %q, which is not registered anywhere in the source", sec.path, tok)
 			}
+		}
+	}
+
+	checkEventKindDocs(t, docPaths[0], docs[docPaths[0]])
+}
+
+// checkEventKindDocs holds the recorder event table in doc (the table
+// after the "Event taxonomy" line) to eventKindNames in both
+// directions. The first cell of each row names one or more kinds in
+// backticks; EvNone is never recorded and needs no row.
+func checkEventKindDocs(t *testing.T, path, doc string) {
+	t.Helper()
+	const anchor = "Event taxonomy (`obs.EventKind`)"
+	i := strings.Index(doc, anchor)
+	if i < 0 {
+		t.Fatalf("%s: %q not found — update this test's anchor", path, anchor)
+	}
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(doc[i:], "\n")[1:] {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		cells := strings.Split(line, "|")
+		for _, m := range codeSpanRe.FindAllStringSubmatch(cells[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+	registered := map[string]bool{}
+	for k, name := range eventKindNames {
+		if EventKind(k) == EvNone {
+			continue
+		}
+		registered[name] = true
+		if !documented[name] {
+			t.Errorf("recorder event kind %q has no row in the %s event table", name, path)
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatalf("%s: event table after %q is empty — the table scan is broken", path, anchor)
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("%s documents recorder event kind %q, which is not registered in eventKindNames", path, name)
 		}
 	}
 }

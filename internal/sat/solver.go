@@ -51,13 +51,6 @@ type Solver struct {
 	ok        bool  // false once a top-level conflict is derived
 	conflictC []Lit // final conflict clause in assumption terms
 
-	// Per-solver search configuration (see Config); varDecayF caches
-	// 1/cfg.VarDecay and rngState is the private xorshift64 state behind
-	// randomized polarity decisions.
-	cfg       Config
-	varDecayF float64
-	rngState  uint64
-
 	// Reusable clause-normalization and conflict-analysis scratch, so
 	// AddClause and the analyze/minimize path allocate nothing once the
 	// buffers have grown to steady state.
@@ -107,26 +100,6 @@ type Solver struct {
 	// 1024 when a Progress hook is installed).
 	ProgressEvery int64
 
-	// Export, if non-nil, receives every learned glue clause (LBD ≤ 2,
-	// including learned units) from the solving goroutine, for portfolio
-	// clause sharing. The slice aliases an internal buffer reused by the
-	// next conflict analysis: the hook must copy it before returning.
-	// Like the other hooks it must be cheap and must not call back into
-	// the Solver.
-	Export func(lits []Lit, lbd int)
-	// Import, if non-nil, is polled at every restart (at the root
-	// decision level) to integrate clauses learned by sibling portfolio
-	// workers. Each call returns one shared clause and its LBD, or a nil
-	// slice when the feed is drained for now. The returned slice is only
-	// read until the next Import call, so the feed may reuse one buffer.
-	// Importing is sound because portfolio workers share an identical
-	// problem database: every shared clause is a resolvent of clauses
-	// this solver also has.
-	Import func() ([]Lit, int)
-	// importBuf is reusable scratch for filtering imported clauses
-	// against the root assignment.
-	importBuf []Lit
-
 	// onLearn, if set, observes every learned clause (testing hook).
 	onLearn func([]Lit)
 	// onMinimize, if set, observes (pre, post) minimization clauses.
@@ -139,7 +112,7 @@ type Solver struct {
 
 // New returns an empty solver with no variables or clauses.
 func New() *Solver {
-	s := &Solver{varInc: 1, claInc: 1, ok: true, varDecayF: varDecay, rngState: defaultSeed}
+	s := &Solver{varInc: 1, claInc: 1, ok: true}
 	// Index 0 is reserved so Var and Lit arithmetic stays simple.
 	s.watches = make([][]watcher, 2)
 	s.assigns = make([]Tribool, 1)
@@ -561,8 +534,8 @@ func (s *Solver) bumpClause(c CRef) {
 	}
 }
 
-// Default decay rates; varDecay is only the zero-Config default — the
-// live value is the per-solver varDecayF field (see Config.VarDecay).
+// Activity decay rates: VSIDS variable activity decays by 0.95 per
+// conflict, learned-clause activity by 0.999.
 const (
 	varDecay = 1.0 / 0.95
 	claDecay = 1.0 / 0.999
@@ -580,7 +553,7 @@ func (s *Solver) pickBranchVar() Var {
 }
 
 // luby returns the i-th element (1-based) of the Luby restart sequence
-// scaled by base.
+// scaled by base; Solve restarts on luby(100, n) conflicts.
 func luby(base int64, i int64) int64 {
 	// Find the finite subsequence containing index i, then its value.
 	var k uint = 1
@@ -738,7 +711,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	conflictsAtStart := s.Stats.Conflicts
 
 	for {
-		budget := s.restartBudget(restartN)
+		budget := luby(100, restartN)
 		restartN++
 		st := s.search(assumptions, budget, &maxLearnts)
 		if st == Sat {
@@ -758,71 +731,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.emitEvent(EventRestart, s.Stats.Restarts, s.Stats.Conflicts)
 		s.emitProgress(false)
 		s.backtrack(0)
-		if !s.importShared() {
-			return Unsat
-		}
 	}
-}
-
-// importShared drains the Import hook at the root level (called right
-// after the restart backtrack), integrating clauses learned by sibling
-// portfolio workers. Clauses already satisfied at the root are skipped;
-// root-false literals are dropped; a clause emptied by that filtering
-// proves root unsatisfiability. Returns false when the solver became
-// Unsat (s.ok cleared).
-func (s *Solver) importShared() bool {
-	if s.Import == nil {
-		return s.ok
-	}
-	droppedBefore := s.Stats.SharedDropped
-	var imported int64
-	for {
-		lits, lbd := s.Import()
-		if lits == nil {
-			break
-		}
-		keep := s.importBuf[:0]
-		satisfied := false
-		for _, l := range lits {
-			switch s.litValue(l) {
-			case True:
-				satisfied = true
-			case False:
-				// Root-false: drop the literal.
-			default:
-				keep = append(keep, l)
-			}
-		}
-		s.importBuf = keep
-		if satisfied {
-			continue
-		}
-		switch len(keep) {
-		case 0:
-			s.ok = false
-		case 1:
-			if !s.enqueue(keep[0], CRefUndef) || s.propagate() != CRefUndef {
-				s.ok = false
-			}
-		default:
-			c := s.arena.alloc(keep, true, lbd)
-			s.notePeak()
-			s.learnts = append(s.learnts, c)
-			s.attach(c)
-		}
-		s.Stats.SharedImported++
-		imported++
-		if !s.ok {
-			break
-		}
-	}
-	// The Import feed (the portfolio ring cursor) updates SharedDropped
-	// from inside this drain, so the delta is the clauses missed since
-	// the previous restart.
-	if dropped := s.Stats.SharedDropped - droppedBefore; imported > 0 || dropped > 0 {
-		s.emitEvent(EventShareImport, imported, dropped)
-	}
-	return s.ok
 }
 
 // search runs CDCL until a result, a restart budget expiry (Unknown),
@@ -867,12 +776,8 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *float64) St
 			s.Stats.LBDSum += int64(lbd)
 			if lbd <= glueLBD {
 				s.Stats.GlueLearned++
-				if s.Export != nil {
-					s.Stats.SharedExported++
-					s.Export(learnt, lbd)
-				}
 			}
-			s.varInc *= s.varDecayF
+			s.varInc *= varDecay
 			s.claInc *= claDecay
 			if float64(len(s.learnts)) > *maxLearnts {
 				*maxLearnts *= 1.3
@@ -906,11 +811,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *float64) St
 		}
 		s.Stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		sign := s.polarity[v]
-		if r := s.cfg.RandomPolarityRate; r > 0 && s.randFloat() < r {
-			sign = !sign
-		}
-		s.enqueue(NewLit(v, sign), CRefUndef)
+		s.enqueue(NewLit(v, s.polarity[v]), CRefUndef)
 	}
 }
 

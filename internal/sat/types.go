@@ -143,15 +143,6 @@ type Stats struct {
 	// destination solvers); under Sub it becomes an increment like any
 	// other counter.
 	PeakClauseBytes int64
-
-	// SharedExported counts learned glue clauses handed to the Export
-	// hook (portfolio clause sharing); SharedImported counts foreign
-	// clauses integrated through the Import hook; SharedDropped counts
-	// shared clauses this solver missed because its ring cursor was
-	// lapped before it could read them.
-	SharedExported int64
-	SharedImported int64
-	SharedDropped  int64
 }
 
 // Add returns the field-wise sum s+o, for aggregating per-instance
@@ -169,9 +160,6 @@ func (s Stats) Add(o Stats) Stats {
 		LBDSum:          s.LBDSum + o.LBDSum,
 		ArenaGCs:        s.ArenaGCs + o.ArenaGCs,
 		PeakClauseBytes: s.PeakClauseBytes + o.PeakClauseBytes,
-		SharedExported:  s.SharedExported + o.SharedExported,
-		SharedImported:  s.SharedImported + o.SharedImported,
-		SharedDropped:   s.SharedDropped + o.SharedDropped,
 	}
 }
 
@@ -190,9 +178,6 @@ func (s Stats) Sub(o Stats) Stats {
 		LBDSum:          s.LBDSum - o.LBDSum,
 		ArenaGCs:        s.ArenaGCs - o.ArenaGCs,
 		PeakClauseBytes: s.PeakClauseBytes - o.PeakClauseBytes,
-		SharedExported:  s.SharedExported - o.SharedExported,
-		SharedImported:  s.SharedImported - o.SharedImported,
-		SharedDropped:   s.SharedDropped - o.SharedDropped,
 	}
 }
 
@@ -209,10 +194,6 @@ const (
 	EventReduceDB
 	// EventArenaGC: a = arena bytes before compaction, b = bytes after.
 	EventArenaGC
-	// EventShareImport: a = foreign clauses integrated in one restart-
-	// boundary drain of the Import hook, b = shared clauses missed
-	// (ring cursor lapped) since the previous drain.
-	EventShareImport
 )
 
 // ProgressSample is a consistent snapshot of a running solver, emitted

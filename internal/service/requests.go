@@ -141,9 +141,6 @@ type accessEntry struct {
 	Rebound   int `json:"rebound"`
 	Reencoded int `json:"reencoded"`
 	Dirty     int `json:"dirty"`
-	// PortfolioWinner is the portfolio configuration index that won this
-	// request's SAT race, when one raced to a winner.
-	PortfolioWinner *int `json:"portfolio_winner,omitempty"`
 }
 
 // logAccess writes one access-log line. Lines are serialized so
@@ -182,7 +179,4 @@ func accessCounts(e *accessEntry, resp *api.Response) {
 	e.Rebound = resp.Rebound()
 	e.Reencoded = len(resp.Instances) - e.Cached - e.Rebound
 	e.Dirty = e.Rebound + e.Reencoded
-	if w := resp.PortfolioWinner(); w >= 0 {
-		e.PortfolioWinner = &w
-	}
 }

@@ -67,12 +67,6 @@ type Config struct {
 	// Workers (at least 1), so a fully loaded pool doesn't oversubscribe
 	// the machine.
 	SolveWorkers int
-	// Portfolio is the default CDCL portfolio size applied when the
-	// request doesn't set options.portfolio: that many configured
-	// solvers race on the destination predicted hardest, sharing glue
-	// clauses (core.Options.Portfolio). 0 (the default) or 1 disables
-	// racing; requests can still opt in per call.
-	Portfolio int
 	// Tracer receives every span, counter, and histogram; nil creates
 	// one with a flight recorder attached.
 	Tracer *obs.Tracer
@@ -81,8 +75,8 @@ type Config struct {
 	MaxTenantLabels int
 	// AccessLog, when non-nil, receives one JSON line per request (see
 	// accessEntry): identity, verdict, queue wait, solve time, cache
-	// tiers hit, and the portfolio winner. Writes are serialized; nil
-	// (the default) disables the log.
+	// tiers hit. Writes are serialized; nil (the default) disables the
+	// log.
 	AccessLog io.Writer
 }
 
@@ -510,9 +504,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 	if prob.Opts.Workers == 0 {
 		prob.Opts.Workers = s.cfg.SolveWorkers
-	}
-	if prob.Opts.Portfolio == 0 {
-		prob.Opts.Portfolio = s.cfg.Portfolio
 	}
 	enqueued := time.Now()
 	fl, untrack := s.trackRequest(reqID, tenant, req.Session, enqueued)

@@ -357,6 +357,29 @@ func TestInvalidRequest(t *testing.T) {
 	}
 }
 
+// TestUnknownOptionIgnored pins wire compatibility with older clients:
+// a request carrying an option the server does not know (such as one
+// removed from SolveOptions) is decoded and solved as if it were absent.
+func TestUnknownOptionIgnored(t *testing.T) {
+	_, cl := start(t, Config{})
+	body, err := json.Marshal(newFixture(2, 1).request("", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{"retired_option":4,`), 1)
+	if !bytes.Contains(body, []byte(`"retired_option":4`)) {
+		t.Fatalf("request body has no options object: %s", body)
+	}
+	res, err := http.Post(cl.Base+api.PathSolve, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", res.StatusCode)
+	}
+}
+
 // TestGracefulShutdownDrains pins the zero-drop guarantee: every
 // admitted request completes with a real response even when Shutdown
 // lands mid-solve, later arrivals get the typed draining rejection,

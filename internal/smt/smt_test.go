@@ -440,6 +440,16 @@ func TestSolveAssuming(t *testing.T) {
 	if m := c.SolveAssuming(a); m == nil || !m.Bool(b) {
 		t.Fatal("assuming a must give b")
 	}
+	core, satisfiable := c.UnsatCore([]*Formula{a, Not(b)})
+	if satisfiable || len(core) == 0 {
+		t.Fatalf("UnsatCore(a, ¬b) = %v, sat=%v; want a non-empty core", core, satisfiable)
+	}
+	if core, satisfiable := c.UnsatCore([]*Formula{a}); !satisfiable || core != nil {
+		t.Fatalf("UnsatCore(a) = %v, sat=%v; want satisfiable", core, satisfiable)
+	}
+	if m := c.SolveAssuming(a); m == nil || !m.Bool(b) {
+		t.Fatal("context unusable after an unsat core")
+	}
 }
 
 func TestModelEval(t *testing.T) {
