@@ -73,7 +73,9 @@ bench-resolve-quick: | $(QUICK_OUT)
 
 # Short fuzz passes on every gate: ten seconds of differential CDCL
 # fuzzing against brute-force enumeration (assumptions + solver reuse);
-# five seconds each on the untrusted-input parsers — policy, objective
+# five seconds of MaxSAT fuzzing against brute-force optima across the
+# default search sequence (core-guided, an edit, linear descent on the
+# same context); five seconds each on the untrusted-input parsers — policy, objective
 # and config text round trips, and api.Request.Materialize never
 # panicking and wrapping every error in ErrInvalidRequest; then five
 # seconds each on the AEDT telemetry codec — round-trip equality and
@@ -81,6 +83,7 @@ bench-resolve-quick: | $(QUICK_OUT)
 # target per invocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 10s ./internal/sat/
+	$(GO) test -run '^$$' -fuzz FuzzMaxSAT -fuzztime 5s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz FuzzPolicyParse -fuzztime 5s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveParse -fuzztime 5s ./internal/objective/
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 5s ./internal/config/

@@ -85,7 +85,9 @@ const (
 	PathLength     = policy.PathLength
 )
 
-// MaxSAT strategies for Options.Strategy.
+// MaxSAT strategies for Options.Strategy. Each forces its search; the
+// zero Strategy picks core-guided search for fresh instances and
+// linear descent for warm re-solves (see Options.Strategy).
 const (
 	LinearDescent = smt.LinearDescent
 	BinarySearch  = smt.BinarySearch

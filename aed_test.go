@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/aed-net/aed/internal/smt"
 )
 
 // lab builds a three-router line network through the public API.
@@ -126,8 +128,8 @@ func TestZeroOptionsIsDefault(t *testing.T) {
 	if !reflect.DeepEqual(DefaultOptions(), Options{}) {
 		t.Error("DefaultOptions() != Options{}")
 	}
-	if s := LinearDescent; int(s) != 0 {
-		t.Error("LinearDescent must be the zero Strategy")
+	if s := DefaultOptions().Strategy; s != smt.Auto {
+		t.Errorf("zero Strategy = %v, want smt.Auto", s)
 	}
 }
 

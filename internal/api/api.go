@@ -123,8 +123,10 @@ type SolveOptions struct {
 	// Workers bounds solver goroutines within this solve (0 = the
 	// server's per-request default, GOMAXPROCS for library calls).
 	Workers int `json:"workers,omitempty"`
-	// Strategy selects the MaxSAT search: "" or "linear"
-	// (linear descent, the paper's choice), "binary", or "core".
+	// Strategy selects the MaxSAT search. "" is smt.Auto: core-guided
+	// on fresh instances, linear descent on warm re-solves of a live
+	// session instance. "linear", "binary" and "core" force that
+	// search on every path.
 	Strategy string `json:"strategy,omitempty"`
 }
 
@@ -173,7 +175,9 @@ func (r *Request) Materialize() (*Problem, error) {
 	opts.NoLiveInstances = r.Options.NoLiveInstances
 	opts.Workers = r.Options.Workers
 	switch r.Options.Strategy {
-	case "", "linear":
+	case "":
+		opts.Strategy = smt.Auto
+	case "linear":
 		opts.Strategy = smt.LinearDescent
 	case "binary":
 		opts.Strategy = smt.BinarySearch

@@ -14,6 +14,7 @@ import (
 	"github.com/aed-net/aed/internal/core"
 	"github.com/aed-net/aed/internal/policy"
 	"github.com/aed-net/aed/internal/prefix"
+	"github.com/aed-net/aed/internal/smt"
 	"github.com/aed-net/aed/internal/topology"
 )
 
@@ -228,6 +229,27 @@ func TestMaterializeParallelOptions(t *testing.T) {
 	base := validRequest().OptionsKey()
 	if seq.OptionsKey() == base || workers.OptionsKey() == base {
 		t.Fatal("OptionsKey ignores workers/sequential")
+	}
+}
+
+// TestMaterializeStrategy pins the wire-to-core strategy mapping: ""
+// is the state-dependent default, and each name forces its search.
+func TestMaterializeStrategy(t *testing.T) {
+	for wire, want := range map[string]smt.Strategy{
+		"":       smt.Auto,
+		"linear": smt.LinearDescent,
+		"binary": smt.BinarySearch,
+		"core":   smt.CoreGuided,
+	} {
+		req := validRequest()
+		req.Options.Strategy = wire
+		prob, err := req.Materialize()
+		if err != nil {
+			t.Fatalf("strategy %q: %v", wire, err)
+		}
+		if prob.Opts.Strategy != want {
+			t.Errorf("strategy %q -> %v, want %v", wire, prob.Opts.Strategy, want)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func TestMaxSATStrategiesAgree(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	rows := MaxSATStrategies(&buf, Quick)
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("rows = %d:\n%s", len(rows), buf.String())
 	}
 	// Exact strategies must agree on the optimal objective cost

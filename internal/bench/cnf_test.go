@@ -76,17 +76,37 @@ var updateCNF = flag.Bool("update-cnf", false, "rewrite testdata/cnf_golden.txt 
 // decisions=… conflicts=… propagations=…".
 func cnfLines(short bool) []string {
 	var out []string
+	cnfCorpus(short, func(key string, e *encode.Encoder, err error) {
+		if err != nil {
+			out = append(out, key+" error="+err.Error())
+			return
+		}
+		hits, misses := e.Ctx.InternStats()
+		line := key + fmt.Sprintf(" vars=%d clauses=%d hits=%d misses=%d",
+			e.Ctx.NumSATVars(), e.Ctx.NumSATClauses(), hits, misses)
+		r := e.SolveContext(context.Background(), smt.LinearDescent)
+		line += fmt.Sprintf(" sat=%v cost=%d solved_vars=%d solved_clauses=%d decisions=%d conflicts=%d propagations=%d",
+			r.Sat, r.ViolatedWeight, e.Ctx.NumSATVars(), e.Ctx.NumSATClauses(),
+			r.Stats.Decisions, r.Stats.Conflicts, r.Stats.Propagations)
+		out = append(out, line)
+	})
+	return out
+}
+
+// cnfCorpus encodes every instance of the golden corpus, in golden
+// order, and hands each to f (see cnfProblem.encode). -short keeps the
+// cold_fleet members dc00–dc05.
+func cnfCorpus(short bool, f func(key string, e *encode.Encoder, err error)) {
 	members := 12
 	if short {
 		members = 6
 	}
 	for _, p := range coldFleetCNFInputs(1, members) {
-		out = append(out, p.lines("cold_fleet")...)
+		p.encode("cold_fleet", f)
 	}
 	if !short {
-		out = append(out, editStreamCNFInputs().lines("edit_stream")...)
+		editStreamCNFInputs().encode("edit_stream", f)
 	}
-	return out
 }
 
 // cnfProblem is one synthesis problem, taken through the text formats
@@ -115,19 +135,21 @@ func newCNFProblem(name string, net *config.Network, topo *topology.Topology, ps
 	return cnfProblem{name: name, net: parsed, topo: ptopo, ps: pps, objs: objs}
 }
 
-func (p cnfProblem) lines(workload string) []string {
+// encode builds every destination instance of p, in prefix order, and
+// hands each to f under its key "<workload>/<problem>/<destination>",
+// or the encoding error with a nil encoder.
+func (p cnfProblem) encode(workload string, f func(key string, e *encode.Encoder, err error)) {
 	groups := policy.GroupByDestination(policy.SubdividePolicies(policy.Dedup(p.ps)))
 	var dests []prefix.Prefix
 	for d := range groups {
 		dests = append(dests, d)
 	}
 	prefix.Sort(dests)
-	var out []string
 	for _, d := range dests {
 		e := encode.New(p.net, p.topo, d, encode.Options{})
-		line := fmt.Sprintf("%s/%s/%s", workload, p.name, d)
+		key := fmt.Sprintf("%s/%s/%s", workload, p.name, d)
 		if err := e.EncodePolicies(groups[d]); err != nil {
-			out = append(out, line+" error="+err.Error())
+			f(key, nil, err)
 			continue
 		}
 		if p.objs != nil {
@@ -137,16 +159,8 @@ func (p cnfProblem) lines(workload string) []string {
 		} else {
 			e.PenalizeDeltas(1)
 		}
-		hits, misses := e.Ctx.InternStats()
-		line += fmt.Sprintf(" vars=%d clauses=%d hits=%d misses=%d",
-			e.Ctx.NumSATVars(), e.Ctx.NumSATClauses(), hits, misses)
-		r := e.SolveContext(context.Background(), smt.LinearDescent)
-		line += fmt.Sprintf(" sat=%v cost=%d solved_vars=%d solved_clauses=%d decisions=%d conflicts=%d propagations=%d",
-			r.Sat, r.ViolatedWeight, e.Ctx.NumSATVars(), e.Ctx.NumSATClauses(),
-			r.Stats.Decisions, r.Stats.Conflicts, r.Stats.Propagations)
-		out = append(out, line)
+		f(key, e, nil)
 	}
-	return out
 }
 
 // coldFleetCNFInputs mirrors perfbench's cold_fleet corpus for one

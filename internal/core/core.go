@@ -51,8 +51,15 @@ type Options struct {
 	Monolithic bool
 	// Workers bounds solver goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Strategy selects the MaxSAT search algorithm; the zero value is
-	// smt.LinearDescent, the paper's choice.
+	// Strategy selects the MaxSAT search algorithm. The zero value,
+	// smt.Auto, runs core-guided search on every freshly encoded
+	// instance (cold and tier-3 solves) and linear descent on tier-2
+	// re-solves of a live instance, where the memoized totalizer and
+	// saved phases make it the faster search; on cold_fleet it roughly
+	// doubles throughput over linear descent everywhere (see
+	// docs/PERFORMANCE.md §MaxSAT search). The paper's Z3 optimizer
+	// defaults to MaxRes, also core-guided. The named strategies force
+	// one search on every path.
 	Strategy smt.Strategy
 	// Encode tunes the underlying encoding (pruning, integer widths);
 	// its zero value is the paper default too.

@@ -65,6 +65,7 @@ func solveInstrumented(ctx context.Context, sctx *smt.Context, parent *obs.Span,
 	sp := parent.Child("solve")
 	ms := sp.Child("maxsat")
 	res := sctx.Maximize(strategy)
+	ms.SetStr("strategy", res.Search.String())
 	ms.SetInt("iterations", int64(res.Iterations))
 	ms.SetInt("violated_weight", int64(res.ViolatedWeight))
 	ms.End()

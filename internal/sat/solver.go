@@ -901,6 +901,19 @@ func (s *Solver) ModelValue(v Var) bool {
 	return int(v) < len(s.model) && s.model[v] == True
 }
 
+// SetPhases makes model's value the saved phase of every variable it
+// assigns, so the next search decides toward that assignment first. A
+// caller that ends on an UNSAT call (an optimality proof) uses it to
+// start the next search from its best model rather than from whatever
+// the failed call assigned last.
+func (s *Solver) SetPhases(model []Tribool) {
+	for v, val := range model {
+		if val != Undef {
+			s.polarity[v] = val == False
+		}
+	}
+}
+
 // Okay reports whether the solver is still consistent at the root
 // level (no empty clause derived).
 func (s *Solver) Okay() bool { return s.ok }

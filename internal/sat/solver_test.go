@@ -350,3 +350,52 @@ func BenchmarkSolverRandom3SAT(b *testing.B) {
 		s.Solve()
 	}
 }
+
+// TestSetPhasesGuidesNextSearch plants a model in a random 3-SAT
+// instance, lets a first search find some model, then points the saved
+// phases at the planted one: the next search must decide its way
+// straight to it, without a conflict.
+func TestSetPhasesGuidesNextSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 50; iter++ {
+		n := 20 + rng.Intn(30)
+		planted := make([]Tribool, n+1)
+		for v := 1; v <= n; v++ {
+			planted[v] = True
+			if rng.Intn(2) == 0 {
+				planted[v] = False
+			}
+		}
+		s := New()
+		for i := 0; i < n; i++ {
+			s.NewVar()
+		}
+		for i := 0; i < 3*n; i++ {
+			cl := make([]Lit, 3)
+			for j := range cl {
+				cl[j] = NewLit(Var(1+rng.Intn(n)), rng.Intn(2) == 1)
+			}
+			// Make the planted model satisfy the clause.
+			if v := cl[0].Var(); (planted[v] == False) != cl[0].Sign() {
+				cl[0] = cl[0].Neg()
+			}
+			s.AddClause(cl...)
+		}
+		if s.Solve() != Sat {
+			t.Fatalf("iter %d: planted instance unsat", iter)
+		}
+		s.SetPhases(planted)
+		conflicts := s.Stats.Conflicts
+		if s.Solve() != Sat {
+			t.Fatalf("iter %d: second solve unsat", iter)
+		}
+		if c := s.Stats.Conflicts - conflicts; c != 0 {
+			t.Errorf("iter %d: %d conflicts after SetPhases, want 0", iter, c)
+		}
+		for v := 1; v <= n; v++ {
+			if got := s.ModelValue(Var(v)); got != (planted[v] == True) {
+				t.Fatalf("iter %d: var %d = %v, planted %v", iter, v, got, planted[v])
+			}
+		}
+	}
+}

@@ -10,13 +10,17 @@ import "github.com/aed-net/aed/internal/sat"
 // the standard totalizer merge, so the outputs stay a monotone unary
 // counter: the MaxSAT engine tightens the bound incrementally by
 // assuming ¬out[k] for decreasing k, without rebuilding the formula.
-func (c *Context) weightedTotalizer(inputs []sat.Lit, weights []int) []sat.Lit {
+// Every counter is cut at width outputs, saturating at "≥ width": a
+// search that never bounds the cost at width or above needs no more,
+// and the cut turns the merges' quadratic clause count into
+// O(width²) per node.
+func (c *Context) weightedTotalizer(inputs []sat.Lit, weights []int, width int) []sat.Lit {
 	if len(inputs) == 0 {
 		return nil
 	}
 	nodes := make([][]sat.Lit, 0, len(inputs))
 	for i, l := range inputs {
-		leaf := make([]sat.Lit, weights[i])
+		leaf := make([]sat.Lit, min(weights[i], width))
 		for j := range leaf {
 			leaf[j] = l
 		}
@@ -26,7 +30,7 @@ func (c *Context) weightedTotalizer(inputs []sat.Lit, weights []int) []sat.Lit {
 	for len(nodes) > 1 {
 		next := nodes[:0]
 		for i := 0; i+1 < len(nodes); i += 2 {
-			next = append(next, c.totalizerMerge(nodes[i], nodes[i+1]))
+			next = append(next, c.totalizerMerge(nodes[i], nodes[i+1], width))
 		}
 		if len(nodes)%2 == 1 {
 			next = append(next, nodes[len(nodes)-1])
@@ -37,15 +41,19 @@ func (c *Context) weightedTotalizer(inputs []sat.Lit, weights []int) []sat.Lit {
 }
 
 // totalizerMerge fuses two unary counters into one of width
-// len(left)+len(right), emitting the standard totalizer clauses.
-func (c *Context) totalizerMerge(left, right []sat.Lit) []sat.Lit {
+// min(len(left)+len(right), width), emitting the standard totalizer
+// clauses. The clause for a split a+b above the cut is skipped: it
+// could only force out[width-1], which the clause for a split a'+b' =
+// width with a' ≤ a and b' ≤ b already forces, the inputs being
+// monotone.
+func (c *Context) totalizerMerge(left, right []sat.Lit, width int) []sat.Lit {
 	if len(left) == 0 {
 		return right
 	}
 	if len(right) == 0 {
 		return left
 	}
-	n := len(left) + len(right)
+	n := min(len(left)+len(right), width)
 	c.Grow(n)
 	out := make([]sat.Lit, n)
 	for i := range out {
@@ -93,22 +101,33 @@ func (c *Context) AtMost(k int, fs ...*Formula) {
 	for i, f := range fs {
 		lits[i] = c.tseitin(f)
 	}
+	c.atMost(k, lits)
+}
+
+// atMost emits AtMost's clauses over literals and returns the counter
+// variables it introduced (as positive literals). Every clause holds
+// once all inputs and counter variables are false.
+func (c *Context) atMost(k int, lits []sat.Lit) (aux []sat.Lit) {
+	if k >= len(lits) {
+		return nil
+	}
 	if k == 0 {
 		for _, l := range lits {
 			c.solver.AddClause(l.Neg())
 		}
-		return
+		return nil
 	}
 	// Sequential counter (Sinz 2005): s[i][j] = "at least j+1 true
 	// among the first i+1 inputs".
 	n := len(lits)
 	c.Grow(n * k)
+	aux = make([]sat.Lit, n*k)
+	for i := range aux {
+		aux[i] = sat.PosLit(c.freshSatVar())
+	}
 	s := make([][]sat.Lit, n)
 	for i := range s {
-		s[i] = make([]sat.Lit, k)
-		for j := range s[i] {
-			s[i][j] = sat.PosLit(c.freshSatVar())
-		}
+		s[i] = aux[i*k : (i+1)*k]
 	}
 	c.solver.AddClause(lits[0].Neg(), s[0][0])
 	for j := 1; j < k; j++ {
@@ -123,6 +142,7 @@ func (c *Context) AtMost(k int, fs ...*Formula) {
 		}
 		c.solver.AddClause(lits[i].Neg(), s[i-1][k-1].Neg())
 	}
+	return aux
 }
 
 // AtLeast asserts that at least k of the formulas hold.

@@ -64,11 +64,18 @@ type Context struct {
 
 	// totalOuts memoizes the soft-constraint relaxation and totalizer
 	// (relaxSoft + weightedTotalizer) across Maximize calls, keyed on
-	// the soft-set size: a live context re-solved after a retractable
-	// rebind reuses the existing counting circuitry instead of emitting
-	// a fresh totalizer per call. totalN is -1 until first built.
+	// the soft-set size (see softOuts): a live context re-solved after
+	// a retractable rebind reuses the existing counting circuitry
+	// instead of emitting a fresh totalizer per call. totalN is -1
+	// until first built.
 	totalN    int
 	totalOuts []sat.Lit
+
+	// maximized records that a Maximize call has finished on this
+	// context: Auto searches core-guided until then and by linear
+	// descent after, and linear descent sizes a totalizer it has to
+	// build to its first model's cost from then on (maximizeBounded).
+	maximized bool
 
 	// reg, when set by Observe, receives solver metrics (decision/
 	// conflict/restart counters, trail-depth samples, per-call solve

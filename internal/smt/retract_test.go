@@ -157,9 +157,11 @@ func TestRetractableLearnedClausesSurvive(t *testing.T) {
 // TestRetractableWithMaximize checks that retractable assertions
 // compose with the MaxSAT searches: flipping a retractable between two
 // Maximize calls on the same context changes the optimum accordingly,
-// with the memoized totalizer reused rather than rebuilt.
+// with the memoized totalizer reused rather than rebuilt. Under Auto the
+// first search is core-guided and the second linear descent over the
+// retired core-guided scaffolding.
 func TestRetractableWithMaximize(t *testing.T) {
-	for _, strat := range []Strategy{LinearDescent, BinarySearch, CoreGuided} {
+	for _, strat := range []Strategy{Auto, LinearDescent, BinarySearch, CoreGuided} {
 		c := NewContext()
 		x := c.BoolVar("x")
 		y := c.BoolVar("y")
@@ -179,6 +181,9 @@ func TestRetractableWithMaximize(t *testing.T) {
 		res2 := c.Maximize(strat)
 		if res2.Model == nil || res2.ViolatedWeight != 0 {
 			t.Fatalf("strategy %v after retract: violated weight should drop to 0", strat)
+		}
+		if strat == Auto && (res.Search != CoreGuided || res2.Search != LinearDescent) {
+			t.Fatalf("Auto ran %v then %v, want core then linear", res.Search, res2.Search)
 		}
 		if !res2.Model.Eval(x) || !res2.Model.Eval(y) {
 			t.Fatalf("strategy %v after retract: optimum should satisfy both softs", strat)

@@ -408,15 +408,13 @@ func TestMaxSATRandomAgreement(t *testing.T) {
 				c.AssertSoft(toF(sc), weights[i], "s")
 			}
 		}
-		for _, strat := range []Strategy{LinearDescent, BinarySearch, CoreGuided} {
-			c := NewContext()
-			build(c)
-			r := c.Maximize(strat)
+		check := func(strat Strategy, r *MaxResult) {
+			t.Helper()
 			if bestViol == -1 {
 				if r.Model != nil {
 					t.Fatalf("iter %d strat %v: want unsat", iter, strat)
 				}
-				continue
+				return
 			}
 			if r.Model == nil {
 				t.Fatalf("iter %d strat %v: want sat", iter, strat)
@@ -424,6 +422,16 @@ func TestMaxSATRandomAgreement(t *testing.T) {
 			if r.ViolatedWeight != bestViol {
 				t.Fatalf("iter %d strat %v: violated=%d, brute optimum=%d",
 					iter, strat, r.ViolatedWeight, bestViol)
+			}
+		}
+		for _, strat := range []Strategy{Auto, LinearDescent, BinarySearch, CoreGuided} {
+			c := NewContext()
+			build(c)
+			check(strat, c.Maximize(strat))
+			if strat == Auto {
+				// The re-solve takes the linear path over the retired
+				// core-guided scaffolding and must reach the same cost.
+				check(strat, c.Maximize(strat))
 			}
 		}
 	}
