@@ -49,16 +49,17 @@ type Engine struct {
 	cache map[prefix.Prefix]*cacheEntry
 }
 
-// cacheEntry is one destination's cached solve, including — unless
-// Options.NoLiveInstances — the live encoder whose SMT context is kept
-// warm for tier-2 re-solves.
+// cacheEntry is one destination's cached solve, including — when the
+// session can rebind (see keepsLive) — the live encoder whose SMT
+// context is kept warm for tier-2 re-solves, parked (Encoder.Park) so it
+// holds the solver and bindings but not the formula DAG.
 type cacheEntry struct {
 	fp       uint64
 	shared   uint64 // sharedFingerprint component of fp
 	groupFP  uint64 // policy-group component (see groupFingerprint)
 	res      *encode.Result
 	conflict []policy.Policy // Explain output for a cached unsat entry
-	enc      *encode.Encoder // live instance; nil when retention is off
+	enc      *encode.Encoder // parked live instance; nil when none is kept
 }
 
 // NewEngine starts an incremental session over net and topo. The
@@ -158,11 +159,9 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 			}
 			// Dirty with a live instance: when the shared inputs and the
 			// policy group are untouched, only router configuration
-			// moved — a tier-2 rebind candidate. Objectives are excluded
-			// because their value companions stay anchored at the
-			// encode-time configuration (see encode.Rebind).
-			if e.enc != nil && e.shared == shared && e.groupFP == groupFPs[i] &&
-				len(s.opts.Objectives) == 0 {
+			// moved — a tier-2 rebind candidate. (Sessions with
+			// objectives keep no live instance; see keepsLive.)
+			if e.enc != nil && e.shared == shared && e.groupFP == groupFPs[i] {
 				liveable[i] = e
 			}
 			invalidations++
@@ -218,7 +217,13 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 			}
 			atomic.AddInt64(&ineligible, 1)
 		}
-		results[i], encs[i], errs[i] = solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, tr, root, wd)
+		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, tr, root, wd)
+		if enc != nil && s.opts.keepsLive() {
+			enc.Park() // on the worker, so fresh instances compact in parallel
+		} else {
+			enc = nil
+		}
+		results[i], encs[i], errs[i] = r, enc, err
 	})
 
 	for _, i := range dirty {
@@ -247,13 +252,9 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 			if !r.Sat && s.opts.Explain {
 				conflicts[i] = explainDest(s.net, s.topo, d, groups[d], s.opts)
 			}
-			enc := encs[i]
-			if s.opts.NoLiveInstances {
-				enc = nil
-			}
 			s.cache[d] = &cacheEntry{
 				fp: fps[i], shared: shared, groupFP: groupFPs[i],
-				res: r, conflict: conflicts[i], enc: enc,
+				res: r, conflict: conflicts[i], enc: encs[i],
 			}
 			res.SolveTime += r.Duration
 		}
@@ -297,6 +298,14 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		m.Histogram("session.solve.cold_ms", obs.LatencyBuckets).Observe(ms)
 	}
 	return res, nil
+}
+
+// keepsLive reports whether a session keeps live instances for tier-2
+// rebinds: unless NoLiveInstances is set, and only without objectives,
+// whose value companions stay anchored at the encode-time configuration
+// (see encode.Rebind), so such an instance could never be rebound.
+func (o Options) keepsLive() bool {
+	return !o.NoLiveInstances && len(o.Objectives) == 0
 }
 
 // resolveLive attempts a tier-2 re-solve: retarget the destination's

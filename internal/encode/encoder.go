@@ -101,7 +101,7 @@ type Encoder struct {
 	// binding of its volatile attributes (action, local preference) so
 	// Rebind can retarget the live encoding at an edited configuration
 	// without rebuilding it (see rebind.go).
-	ruleBind map[string]*ruleBinding
+	ruleBind map[ruleKey]*ruleBinding
 
 	// pendingRedist defers redistribution wiring within a router.
 	pendingRedist []redistLink
@@ -154,7 +154,7 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 		pfAllowCache: make(map[string]*smt.Formula),
 		pfChainCache: make(map[string]*smt.Formula),
 		rfChainCache: make(map[string]rfChain),
-		ruleBind:     make(map[string]*ruleBinding),
+		ruleBind:     make(map[ruleKey]*ruleBinding),
 	}
 	e.lpDomain = e.buildLPDomain()
 	e.maxCost = opts.MaxCost
@@ -167,6 +167,31 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 		}
 	}
 	return e
+}
+
+// Park readies a solved instance for its life as a live instance
+// (kept between solves for tier-2 rebinds, see rebind.go). It releases
+// what only encoding reads — the environment copies, the adjacency and
+// filter-chain caches, the pending redistribution links and the delta
+// registry's name index — which between them reach the whole formula
+// DAG, then parks the SMT context (smt.Context.Park), which drops its
+// intern table and compacts the solver once. What Rebind and
+// ReSolveContext read stays: the context, the network, the options,
+// the destination, the local-preference domain, the rule bindings and
+// the delta list with its ValueOf closures. The soft constraints the
+// context keeps are negated delta variables, which pin no DAG.
+//
+// A second Park does nothing. The encoder must not encode
+// (EncodePolicies, AddObjectives, PenalizeDeltas) after Park.
+func (e *Encoder) Park() {
+	e.envs = nil
+	e.adjSide = nil
+	e.pfAllowCache = nil
+	e.pfChainCache = nil
+	e.rfChainCache = nil
+	e.pendingRedist = nil
+	e.reg.byName = nil
+	e.Ctx.Park()
 }
 
 // Observe attaches this instance's telemetry: span parents the

@@ -1,0 +1,81 @@
+package encode
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/aed-net/aed/internal/config"
+	"github.com/aed-net/aed/internal/smt"
+)
+
+// watchGates sets a finalizer on every gate node (neither a variable
+// nor a constant) held by e's filter-chain cache and its environments'
+// forwarding maps — nodes nothing but the encoder's caches and the
+// context's intern table reaches once the formulas are asserted — and
+// returns how many it watches and a counter of those collected. It
+// keeps no reference to the nodes itself.
+func watchGates(e *Encoder) (int64, *atomic.Int64) {
+	freed := new(atomic.Int64)
+	var n int64
+	watch := func(f *smt.Formula) {
+		if f == smt.TrueF || f == smt.FalseF || e.Ctx.Name(f) != "" {
+			return
+		}
+		n++
+		runtime.SetFinalizer(f, func(*smt.Formula) { freed.Add(1) })
+	}
+	for _, c := range e.rfChainCache {
+		watch(c.allow)
+	}
+	for _, v := range e.envs {
+		for _, f := range v.controlFwd {
+			watch(f)
+		}
+	}
+	return n, freed
+}
+
+// TestParkFreesFormulaDAG parks a solved live encoder and checks that
+// the garbage collector then reclaims formula nodes only its caches and
+// intern table held; the parked instance must still rebind, including
+// to a local preference it first sees after the park, and agree with a
+// cold encode.
+func TestParkFreesFormulaDAG(t *testing.T) {
+	net, _ := rebindNet(t)
+	e, _ := solveLive(t, net)
+	watched, freed := watchGates(e)
+	if watched == 0 {
+		t.Fatal("no gate nodes to watch")
+	}
+	e.Park()
+	deadline := time.Now().Add(10 * time.Second)
+	for freed.Load() < watched {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d watched formula nodes collected after Park", freed.Load(), watched)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// 120 has no retractable anchor yet: the rebind asserts one on the
+	// parked context, with interning off.
+	edited := editedClone(net, func(r *config.RouteRule) { r.LocalPref = 120 })
+	if swapped, ok := e.Rebind(edited); !ok || swapped == 0 {
+		t.Fatalf("lp edit after Park: ok=%v swapped=%d", ok, swapped)
+	}
+	agreeWithCold(t, e, edited)
+	e.Park() // a second park is a no-op
+
+	denied := editedClone(edited, func(r *config.RouteRule) { r.Permit = false })
+	if _, ok := e.Rebind(denied); !ok {
+		t.Fatal("permit flip after Park should be rebindable")
+	}
+	agreeWithCold(t, e, denied)
+	back := editedClone(denied, func(r *config.RouteRule) { r.Permit, r.LocalPref = true, 110 })
+	if _, ok := e.Rebind(back); !ok {
+		t.Fatal("restoring the original rule after Park should be rebindable")
+	}
+	agreeWithCold(t, e, back)
+}

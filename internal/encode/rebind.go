@@ -49,12 +49,19 @@ type ruleBinding struct {
 	lpHandles map[int]smt.Handle
 }
 
+// ruleKey names one route-filter rule: rule idx of the named filter on
+// the named router.
+type ruleKey struct {
+	router, filter string
+	idx            int
+}
+
 // bindRule returns (creating on first use) the volatile binding for
 // rule idx of the named filter. The same physical rule may be encoded
 // by several chain instances (in/out direction, with/without lp); they
 // all share one binding, exactly as they share the rule's deltas.
 func (e *Encoder) bindRule(router, filter string, idx int, rule *config.RouteRule) *ruleBinding {
-	key := fmt.Sprintf("%s|%s|%d", router, filter, idx)
+	key := ruleKey{router, filter, idx}
 	if b, ok := e.ruleBind[key]; ok {
 		return b
 	}
@@ -192,7 +199,7 @@ func (e *Encoder) diffRouter(old, nw *config.Router) ([]ruleChange, bool) {
 			if !e.opts.NoPrune && !or.Matches(e.dst) {
 				continue
 			}
-			b := e.ruleBind[fmt.Sprintf("%s|%s|%d", old.Name, of.Name, ri)]
+			b := e.ruleBind[ruleKey{old.Name, of.Name, ri}]
 			if b == nil {
 				// Encoded without a binding (baked const in split mode,
 				// or part of an unencoded filter): structural.

@@ -119,10 +119,11 @@ func FuzzSolver(f *testing.F) {
 
 		// Incremental mode: feed the same CNF clause-by-clause into one
 		// long-lived solver, interleaving assumption Solve calls with the
-		// additions. After every step the live solver — carrying learned
-		// clauses, VSIDS activity, and saved phases from all earlier
-		// calls — must agree with a freshly built solver on the clauses
-		// added so far, and its final cores must be genuine.
+		// additions and compacting it at fuzzer-chosen steps. After every
+		// step the live solver — carrying learned clauses, VSIDS
+		// activity, and saved phases from all earlier calls — must agree
+		// with a freshly built solver on the clauses added so far, and its
+		// final cores must be genuine.
 		inc := New()
 		inc.Grow(n)
 		for i := 0; i < n; i++ {
@@ -130,6 +131,9 @@ func FuzzSolver(f *testing.F) {
 		}
 		incOK := true
 		for upto := 1; upto <= len(cnf); upto++ {
+			if data[upto%len(data)]&0x40 != 0 {
+				inc.Compact()
+			}
 			if incOK {
 				incOK = inc.AddClause(cnf[upto-1]...)
 			}

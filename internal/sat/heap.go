@@ -20,6 +20,16 @@ func (h *varHeap) grow(n int) {
 	h.heap = growCap(h.heap, n)
 }
 
+// compact trims the heap's storage for a solver with numVars
+// variables: indices to its length, and the heap array to the most
+// entries it can hold, so backtracking never has to regrow it.
+func (h *varHeap) compact(numVars int) {
+	h.indices = exact(h.indices)
+	heap := make([]Var, len(h.heap), numVars)
+	copy(heap, h.heap)
+	h.heap = heap
+}
+
 func (h *varHeap) less(a, b Var) bool {
 	return (*h.activity)[a] > (*h.activity)[b]
 }

@@ -639,6 +639,49 @@ func (s *Solver) garbageCollect() {
 	s.emitEvent(EventArenaGC, bytesBefore, s.arena.bytes())
 }
 
+// Compact trims the solver's storage to what it holds, for a solver
+// kept alive between searches: geometric growth leaves every watch
+// list, the clause arena, the clause lists and the per-variable slices
+// with spare capacity. All watch lists are copied into one exact-size
+// backing array, each clipped to its own window (an append to one
+// reallocates that list alone), and the other slices are cloned to
+// their length. Watcher order and clause refs are preserved, so the
+// search after Compact is identical to the one before it. Compact
+// copies the whole clause database; call it once per long-lived
+// solver, not after every search. It must be called between Solve
+// calls.
+func (s *Solver) Compact() {
+	total := 0
+	for _, ws := range s.watches {
+		total += len(ws)
+	}
+	flat := make([]watcher, total)
+	s.watches = exact(s.watches)
+	for li, ws := range s.watches {
+		n := copy(flat, ws)
+		s.watches[li] = flat[:n:n]
+		flat = flat[n:]
+	}
+	s.arena.data = exact(s.arena.data)
+	s.clauses = exact(s.clauses)
+	s.learnts = exact(s.learnts)
+	s.assigns = exact(s.assigns)
+	s.vardata = exact(s.vardata)
+	s.activity = exact(s.activity)
+	s.polarity = exact(s.polarity)
+	s.seen = exact(s.seen)
+	s.markBuf = exact(s.markBuf)
+	s.levelStamp = exact(s.levelStamp)
+	s.heap.compact(s.numVars)
+}
+
+// exact returns a copy of s whose capacity equals its length.
+func exact[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
 // locked reports whether c is the reason of an assigned variable.
 func (s *Solver) locked(c CRef) bool {
 	l := s.arena.lits(c)[0]

@@ -45,6 +45,10 @@ type Context struct {
 	internHits   int
 	internMisses int
 
+	// parked records that Park has run: the encoding-time tables are
+	// gone and the solver has been compacted (see Park).
+	parked bool
+
 	// litBuf is a stack of clause literals under construction, shared
 	// by nested gate encodings (each works above its caller's mark).
 	litBuf []sat.Lit
@@ -141,6 +145,33 @@ func NewContext() *Context {
 // interning provides; it must be toggled before constraints that
 // should be affected are asserted.
 func (c *Context) SetInterning(on bool) { c.internOn = on }
+
+// Park readies a context that stays alive between searches — a live
+// per-destination instance waiting for its next re-solve — by
+// releasing what only encoding reads. It drops the intern table and
+// the foreign-node memo, which between them reach every formula node
+// the context ever encoded, and the clause-literal stack, and turns
+// interning off for good (SetInterning must not turn it back on). A
+// formula asserted after Park (a retractable anchor for a value first
+// seen by a rebind) is still encoded correctly: a node Park forgot
+// gets a fresh Tseitin literal whose definition is equivalent to the
+// old one, so the instance stays equisatisfiable. Nodes the context
+// stamped keep their literal on the node.
+//
+// The first Park also compacts the SAT solver (sat.Solver.Compact),
+// trimming the spare capacity encoding left behind; later calls — one
+// per re-solve of the instance — return at once.
+func (c *Context) Park() {
+	if c.parked {
+		return
+	}
+	c.parked = true
+	c.internOn = false
+	c.internTab = nil
+	c.foreign = nil
+	c.litBuf = nil
+	c.solver.Compact()
+}
 
 // InternStats reports how many Tseitin encodings were served from the
 // structural intern table (hits) versus freshly emitted (misses).
