@@ -21,7 +21,9 @@ import (
 //     encoder would actually encode for this destination (all rules
 //     when pruning is disabled). Rule positions are hashed alongside
 //     rule contents because delta names and extracted edits are keyed
-//     by rule index;
+//     by rule index. The destination-independent part — interfaces,
+//     processes, adjacencies, static routes — is hashed once per Solve
+//     call into a per-router digest (routerDigests);
 //   - shared network-wide inputs: the topology graph, the distinct
 //     local-preference value set (the rank domain is built by scanning
 //     every route filter in the network), and the objective
@@ -78,7 +80,18 @@ func (f *fp) bool(b bool) {
 	}
 }
 
-func (f *fp) pfx(p prefix.Prefix) { f.str(p.String()) }
+// pfx hashes a prefix's address and length as one fixed-width word.
+func (f *fp) pfx(p prefix.Prefix) { f.u64(uint64(p.Addr)<<8 | uint64(uint8(p.Len))) }
+
+// policy hashes every field of p.
+func (f *fp) policy(p policy.Policy) {
+	f.int(int(p.Kind))
+	f.pfx(p.Src)
+	f.pfx(p.Dst)
+	f.str(p.Via)
+	f.str(p.Avoid)
+	f.int(p.MaxLen)
+}
 
 func (f *fp) sum() uint64 { return f.h }
 
@@ -177,9 +190,10 @@ func sharedFingerprint(net *config.Network, topo *topology.Topology, opts Option
 }
 
 // destFingerprint hashes one destination unit: the policy group plus
-// each router's relevant configuration subtree.
-func destFingerprint(shared uint64, net *config.Network, d prefix.Prefix,
-	group []policy.Policy, opts Options) uint64 {
+// each router's relevant configuration subtree. routers holds each
+// router's destination-independent digest (routerDigests).
+func destFingerprint(shared uint64, net *config.Network, routers map[string]uint64,
+	d prefix.Prefix, group []policy.Policy, opts Options) uint64 {
 
 	f := newFP()
 	f.u64(shared)
@@ -188,7 +202,7 @@ func destFingerprint(shared uint64, net *config.Network, d prefix.Prefix,
 	// The policy group, in input order: encoding order determines
 	// variable order and hence which optimum the solver lands on.
 	for _, p := range group {
-		f.str(p.String())
+		f.policy(p)
 	}
 	f.sep()
 
@@ -200,7 +214,8 @@ func destFingerprint(shared uint64, net *config.Network, d prefix.Prefix,
 
 	for _, name := range net.RouterNames() {
 		f.str(name)
-		hashRouter(f, net.Routers[name], d, srcs, opts)
+		f.u64(routers[name])
+		hashRouterDest(f, net.Routers[name], d, srcs, opts)
 	}
 	return f.sum()
 }
@@ -214,14 +229,27 @@ func groupFingerprint(d prefix.Prefix, group []policy.Policy) uint64 {
 	f := newFP()
 	f.pfx(d)
 	for _, p := range group {
-		f.str(p.String())
+		f.policy(p)
 	}
 	return f.sum()
 }
 
-// hashRouter hashes the slice of one router's configuration this
-// destination's instance can read.
-func hashRouter(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Prefix, opts Options) {
+// routerDigests hashes, once per Solve call, the part of each router's
+// configuration that every destination's instance reads (hashRouter).
+func routerDigests(net *config.Network) map[string]uint64 {
+	out := make(map[string]uint64, len(net.Routers))
+	for name, r := range net.Routers {
+		f := newFP()
+		hashRouter(f, r)
+		out[name] = f.sum()
+	}
+	return out
+}
+
+// hashRouter hashes the destination-independent slice of one router's
+// configuration: interfaces, process identities with their adjacencies
+// and redistribution, and static routes.
+func hashRouter(f *fp, r *config.Router) {
 	// Interfaces: addresses and packet-filter attachments are read for
 	// every hop formula.
 	for _, i := range r.Interfaces {
@@ -233,8 +261,7 @@ func hashRouter(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Prefix, 
 	f.sep()
 
 	// Processes: protocol identity, adjacencies (peers, route-filter
-	// attachments, costs), redistribution, and the originations that
-	// cover this destination.
+	// attachments, costs) and redistribution.
 	for _, p := range r.Processes {
 		f.int(int(p.Protocol))
 		f.int(p.ID)
@@ -249,12 +276,6 @@ func hashRouter(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Prefix, 
 			f.int(a.Cost)
 		}
 		f.sep()
-		for _, o := range p.Originations {
-			if o.Prefix.Covers(d) {
-				f.pfx(o.Prefix)
-			}
-		}
-		f.sep()
 	}
 	f.sep()
 
@@ -263,6 +284,21 @@ func hashRouter(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Prefix, 
 	for _, s := range r.StaticRoutes {
 		f.pfx(s.Prefix)
 		f.str(s.NextHop)
+	}
+	f.sep()
+}
+
+// hashRouterDest hashes the slice of one router's configuration that
+// depends on the destination: per process, the originations covering
+// it, and the filter rules the encoder would encode for it.
+func hashRouterDest(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Prefix, opts Options) {
+	for _, p := range r.Processes {
+		for _, o := range p.Originations {
+			if o.Prefix.Covers(d) {
+				f.pfx(o.Prefix)
+			}
+		}
+		f.sep()
 	}
 	f.sep()
 

@@ -375,12 +375,51 @@ func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.To
 	return nil
 }
 
+// encSize is an instance's size right after encoding, as
+// smt.Context.Size reports it: SAT variables, clause-arena words and
+// problem clauses.
+type encSize struct{ vars, words, clauses int }
+
+// sizeMax is the running maximum of the encSizes of one call's
+// instances, shared by its workers. Destinations of one network encode
+// to nearly equal sizes, so an instance that reserves the maximum
+// before it encodes fills its solver storage and intern table in place
+// instead of regrowing them from empty.
+type sizeMax struct{ vars, words, clauses atomic.Int64 }
+
+func (m *sizeMax) note(s encSize) {
+	atomicMax(&m.vars, s.vars)
+	atomicMax(&m.words, s.words)
+	atomicMax(&m.clauses, s.clauses)
+}
+
+func (m *sizeMax) load() encSize {
+	return encSize{int(m.vars.Load()), int(m.words.Load()), int(m.clauses.Load())}
+}
+
+func atomicMax(a *atomic.Int64, v int) {
+	for {
+		old := a.Load()
+		if int64(v) <= old || a.CompareAndSwap(old, int64(v)) {
+			return
+		}
+	}
+}
+
+// sizeHint presizes one instance: solveInstance reserves reserve before
+// encoding, then stores the instance's own size in encoded and notes it
+// in shared, the call's running maximum.
+type sizeHint struct {
+	reserve, encoded encSize
+	shared           *sizeMax
+}
+
 // solveInstance encodes and solves one destination group: the unit of
 // work shared by the one-shot split path and the session engine. It
 // also returns the live encoder so a session can retain the instance
 // and later re-solve it in place (see resolveLive in session.go).
 func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topology,
-	d prefix.Prefix, group []policy.Policy, opts Options,
+	d prefix.Prefix, group []policy.Policy, opts Options, size *sizeHint,
 	tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) (*encode.Result, *encode.Encoder, error) {
 
 	dest := d.String()
@@ -393,6 +432,7 @@ func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topo
 	rec := tr.Recorder()
 	rec.RecordRequest(obs.EvSolveStart, dest, ri.ID, 0, 0)
 	e := encode.New(net, topo, d, opts.Encode)
+	e.Ctx.Reserve(size.reserve.vars, size.reserve.words, size.reserve.clauses)
 	e.Observe(dsp, tr.Metrics())
 	esp := dsp.Child("encode")
 	if err := e.EncodePolicies(group); err != nil {
@@ -406,6 +446,8 @@ func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topo
 	esp.SetInt("vars", int64(e.Ctx.NumSATVars()))
 	esp.SetInt("deltas", int64(len(e.Deltas())))
 	esp.End()
+	size.encoded.vars, size.encoded.words, size.encoded.clauses = e.Ctx.Size()
+	size.shared.note(size.encoded)
 	r := e.SolveContext(ctx, opts.Strategy)
 	var satBit int64
 	if r.Sat {
@@ -497,6 +539,7 @@ func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topolog
 		est[i] = int64(len(groups[d]))
 	}
 
+	var sizes sizeMax
 	runInstances(len(dests), opts, est, func(i int) {
 		d := dests[i]
 		if err := ctx.Err(); err != nil {
@@ -505,7 +548,8 @@ func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topolog
 			outcomes[i] = outcome{dest: d, err: err}
 			return
 		}
-		r, _, err := solveInstance(ctx, net, topo, d, groups[d], opts, tr, root, wd)
+		size := sizeHint{reserve: sizes.load(), shared: &sizes}
+		r, _, err := solveInstance(ctx, net, topo, d, groups[d], opts, &size, tr, root, wd)
 		outcomes[i] = outcome{dest: d, result: r, err: err}
 	})
 

@@ -60,6 +60,7 @@ type cacheEntry struct {
 	res      *encode.Result
 	conflict []policy.Policy // Explain output for a cached unsat entry
 	enc      *encode.Encoder // parked live instance; nil when none is kept
+	size     encSize         // encoded size, reserved by the next re-encode
 }
 
 // NewEngine starts an incremental session over net and topo. The
@@ -135,6 +136,7 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	fsp := root.Child("fingerprint")
 	rec := tr.Recorder()
 	shared := sharedFingerprint(s.net, s.topo, s.opts)
+	routers := routerDigests(s.net)
 	fps := make([]uint64, len(dests))
 	groupFPs := make([]uint64, len(dests))
 	results := make([]*encode.Result, len(dests))
@@ -142,11 +144,12 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	conflicts := make([][]policy.Policy, len(dests))
 	liveable := make([]*cacheEntry, len(dests))
 	encs := make([]*encode.Encoder, len(dests))
+	sizes := make([]encSize, len(dests))
 	rebound := make([]bool, len(dests))
 	var dirty []int
 	hits, invalidations := 0, 0
 	for i, d := range dests {
-		fps[i] = destFingerprint(shared, s.net, d, groups[d], s.opts)
+		fps[i] = destFingerprint(shared, s.net, routers, d, groups[d], s.opts)
 		groupFPs[i] = groupFingerprint(d, groups[d])
 		if e, ok := s.cache[d]; ok {
 			if e.fp == fps[i] {
@@ -202,6 +205,10 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		est[k] = int64(len(groups[dests[i]]))
 	}
 
+	// A re-encode (tier 3) reserves the destination's previous encoded
+	// size; a destination new to the session reserves the largest one
+	// encoded so far in this call.
+	var sibling sizeMax
 	runInstances(len(dirty), s.opts, est, func(k int) {
 		i := dirty[k]
 		d := dests[i]
@@ -211,13 +218,18 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		}
 		if ent := liveable[i]; ent != nil {
 			if r, ok := resolveLive(ctx, ent.enc, s.net, d, s.opts, tr, root, wd); ok {
-				results[i], encs[i], rebound[i] = r, ent.enc, true
+				results[i], encs[i], sizes[i], rebound[i] = r, ent.enc, ent.size, true
 				atomic.AddInt64(&rebinds, 1)
 				return
 			}
 			atomic.AddInt64(&ineligible, 1)
 		}
-		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, tr, root, wd)
+		size := sizeHint{reserve: sibling.load(), shared: &sibling}
+		if e, ok := s.cache[d]; ok && e.size.vars > 0 {
+			size.reserve = e.size
+		}
+		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, &size, tr, root, wd)
+		sizes[i] = size.encoded
 		if enc != nil && s.opts.keepsLive() {
 			enc.Park() // on the worker, so fresh instances compact in parallel
 		} else {
@@ -254,7 +266,7 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 			}
 			s.cache[d] = &cacheEntry{
 				fp: fps[i], shared: shared, groupFP: groupFPs[i],
-				res: r, conflict: conflicts[i], enc: encs[i],
+				res: r, conflict: conflicts[i], enc: encs[i], size: sizes[i],
 			}
 			res.SolveTime += r.Duration
 		}

@@ -15,7 +15,7 @@ import (
 // v's inbound side additionally gets a potential new (src,dst) rule —
 // the construct AED uses to implement blocking policies (Fig. 7).
 func (e *Encoder) pfAllow(src prefix.Prefix, u, v string) *smt.Formula {
-	key := src.String() + "|" + u + ">" + v
+	key := hopKey{src.Canonical(), u, v}
 	if f, ok := e.pfAllowCache[key]; ok {
 		return f
 	}
@@ -45,20 +45,23 @@ func (e *Encoder) pfAllow(src prefix.Prefix, u, v string) *smt.Formula {
 // class-specific rule (and, if needed, a new filter attachment) is
 // modeled.
 func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src prefix.Prefix, ifaceName string, inbound bool) *smt.Formula {
+	// A named filter attached to several interfaces is one object: its
+	// chain (including the potential added rule and that rule's action)
+	// must be shared, or the model could behave differently per
+	// interface while extraction emits a single physical rule.
+	cacheKey := pfChainKey{router: r.Name, filter: filterName, src: src.Canonical(), inbound: inbound}
+	if filterName == "" {
+		cacheKey.iface = ifaceName
+	}
+	if cached, ok := e.pfChainCache[cacheKey]; ok {
+		return cached
+	}
 	var f *config.PacketFilter
 	name := filterName
 	if filterName != "" {
 		f = r.PacketFilter(filterName)
 	} else {
 		name = fmt.Sprintf("aed_pf_%s_%s", r.Name, ifaceName)
-	}
-	// A named filter attached to several interfaces is one object: its
-	// chain (including the potential added rule and that rule's action)
-	// must be shared, or the model could behave differently per
-	// interface while extraction emits a single physical rule.
-	cacheKey := fmt.Sprintf("%s|%s|%s|%v", r.Name, name, src, inbound)
-	if cached, ok := e.pfChainCache[cacheKey]; ok {
-		return cached
 	}
 
 	type link struct {
@@ -74,7 +77,7 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 			fmt.Sprintf("%s/PacketFilter[%s]/Rule[new:%s>%s]", r.Name, name, src, e.dst),
 			Edit{Kind: AddPacketRuleFront, Router: r.Name, Filter: name, Src: src, Prefix: e.dst},
 		)
-		allowD := e.Ctx.BoolVar(fmt.Sprintf("%s_pFil_%s_%s_%s_allow", r.Name, name, src, e.dst))
+		allowD := e.Ctx.BoolVar()
 		addD.ValueOf = func(m *smt.Model, ed *Edit) { ed.Permit = m.Bool(allowD) }
 		e.reg.getAux(addD.Name+"_deny", DeltaAdd, addD.Path, "deny",
 			smt.And(addD.Bool, smt.Not(allowD)))
@@ -160,14 +163,10 @@ func (e *Encoder) buildReach(v *env, src prefix.Prefix) {
 	if _, ok := v.reach[tag+"|"+e.dstRouter]; ok {
 		return
 	}
-	suffix := ""
-	if v.failed != "" {
-		suffix = "@fail_" + v.failed
-	}
 	routers := e.net.RouterNames()
 	vars := make(map[string]*smt.Formula, len(routers))
 	for _, name := range routers {
-		vars[name] = e.Ctx.BoolVar(fmt.Sprintf("reach_%s_%s%s", tag, name, suffix))
+		vars[name] = e.Ctx.BoolVar()
 		v.reach[tag+"|"+name] = vars[name]
 	}
 	for _, name := range routers {
@@ -202,15 +201,11 @@ func (e *Encoder) buildReach(v *env, src prefix.Prefix) {
 func (e *Encoder) hopBound(v *env, src prefix.Prefix, start string, k int) *smt.Formula {
 	e.buildReach(v, src)
 	tag := src.String()
-	suffix := ""
-	if v.failed != "" {
-		suffix = "@fail_" + v.failed
-	}
 	routers := e.net.RouterNames()
 	maxD := len(routers)
 	dist := make(map[string]*smt.NatVar, len(routers))
 	for _, name := range routers {
-		dist[name] = e.Ctx.NatVarOf(fmt.Sprintf("hopdist_%s_%s%s_k%d", tag, name, suffix, k), maxD)
+		dist[name] = e.Ctx.NatVarOf(maxD)
 	}
 	e.Ctx.Assert(dist[e.dstRouter].EqConstNat(0))
 	for _, name := range routers {
@@ -252,14 +247,10 @@ func (e *Encoder) visits(v *env, src prefix.Prefix, start, via string) *smt.Form
 // acyclic, so the fixpoint is unique.
 func (e *Encoder) buildVisits(v *env, src prefix.Prefix, start string) {
 	tag := src.String() + "|" + start
-	suffix := ""
-	if v.failed != "" {
-		suffix = "@fail_" + v.failed
-	}
 	routers := e.net.RouterNames()
 	vars := make(map[string]*smt.Formula, len(routers))
 	for _, name := range routers {
-		vars[name] = e.Ctx.BoolVar(fmt.Sprintf("vis_%s_%s%s", tag, name, suffix))
+		vars[name] = e.Ctx.BoolVar()
 		v.vis[tag+"|"+name] = vars[name]
 	}
 	for _, name := range routers {

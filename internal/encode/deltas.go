@@ -78,7 +78,7 @@ func (r *registry) get(name string, kind DeltaKind, path string, edit Edit) *Del
 		return d
 	}
 	d := &Delta{
-		Bool: r.ctx.BoolVar(name),
+		Bool: r.ctx.BoolVar(),
 		Kind: kind,
 		Path: path,
 		Name: name,

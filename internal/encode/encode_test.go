@@ -496,3 +496,19 @@ func TestPathLengthUnsatisfiableBound(t *testing.T) {
 		t.Fatal("3-hop bound should be sat")
 	}
 }
+
+func TestPathUnder(t *testing.T) {
+	for _, c := range []struct {
+		path, root string
+		want       bool
+	}{
+		{"r1", "r1", true},                                       // equal path
+		{"r1/RouteFilter[f]/Rule[0]", "r1", true},                // child path
+		{"r10/RouteFilter[f]/Rule[0]", "r1", false},              // sibling sharing a name prefix
+		{"r2/RoutingProcess[ospf:1]/Adjacency[r1]", "r1", false}, // unrelated path
+	} {
+		if got := pathUnder(c.path, c.root); got != c.want {
+			t.Errorf("pathUnder(%q, %q) = %v, want %v", c.path, c.root, got, c.want)
+		}
+	}
+}

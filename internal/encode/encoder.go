@@ -83,19 +83,19 @@ type Encoder struct {
 
 	// adjacency caches per (router,proto,peer) the formula "this
 	// directed adjacency side is configured", shared across envs.
-	adjSide map[string]*smt.Formula
+	adjSide map[adjKey]*smt.Formula
 
 	// pfAllowCache caches packet filter hop formulas per (src, u, v).
-	pfAllowCache map[string]*smt.Formula
+	pfAllowCache map[hopKey]*smt.Formula
 	// pfChainCache caches packet-filter chain outcomes per
 	// (router, filter, src): a named filter attached to several
 	// interfaces must be one consistent symbolic object — its added
 	// rule and action apply everywhere the filter does.
-	pfChainCache map[string]*smt.Formula
+	pfChainCache map[pfChainKey]*smt.Formula
 	// rfChainCache likewise caches route-filter chains per
 	// (router, filter, direction): a filter referenced by several
 	// adjacencies shares its rule deltas and symbolic actions.
-	rfChainCache map[string]rfChain
+	rfChainCache map[rfChainKey]rfChain
 
 	// ruleBind holds, per encoded route-filter rule, the retractable
 	// binding of its volatile attributes (action, local preference) so
@@ -106,6 +106,31 @@ type Encoder struct {
 	// pendingRedist defers redistribution wiring within a router.
 	pendingRedist []redistLink
 }
+
+// Cache keys. A chain over a filter the configuration lacks (filter
+// "") is keyed by where the encoder would attach it — the interface or
+// the peer — instead of by the virtual filter's generated name, so a
+// lookup formats nothing.
+type (
+	adjKey struct {
+		router string
+		proto  config.Proto
+		peer   string
+	}
+	hopKey struct {
+		src  prefix.Prefix
+		u, v string
+	}
+	pfChainKey struct {
+		router, filter, iface string // iface only when filter == ""
+		src                   prefix.Prefix
+		inbound               bool
+	}
+	rfChainKey struct {
+		router, filter, peer, dir string // peer only when filter == ""
+		withLP                    bool
+	}
+)
 
 // rfChain is a memoized route-filter evaluation.
 type rfChain struct {
@@ -150,10 +175,10 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 		dst:          dst,
 		dstRouter:    topo.RouterOfSubnet(dst),
 		envs:         make(map[string]*env),
-		adjSide:      make(map[string]*smt.Formula),
-		pfAllowCache: make(map[string]*smt.Formula),
-		pfChainCache: make(map[string]*smt.Formula),
-		rfChainCache: make(map[string]rfChain),
+		adjSide:      make(map[adjKey]*smt.Formula),
+		pfAllowCache: make(map[hopKey]*smt.Formula),
+		pfChainCache: make(map[pfChainKey]*smt.Formula),
+		rfChainCache: make(map[rfChainKey]rfChain),
 		ruleBind:     make(map[ruleKey]*ruleBinding),
 	}
 	e.lpDomain = e.buildLPDomain()
@@ -343,10 +368,6 @@ type candidate struct {
 // constraints for every router in environment v (Appendix A).
 func (e *Encoder) encodeControlPlane(v *env) {
 	routers := e.net.RouterNames()
-	suffix := ""
-	if v.failed != "" {
-		suffix = "@fail_" + v.failed
-	}
 
 	// Allocate best records first (receive constraints reference
 	// neighbors' bests).
@@ -354,10 +375,10 @@ func (e *Encoder) encodeControlPlane(v *env) {
 		r := e.net.Routers[name]
 		for _, p := range r.Processes {
 			key := procLabel(name, p.Protocol)
-			v.bestValid[key] = e.Ctx.BoolVar("bestValid_" + key + suffix)
-			v.bestCost[key] = e.Ctx.NatVarOf("bestCost_"+key+suffix, e.maxCost)
+			v.bestValid[key] = e.Ctx.BoolVar()
+			v.bestCost[key] = e.Ctx.NatVarOf(e.maxCost)
 			if p.Protocol == config.BGP {
-				v.bestLP[key] = e.Ctx.IntVarOf("bestLP_"+key+suffix, e.lpDomain)
+				v.bestLP[key] = e.Ctx.IntVarOf(e.lpDomain)
 			}
 		}
 	}
@@ -365,7 +386,7 @@ func (e *Encoder) encodeControlPlane(v *env) {
 	for _, name := range routers {
 		r := e.net.Routers[name]
 		for _, p := range r.Processes {
-			e.encodeProcess(v, r, p, suffix)
+			e.encodeProcess(v, r, p)
 		}
 		e.resolveRedistribution()
 		e.encodeRouterSelection(v, r)
@@ -379,7 +400,7 @@ func (e *Encoder) encodeControlPlane(v *env) {
 	// every active forwarding edge, excludes them.
 	rank := make(map[string]*smt.NatVar, len(routers))
 	for _, name := range routers {
-		rank[name] = e.Ctx.NatVarOf("rank_"+name+suffix, e.maxCost)
+		rank[name] = e.Ctx.NatVarOf(e.maxCost)
 	}
 	for _, name := range routers {
 		for _, peer := range e.topo.Neighbors(name) {
@@ -396,7 +417,7 @@ func (e *Encoder) encodeControlPlane(v *env) {
 // encodeProcess constrains one process's best record to be the most
 // preferred valid candidate (origination, redistribution, or a
 // neighbor advertisement passed by the filters).
-func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process, suffix string) {
+func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 	key := procLabel(r.Name, p.Protocol)
 	failed := r.Name == v.failed
 
@@ -430,7 +451,7 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process, suf
 		if pr == nil || pr.Process(p.Protocol) == nil {
 			continue
 		}
-		cands = append(cands, e.advertisementCandidate(v, r, p, peer, suffix))
+		cands = append(cands, e.advertisementCandidate(v, r, p, peer))
 	}
 
 	// A failed router has no valid routes at all.
@@ -451,7 +472,7 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process, suf
 	// fields, and it is preferred over every other valid candidate.
 	sels := make([]*smt.Formula, len(cands))
 	for i := range cands {
-		sels[i] = e.Ctx.BoolVar(fmt.Sprintf("sel_%s_%d%s", key, i, suffix))
+		sels[i] = e.Ctx.BoolVar()
 	}
 	// Exactly one selected when valid; none otherwise.
 	e.Ctx.Assert(smt.Iff(v.bestValid[key], smt.Or(sels...)))
@@ -543,7 +564,7 @@ func (e *Encoder) resolveRedistribution() {
 
 // advertisementCandidate models r's process p receiving dst's route
 // from peer (paper Fig. 15 plus the Fig. 5 filter encoding).
-func (e *Encoder) advertisementCandidate(v *env, r *config.Router, p *config.Process, peer, suffix string) candidate {
+func (e *Encoder) advertisementCandidate(v *env, r *config.Router, p *config.Process, peer string) candidate {
 	peerR := e.net.Routers[peer]
 	peerProc := peerR.Process(p.Protocol)
 	peerKey := procLabel(peer, p.Protocol)

@@ -19,7 +19,7 @@ import (
 func (e *Encoder) ExplainConflict(ps []policy.Policy) ([]policy.Policy, error) {
 	guards := make([]*smt.Formula, len(ps))
 	for i, p := range ps {
-		g := e.Ctx.BoolVar(fmt.Sprintf("policy_guard_%d", i))
+		g := e.Ctx.BoolVar()
 		guards[i] = g
 		if err := e.encodeGuarded(p, g); err != nil {
 			return nil, err

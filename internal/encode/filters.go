@@ -49,7 +49,7 @@ func (e *Encoder) originationFormula(r *config.Router, p *config.Process) *smt.F
 // the adjacency toward peer configured (paper §5.2 "Routing protocols
 // and adjacencies"): existing ⇒ ¬rm delta; absent ⇒ add delta.
 func (e *Encoder) adjacencySide(r *config.Router, p *config.Process, peer string) *smt.Formula {
-	cacheKey := fmt.Sprintf("%s|%s|%s", r.Name, p.Protocol, peer)
+	cacheKey := adjKey{r.Name, p.Protocol, peer}
 	if f, ok := e.adjSide[cacheKey]; ok {
 		return f
 	}
@@ -162,20 +162,23 @@ func (e *Encoder) addRuleName(router, filter string) string {
 // action flippable via an allow delta, its lp re-rankable), then the
 // default (permit, lp 100).
 func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir string, withLP bool) (*smt.Formula, *smt.IntVar) {
+	// One symbolic object per logical filter: a named filter applied on
+	// several adjacencies shares its rule deltas AND its symbolic rule
+	// contents, or the model could assign it contradictory behaviours
+	// per adjacency.
+	cacheKey := rfChainKey{router: r.Name, filter: filterName, dir: dir, withLP: withLP}
+	if filterName == "" {
+		cacheKey.peer = other
+	}
+	if c, ok := e.rfChainCache[cacheKey]; ok {
+		return c.allow, c.lp
+	}
 	var f *config.RouteFilter
 	name := filterName
 	if filterName != "" {
 		f = r.RouteFilter(filterName)
 	} else {
 		name = fmt.Sprintf("aed_%s_from_%s", self, other)
-	}
-	// One symbolic object per logical filter: a named filter applied on
-	// several adjacencies shares its rule deltas AND its symbolic rule
-	// contents, or the model could assign it contradictory behaviours
-	// per adjacency.
-	cacheKey := fmt.Sprintf("%s|%s|%s|%v", r.Name, name, dir, withLP)
-	if c, ok := e.rfChainCache[cacheKey]; ok {
-		return c.allow, c.lp
 	}
 
 	type link struct {
@@ -196,10 +199,10 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 			fmt.Sprintf("%s/RouteFilter[%s]/Rule[new:%s]", r.Name, name, e.dst),
 			Edit{Kind: AddRouteRuleFront, Router: r.Name, Filter: name, Prefix: e.dst},
 		)
-		allowD := e.Ctx.BoolVar(fmt.Sprintf("%s_rFil_%s_new_%s_allow", r.Name, name, e.dst))
+		allowD := e.Ctx.BoolVar()
 		var lpVar *smt.IntVar
 		if withLP {
-			lpVar = e.Ctx.IntVarOf(fmt.Sprintf("%s_rFil_%s_new_%s_lp", r.Name, name, e.dst), e.lpDomain)
+			lpVar = e.Ctx.IntVarOf(e.lpDomain)
 		}
 		// Extraction: the added rule's action and lp come from the model.
 		addD.ValueOf = func(m *smt.Model, ed *Edit) {
@@ -276,7 +279,7 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 					cur = 100
 				}
 				if bind.lpVar == nil {
-					lpVar := e.Ctx.IntVarOf(fmt.Sprintf("%s_rFil_%s_%d_lp", r.Name, f.Name, i), e.lpDomain)
+					lpVar := e.Ctx.IntVarOf(e.lpDomain)
 					// lp change is itself a (modify) delta with a derived
 					// change indicator. The indicator's anchor to the
 					// configured value is retractable so a config-side
@@ -315,7 +318,7 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 	allow := smt.TrueF // default: no matching rule permits
 	var lpOut *smt.IntVar
 	if withLP {
-		lpOut = e.Ctx.IntVarOf(fmt.Sprintf("lpOut_%s_%s_%s_%s", r.Name, name, other, dir), e.lpDomain)
+		lpOut = e.Ctx.IntVarOf(e.lpDomain)
 	}
 	// Build from the back: notMatchedPrefix tracks "no earlier rule
 	// matched".

@@ -62,10 +62,10 @@ func (j *Joint) AddGroup(dst prefix.Prefix, ps []policy.Policy) error {
 		dst:          dst,
 		dstRouter:    j.topo.RouterOfSubnet(dst),
 		envs:         make(map[string]*env),
-		adjSide:      make(map[string]*smt.Formula),
-		pfAllowCache: make(map[string]*smt.Formula),
-		pfChainCache: make(map[string]*smt.Formula),
-		rfChainCache: make(map[string]rfChain),
+		adjSide:      make(map[adjKey]*smt.Formula),
+		pfAllowCache: make(map[hopKey]*smt.Formula),
+		pfChainCache: make(map[pfChainKey]*smt.Formula),
+		rfChainCache: make(map[rfChainKey]rfChain),
 	}
 	e.lpDomain = e.buildLPDomain()
 	e.maxCost = j.opts.MaxCost

@@ -110,13 +110,19 @@ func (e *Encoder) deltasUnder(roots []string) []*Delta {
 	var out []*Delta
 	for _, d := range e.reg.all() {
 		for _, root := range roots {
-			if d.Path == root || strings.HasPrefix(d.Path, root+"/") {
+			if pathUnder(d.Path, root) {
 				out = append(out, d)
 				break
 			}
 		}
 	}
 	return out
+}
+
+// pathUnder reports whether path is root or a descendant of it: root
+// followed by a "/" segment boundary, so "r1/…" is not under "r10".
+func pathUnder(path, root string) bool {
+	return strings.HasPrefix(path, root) && (len(path) == len(root) || path[len(root)] == '/')
 }
 
 // equateFormula builds the similarity constraint across subtrees: for

@@ -20,7 +20,7 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 	freed := new(atomic.Int64)
 	var n int64
 	watch := func(f *smt.Formula) {
-		if f == smt.TrueF || f == smt.FalseF || e.Ctx.Name(f) != "" {
+		if f == smt.TrueF || f == smt.FalseF || f.IsVar() {
 			return
 		}
 		n++

@@ -2,7 +2,6 @@ package encode
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/smt"
@@ -65,7 +64,7 @@ func (e *Encoder) bindRule(router, filter string, idx int, rule *config.RouteRul
 	if b, ok := e.ruleBind[key]; ok {
 		return b
 	}
-	actV := e.Ctx.BoolVar(fmt.Sprintf("%s_rFil_%s_%d_act", router, filter, idx))
+	actV := e.Ctx.BoolVar()
 	b := &ruleBinding{
 		actV:     actV,
 		actTrue:  e.Ctx.AssertRetractable(actV),
@@ -105,7 +104,7 @@ type ruleChange struct {
 // returns ok=false and mutates nothing; the caller must re-encode.
 //
 // The diff deliberately covers at least everything the session cache's
-// per-destination fingerprint reads (core/cache.go hashRouter): if any
+// per-destination fingerprint reads (core/cache.go hashRouter and hashRouterDest): if any
 // other part of a router differs — interfaces, processes, adjacencies,
 // statics, packet filters, rule structure — the change may alter the
 // base layer and Rebind refuses. Two documented approximations remain

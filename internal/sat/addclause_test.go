@@ -159,3 +159,72 @@ func TestAddClauseNormalization(t *testing.T) {
 		}
 	})
 }
+
+// TestReserveFillsInPlace: a solver reserved with the Size of an
+// earlier, equal instance stores the same variables and clauses without
+// regrowing its per-variable slices, arena or clause list, and its
+// short watch lists live in windows of shared blocks. The search must
+// not notice the reservation.
+func TestReserveFillsInPlace(t *testing.T) {
+	const n = 2000
+	// A chain x_i ∨ x_i+1 ∨ ¬x_i+2 watches each literal at most twice,
+	// well inside one window.
+	var clauses [][]Lit
+	for v := Var(1); v+2 <= n; v++ {
+		clauses = append(clauses, []Lit{PosLit(v), PosLit(v + 1), NegLit(v + 2)})
+	}
+	fill := func(s *Solver) {
+		for i := 0; i < n; i++ {
+			s.NewVar()
+		}
+		for _, cl := range clauses {
+			s.AddClause(cl...)
+		}
+	}
+	first := New()
+	fill(first)
+	vars, words, ncl := first.Size()
+	if vars != n || ncl != len(clauses) || words != 4*ncl {
+		t.Fatalf("Size() = %d vars, %d words, %d clauses", vars, words, ncl)
+	}
+	plainAllocs := testing.AllocsPerRun(5, func() { fill(New()) })
+	allocs := testing.AllocsPerRun(5, func() {
+		s := New()
+		s.Reserve(vars, words, ncl)
+		fill(s)
+	})
+	// New and Reserve allocate a fixed couple of dozen slices and the
+	// rest is one watch block per watchBlockWindows watched literals:
+	// about 60 allocations against about 190 for the unreserved fill,
+	// whose every per-variable slice, arena and clause list regrows a
+	// dozen times. Without watch windows both would count thousands.
+	t.Logf("fill: %.0f allocs unreserved, %.0f reserved", plainAllocs, allocs)
+	if allocs > plainAllocs/2 {
+		t.Errorf("reserved fill: %.0f allocs, unreserved %.0f; want at most half", allocs, plainAllocs)
+	}
+
+	reserved := New()
+	reserved.Reserve(vars, words, ncl)
+	fill(reserved)
+	plain := New()
+	fill(plain)
+	if st, str := plain.Solve(), reserved.Solve(); st != str || plain.Stats != reserved.Stats ||
+		!slices.Equal(plain.Model(), reserved.Model()) {
+		t.Errorf("reserved solver searched differently: %v %+v vs %v %+v", st, plain.Stats, str, reserved.Stats)
+	}
+}
+
+// TestReserveAmortized: Reserve calls that each ask for a little more
+// grow storage geometrically, as Grow does.
+func TestReserveAmortized(t *testing.T) {
+	const steps = 2000
+	allocs := testing.AllocsPerRun(5, func() {
+		s := New()
+		for i := 1; i <= steps; i++ {
+			s.Reserve(i, 4*i, i)
+		}
+	})
+	if allocs > steps/4 {
+		t.Errorf("%d growing Reserve calls: %.0f allocs, want at most %d", steps, allocs, steps/4)
+	}
+}

@@ -40,6 +40,9 @@ func TestCompactKeepsSearchIdentical(t *testing.T) {
 			if c := cap(compacted.arena.data); c != len(compacted.arena.data) {
 				t.Fatalf("step %d: arena capacity %d after Compact, length %d", step, c, len(compacted.arena.data))
 			}
+			if compacted.watchBlock != nil {
+				t.Fatalf("step %d: Compact kept %d free watch slots", step, len(compacted.watchBlock))
+			}
 			for li, ws := range compacted.watches {
 				if cap(ws) != len(ws) {
 					t.Fatalf("step %d: watch list %d has capacity %d for %d watchers", step, li, cap(ws), len(ws))

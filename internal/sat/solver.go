@@ -40,6 +40,10 @@ type Solver struct {
 	polarity []bool      // saved phases: last assigned sign per variable
 	seen     []bool      // scratch for conflict analysis
 
+	// watchBlock is the unused tail of the block that watch windows are
+	// carved from (see addWatch).
+	watchBlock []watcher
+
 	heap     *varHeap // VSIDS order
 	trail    []Lit
 	trailLim []int // decision-level boundaries in trail
@@ -158,6 +162,26 @@ func (s *Solver) Grow(n int) {
 	s.heap.grow(need)
 }
 
+// Reserve preallocates storage for a solver that will hold about vars
+// variables, words arena words and clauses problem clauses — the Size
+// of a similar instance encoded before — so encoding fills storage in
+// place instead of regrowing it from empty. Capacities grow
+// geometrically (growCap), so repeated calls stay amortized. Reserve
+// changes no state the search reads.
+func (s *Solver) Reserve(vars, words, clauses int) {
+	s.Grow(vars - s.numVars)
+	s.trail = growCap(s.trail, vars)
+	s.arena.data = growCap(s.arena.data, words)
+	s.clauses = growCap(s.clauses, clauses)
+}
+
+// Size reports the solver's variable count, clause-arena words and
+// problem clause count: the arguments that Reserve presizes a similar
+// instance with.
+func (s *Solver) Size() (vars, words, clauses int) {
+	return s.numVars, len(s.arena.data), len(s.clauses)
+}
+
 // NewVar allocates and returns a fresh variable.
 func (s *Solver) NewVar() Var {
 	s.numVars++
@@ -260,8 +284,32 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 func (s *Solver) attach(c CRef) {
 	cl := s.arena.lits(c)
 	w0, w1 := cl[0], cl[1]
-	s.watches[w0.Neg()] = append(s.watches[w0.Neg()], watcher{c, w1})
-	s.watches[w1.Neg()] = append(s.watches[w1.Neg()], watcher{c, w0})
+	s.addWatch(w0.Neg(), watcher{c, w1})
+	s.addWatch(w1.Neg(), watcher{c, w0})
+}
+
+// Watch windows: most literals are watched by a handful of clauses, so
+// a literal's first watcher gets a watchWindow-slot window carved from
+// a shared block of watchBlockWindows windows instead of an allocation
+// of its own. The window's capacity is clipped, so a list that outgrows
+// it is reallocated by append alone and never spills into a neighbour.
+const (
+	watchWindow       = 4
+	watchBlockWindows = 64
+)
+
+// addWatch appends w to l's watch list, carving the list's first window
+// from the current watch block.
+func (s *Solver) addWatch(l Lit, w watcher) {
+	ws := s.watches[l]
+	if cap(ws) == 0 {
+		if len(s.watchBlock) < watchWindow {
+			s.watchBlock = make([]watcher, watchWindow*watchBlockWindows)
+		}
+		ws = s.watchBlock[:0:watchWindow]
+		s.watchBlock = s.watchBlock[watchWindow:]
+	}
+	s.watches[l] = append(ws, w)
 }
 
 func (s *Solver) notePeak() {
@@ -327,8 +375,7 @@ func (s *Solver) propagate() CRef {
 			for k := 2; k < len(cl); k++ {
 				if s.litValue(cl[k]) != False {
 					cl[1], cl[k] = cl[k], cl[1]
-					nl := cl[1].Neg()
-					s.watches[nl] = append(s.watches[nl], watcher{c, first})
+					s.addWatch(cl[1].Neg(), watcher{c, first})
 					found = true
 					break
 				}
@@ -644,8 +691,8 @@ func (s *Solver) garbageCollect() {
 // list, the clause arena, the clause lists and the per-variable slices
 // with spare capacity. All watch lists are copied into one exact-size
 // backing array, each clipped to its own window (an append to one
-// reallocates that list alone), and the other slices are cloned to
-// their length. Watcher order and clause refs are preserved, so the
+// reallocates that list alone), the rest of the current watch block is
+// dropped, and the other slices are cloned to their length. Watcher order and clause refs are preserved, so the
 // search after Compact is identical to the one before it. Compact
 // copies the whole clause database; call it once per long-lived
 // solver, not after every search. It must be called between Solve
@@ -656,6 +703,7 @@ func (s *Solver) Compact() {
 		total += len(ws)
 	}
 	flat := make([]watcher, total)
+	s.watchBlock = nil // its free windows would pin the old block
 	s.watches = exact(s.watches)
 	for li, ws := range s.watches {
 		n := copy(flat, ws)

@@ -17,10 +17,9 @@ import (
 type Context struct {
 	solver *sat.Solver
 
-	// Boolean variables by dense index (Formula.v): debug name and
-	// backing SAT variable.
-	names []string
-	vars  []sat.Var
+	// Boolean variables by dense index (Formula.v): the backing SAT
+	// variable.
+	vars []sat.Var
 
 	soft []softConstraint
 
@@ -38,10 +37,10 @@ type Context struct {
 	// subformulas per env × router × peer (adjacency sides, `preferred`
 	// chains, filter outcomes). internTab interns encoded nodes by their
 	// constructor-computed structural hash so every such rebuild reuses
-	// one definitional literal instead of emitting fresh CNF. See
-	// docs/PERFORMANCE.md §hash-consing.
+	// one definitional literal instead of emitting fresh CNF (see
+	// intern.go and docs/PERFORMANCE.md §hash-consing).
 	internOn     bool
-	internTab    map[uint64][]internEntry
+	internTab    internTable
 	internHits   int
 	internMisses int
 
@@ -105,13 +104,6 @@ type softConstraint struct {
 	label  string
 }
 
-// internEntry is one hash bucket member: an encoded formula node and
-// its definitional literal.
-type internEntry struct {
-	f   *Formula
-	lit sat.Lit
-}
-
 // contextIDs hands out Context ids, the owner stamps of node-resident
 // Tseitin literals. 0 means "not stamped" and is skipped. Ids are 32
 // bits and wrap after 2^32 contexts; a node outliving that many
@@ -131,11 +123,10 @@ func nextContextID() uint32 {
 // hash-consing enabled.
 func NewContext() *Context {
 	return &Context{
-		solver:    sat.New(),
-		id:        nextContextID(),
-		internOn:  true,
-		internTab: make(map[uint64][]internEntry),
-		totalN:    -1,
+		solver:   sat.New(),
+		id:       nextContextID(),
+		internOn: true,
+		totalN:   -1,
 	}
 }
 
@@ -167,7 +158,7 @@ func (c *Context) Park() {
 	}
 	c.parked = true
 	c.internOn = false
-	c.internTab = nil
+	c.internTab = internTable{}
 	c.foreign = nil
 	c.litBuf = nil
 	c.solver.Compact()
@@ -179,21 +170,12 @@ func (c *Context) InternStats() (hits, misses int) {
 	return c.internHits, c.internMisses
 }
 
-// BoolVar allocates a fresh boolean variable with a debug name and
-// returns it as a formula.
-func (c *Context) BoolVar(name string) *Formula {
+// BoolVar allocates a fresh boolean variable and returns it as a
+// formula.
+func (c *Context) BoolVar() *Formula {
 	idx := len(c.vars)
-	c.names = append(c.names, name)
 	c.vars = append(c.vars, c.solver.NewVar())
 	return varFormula(idx)
-}
-
-// Name returns the debug name of a variable formula, or "".
-func (c *Context) Name(f *Formula) string {
-	if f.op != opVar || int(f.v) >= len(c.names) {
-		return ""
-	}
-	return c.names[f.v]
 }
 
 // satVar returns the SAT variable backing a formula variable.
@@ -269,6 +251,22 @@ func (c *Context) NumSATClauses() int { return c.solver.NumClauses() }
 // so their variable bursts extend the solver's per-variable slices in
 // one step.
 func (c *Context) Grow(n int) { c.solver.Grow(n) }
+
+// Reserve presizes the context for an encoding of about the given
+// Size — typically that of a sibling instance or of this destination's
+// previous encoding: the solver's storage (sat.Solver.Reserve) and the
+// intern table, which holds about one node per SAT variable. It changes
+// neither the CNF nor the search, only how often storage regrows.
+func (c *Context) Reserve(vars, words, clauses int) {
+	c.solver.Reserve(vars, words, clauses)
+	if c.internOn {
+		c.internTab.reserve(vars)
+	}
+}
+
+// Size reports the SAT problem's variable count, clause-arena words and
+// problem clause count, the arguments Reserve takes.
+func (c *Context) Size() (vars, words, clauses int) { return c.solver.Size() }
 
 // Stats returns the accumulated SAT-solver statistics.
 func (c *Context) Stats() sat.Stats { return c.solver.Stats }
@@ -419,17 +417,15 @@ func (c *Context) tseitin(f *Formula) sat.Lit {
 		}
 	}
 	if c.internOn && f.op != opConst {
-		for _, e := range c.internTab[f.hash] {
-			if structEq(e.f, f) {
-				c.internHits++
-				c.remember(f, e.lit)
-				return e.lit
-			}
+		if l, ok := c.internTab.lookup(f); ok {
+			c.internHits++
+			c.remember(f, l)
+			return l
 		}
 		l := c.tseitinUncached(f)
 		c.internMisses++
 		c.remember(f, l)
-		c.internTab[f.hash] = append(c.internTab[f.hash], internEntry{f: f, lit: l})
+		c.internTab.insert(f, l)
 		return l
 	}
 	l := c.tseitinUncached(f)

@@ -192,6 +192,9 @@ func ITE(cond, t, e *Formula) *Formula {
 	return And(Or(Not(cond), t), Or(cond, e))
 }
 
+// IsVar reports whether f is a variable leaf, as BoolVar returns.
+func (f *Formula) IsVar() bool { return f.op == opVar }
+
 // String renders the formula for debugging.
 func (f *Formula) String() string {
 	var sb strings.Builder

@@ -22,7 +22,7 @@ func decodeFuzzInstance(c *Context, data []byte) (fuzzInstance, []*Formula) {
 	in := fuzzInstance{n: 2 + int(data[0])%5}
 	vars := make([]*Formula, in.n)
 	for i := range vars {
-		vars[i] = c.BoolVar("v")
+		vars[i] = c.BoolVar()
 	}
 	in.flip = data[len(data)-1]&1 == 1
 	for p := 1; p < len(data) && len(in.hard)+len(in.soft) < 12; {

@@ -9,7 +9,7 @@ import (
 // that all want to be true, one hard mutual exclusion.
 func interruptContext() *Context {
 	c := NewContext()
-	a, b, x := c.BoolVar("a"), c.BoolVar("b"), c.BoolVar("x")
+	a, b, x := c.BoolVar(), c.BoolVar(), c.BoolVar()
 	c.Assert(Or(Not(a), Not(b)))
 	c.AssertSoft(a, 1, "a")
 	c.AssertSoft(b, 1, "b")

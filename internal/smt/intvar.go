@@ -1,9 +1,6 @@
 package smt
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // IntVar is a finite-domain integer variable encoded with one indicator
 // boolean per domain value plus an exactly-one constraint. This is the
@@ -12,7 +9,6 @@ import (
 // candidate values, and comparisons compile to small boolean formulas
 // over the indicators.
 type IntVar struct {
-	name       string
 	domain     []int      // sorted ascending, unique
 	indicators []*Formula // indicators[i] ⇔ value == domain[i]
 }
@@ -20,9 +16,9 @@ type IntVar struct {
 // IntVarOf allocates an integer variable ranging over the given domain
 // values (deduplicated and sorted). The exactly-one constraint over the
 // indicators is asserted immediately.
-func (c *Context) IntVarOf(name string, domain []int) *IntVar {
+func (c *Context) IntVarOf(domain []int) *IntVar {
 	if len(domain) == 0 {
-		panic("smt: empty integer domain for " + name)
+		panic("smt: empty integer domain")
 	}
 	d := append([]int(nil), domain...)
 	sort.Ints(d)
@@ -34,11 +30,11 @@ func (c *Context) IntVarOf(name string, domain []int) *IntVar {
 		}
 	}
 	d = d[:w]
-	iv := &IntVar{name: name, domain: d}
+	iv := &IntVar{domain: d}
 	c.Grow(len(d)) // one indicator variable per domain value
 	iv.indicators = make([]*Formula, len(d))
-	for i, val := range d {
-		iv.indicators[i] = c.BoolVar(fmt.Sprintf("%s=%d", name, val))
+	for i := range d {
+		iv.indicators[i] = c.BoolVar()
 	}
 	c.assertExactlyOne(iv.indicators)
 	return iv
@@ -46,14 +42,11 @@ func (c *Context) IntVarOf(name string, domain []int) *IntVar {
 
 // IntConst wraps a constant as a degenerate IntVar (no SAT variables).
 func IntConst(v int) *IntVar {
-	return &IntVar{name: fmt.Sprintf("%d", v), domain: []int{v}, indicators: []*Formula{TrueF}}
+	return &IntVar{domain: []int{v}, indicators: []*Formula{TrueF}}
 }
 
 // Domain returns the candidate values of iv.
 func (iv *IntVar) Domain() []int { return append([]int(nil), iv.domain...) }
-
-// Name returns the debug name of iv.
-func (iv *IntVar) Name() string { return iv.name }
 
 // EqConst returns the formula iv == v.
 func (iv *IntVar) EqConst(v int) *Formula {

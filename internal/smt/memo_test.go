@@ -19,7 +19,7 @@ func TestFormulaSize(t *testing.T) {
 // separately get equal hashes, so the intern table can find them.
 func TestConstructorHashIsStructural(t *testing.T) {
 	c := NewContext()
-	a, b, x := c.BoolVar("a"), c.BoolVar("b"), c.BoolVar("x")
+	a, b, x := c.BoolVar(), c.BoolVar(), c.BoolVar()
 	f := Or(And(a, Not(b)), x)
 	g := Or(And(a, Not(b)), x)
 	if f == g || f.hash != g.hash || !structEq(f, g) {
@@ -35,7 +35,7 @@ func varContext(n int) (*Context, []*Formula) {
 	c := NewContext()
 	vs := make([]*Formula, n)
 	for i := range vs {
-		vs[i] = c.BoolVar("v")
+		vs[i] = c.BoolVar()
 	}
 	return c, vs
 }

@@ -1,7 +1,5 @@
 package smt
 
-import "fmt"
-
 // NatVar is a bounded natural variable in [0, Max] with an order
 // ("thermometer") encoding: ge[k] ⇔ value >= k, for k in 1..Max, with
 // the monotone ladder ge[k] → ge[k-1] asserted. Order encoding makes
@@ -9,21 +7,20 @@ import "fmt"
 // one-hot encoding would be quadratic; this matters because AED
 // instantiates cost variables per (router, protocol) per destination.
 type NatVar struct {
-	name string
-	max  int
-	ge   []*Formula // ge[k-1] ⇔ value >= k
+	max int
+	ge  []*Formula // ge[k-1] ⇔ value >= k
 }
 
 // NatVarOf allocates a bounded natural in [0, max].
-func (c *Context) NatVarOf(name string, max int) *NatVar {
+func (c *Context) NatVarOf(max int) *NatVar {
 	if max < 0 {
 		panic("smt: negative NatVar bound")
 	}
-	n := &NatVar{name: name, max: max}
+	n := &NatVar{max: max}
 	c.Grow(max) // one ladder variable per threshold
 	n.ge = make([]*Formula, max)
 	for k := 1; k <= max; k++ {
-		n.ge[k-1] = c.BoolVar(fmt.Sprintf("%s>=%d", name, k))
+		n.ge[k-1] = c.BoolVar()
 	}
 	for k := 2; k <= max; k++ {
 		c.Assert(Implies(n.ge[k-1], n.ge[k-2]))
@@ -33,9 +30,6 @@ func (c *Context) NatVarOf(name string, max int) *NatVar {
 
 // Max returns the upper bound of n's range.
 func (n *NatVar) Max() int { return n.max }
-
-// Name returns the debug name.
-func (n *NatVar) Name() string { return n.name }
 
 // GeConst returns the formula n >= k.
 func (n *NatVar) GeConst(k int) *Formula {

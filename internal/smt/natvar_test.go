@@ -4,8 +4,8 @@ import "testing"
 
 func TestNatVarBasics(t *testing.T) {
 	c := NewContext()
-	x := c.NatVarOf("x", 5)
-	if x.Max() != 5 || x.Name() != "x" {
+	x := c.NatVarOf(5)
+	if x.Max() != 5 {
 		t.Fatal("metadata wrong")
 	}
 	c.Assert(x.EqConstNat(3))
@@ -20,7 +20,7 @@ func TestNatVarBasics(t *testing.T) {
 
 func TestNatVarBounds(t *testing.T) {
 	c := NewContext()
-	x := c.NatVarOf("x", 4)
+	x := c.NatVarOf(4)
 	if x.GeConst(0) != TrueF || x.GeConst(5) != FalseF {
 		t.Error("constant bounds wrong")
 	}
@@ -36,8 +36,8 @@ func TestNatVarBounds(t *testing.T) {
 
 func TestNatEqOffset(t *testing.T) {
 	c := NewContext()
-	a := c.NatVarOf("a", 10)
-	b := c.NatVarOf("b", 10)
+	a := c.NatVarOf(10)
+	b := c.NatVarOf(10)
 	c.Assert(NatEqOffset(a, b, 2)) // a = b + 2
 	c.Assert(b.EqConstNat(3))
 	m := c.Solve()
@@ -52,8 +52,8 @@ func TestNatEqOffset(t *testing.T) {
 func TestNatEqOffsetRangeClipping(t *testing.T) {
 	// a in [0,3], b = 5 fixed, a = b + 0 impossible... a max is 3.
 	c := NewContext()
-	a := c.NatVarOf("a", 3)
-	b := c.NatVarOf("b", 10)
+	a := c.NatVarOf(3)
+	b := c.NatVarOf(10)
 	c.Assert(b.EqConstNat(5))
 	c.Assert(NatEq(a, b))
 	if c.Solve() != nil {
@@ -63,8 +63,8 @@ func TestNatEqOffsetRangeClipping(t *testing.T) {
 
 func TestNatEqOffsetNegative(t *testing.T) {
 	c := NewContext()
-	a := c.NatVarOf("a", 10)
-	b := c.NatVarOf("b", 10)
+	a := c.NatVarOf(10)
+	b := c.NatVarOf(10)
 	c.Assert(NatEqOffset(a, b, -2)) // a = b - 2
 	c.Assert(b.EqConstNat(7))
 	m := c.Solve()
@@ -73,8 +73,8 @@ func TestNatEqOffsetNegative(t *testing.T) {
 	}
 	// b = 1 would need a = -1: unsat.
 	c2 := NewContext()
-	a2 := c2.NatVarOf("a", 10)
-	b2 := c2.NatVarOf("b", 10)
+	a2 := c2.NatVarOf(10)
+	b2 := c2.NatVarOf(10)
 	c2.Assert(NatEqOffset(a2, b2, -2))
 	c2.Assert(b2.EqConstNat(1))
 	if c2.Solve() != nil {
@@ -84,8 +84,8 @@ func TestNatEqOffsetNegative(t *testing.T) {
 
 func TestNatLeLtOffsets(t *testing.T) {
 	c := NewContext()
-	a := c.NatVarOf("a", 8)
-	b := c.NatVarOf("b", 8)
+	a := c.NatVarOf(8)
+	b := c.NatVarOf(8)
 	c.Assert(a.EqConstNat(4))
 	c.Assert(NatLtOffset(a, 0, b, 0)) // 4 < b
 	c.Assert(NatLeOffset(b, 0, a, 1)) // b <= 5
@@ -106,8 +106,8 @@ func TestNatExhaustiveComparisons(t *testing.T) {
 			for _, da := range []int{0, 1, 2} {
 				for _, db := range []int{0, 1} {
 					c := NewContext()
-					a := c.NatVarOf("a", 3)
-					b := c.NatVarOf("b", 3)
+					a := c.NatVarOf(3)
+					b := c.NatVarOf(3)
 					c.Assert(a.EqConstNat(va))
 					c.Assert(b.EqConstNat(vb))
 					c.Assert(NatLeOffset(a, da, b, db))
@@ -124,7 +124,7 @@ func TestNatExhaustiveComparisons(t *testing.T) {
 
 func TestNatLadderMonotone(t *testing.T) {
 	c := NewContext()
-	x := c.NatVarOf("x", 6)
+	x := c.NatVarOf(6)
 	c.Assert(x.GeConst(4))
 	m := c.Solve()
 	if m == nil {
@@ -144,7 +144,7 @@ func TestNatLadderMonotone(t *testing.T) {
 
 func TestNatZeroMax(t *testing.T) {
 	c := NewContext()
-	x := c.NatVarOf("x", 0)
+	x := c.NatVarOf(0)
 	m := c.Solve()
 	if m == nil || m.NatValue(x) != 0 {
 		t.Fatal("zero-range nat must be 0")

@@ -74,7 +74,7 @@ func TestQuickTseitinEquisat(t *testing.T) {
 		n := 3 + rng.Intn(3)
 		vars := make([]*Formula, n)
 		for i := range vars {
-			vars[i] = c.BoolVar("v")
+			vars[i] = c.BoolVar()
 		}
 		formula := randomFormula(rng, vars, 4)
 		want := false
@@ -125,8 +125,8 @@ func TestQuickIntVarComparisons(t *testing.T) {
 		}
 		for i, cse := range cases {
 			c := NewContext()
-			a := c.IntVarOf("a", domA)
-			b := c.IntVarOf("b", domB)
+			a := c.IntVarOf(domA)
+			b := c.IntVarOf(domB)
 			c.Assert(a.EqConst(va))
 			c.Assert(b.EqConst(vb))
 			c.Assert(cse.build(a, b))
@@ -159,8 +159,8 @@ func TestQuickNatOrderEncoding(t *testing.T) {
 		v := int(vRaw) % (max + 1)
 		off := int(offRaw%5) - 2
 		c := NewContext()
-		a := c.NatVarOf("a", max)
-		b := c.NatVarOf("b", max)
+		a := c.NatVarOf(max)
+		b := c.NatVarOf(max)
 		c.Assert(b.EqConstNat(v))
 		c.Assert(NatEqOffset(a, b, off))
 		m := c.Solve()
@@ -188,7 +188,7 @@ func TestQuickCardinality(t *testing.T) {
 		c := NewContext()
 		vs := make([]*Formula, n)
 		for i := range vs {
-			vs[i] = c.BoolVar("v")
+			vs[i] = c.BoolVar()
 		}
 		if rng.Intn(2) == 0 {
 			c.AtMost(k, vs...)

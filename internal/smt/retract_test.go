@@ -8,7 +8,7 @@ import "testing"
 // context with no re-encoding.
 func TestRetractableFlip(t *testing.T) {
 	c := NewContext()
-	x := c.BoolVar("x")
+	x := c.BoolVar()
 
 	h := c.AssertRetractable(x)
 	m := c.Solve()
@@ -44,7 +44,7 @@ func TestRetractableFlip(t *testing.T) {
 // constant-false retractable only bites while active.
 func TestRetractableConjunctionAndClause(t *testing.T) {
 	c := NewContext()
-	a, b, d := c.BoolVar("a"), c.BoolVar("b"), c.BoolVar("d")
+	a, b, d := c.BoolVar(), c.BoolVar(), c.BoolVar()
 
 	h := c.AssertRetractable(And(a, Or(b, d)))
 	m := c.SolveAssuming(Not(b))
@@ -74,8 +74,8 @@ func TestRetractableConjunctionAndClause(t *testing.T) {
 // assertions maps back to exactly the responsible handles.
 func TestRetractableCore(t *testing.T) {
 	c := NewContext()
-	x := c.BoolVar("x")
-	y := c.BoolVar("y")
+	x := c.BoolVar()
+	y := c.BoolVar()
 
 	hx := c.AssertRetractable(x)
 	hnx := c.AssertRetractable(Not(x))
@@ -114,7 +114,7 @@ func TestRetractableCore(t *testing.T) {
 func TestRetractableLearnedClausesSurvive(t *testing.T) {
 	build := func(active []bool) *Context {
 		c := NewContext()
-		vars := []*Formula{c.BoolVar("a"), c.BoolVar("b"), c.BoolVar("c")}
+		vars := []*Formula{c.BoolVar(), c.BoolVar(), c.BoolVar()}
 		forms := []*Formula{
 			Or(vars[0], vars[1]),
 			Or(Not(vars[0]), vars[2]),
@@ -129,7 +129,7 @@ func TestRetractableLearnedClausesSurvive(t *testing.T) {
 	}
 
 	live := NewContext()
-	vars := []*Formula{live.BoolVar("a"), live.BoolVar("b"), live.BoolVar("c")}
+	vars := []*Formula{live.BoolVar(), live.BoolVar(), live.BoolVar()}
 	hs := []Handle{
 		live.AssertRetractable(Or(vars[0], vars[1])),
 		live.AssertRetractable(Or(Not(vars[0]), vars[2])),
@@ -163,8 +163,8 @@ func TestRetractableLearnedClausesSurvive(t *testing.T) {
 func TestRetractableWithMaximize(t *testing.T) {
 	for _, strat := range []Strategy{Auto, LinearDescent, BinarySearch, CoreGuided} {
 		c := NewContext()
-		x := c.BoolVar("x")
-		y := c.BoolVar("y")
+		x := c.BoolVar()
+		y := c.BoolVar()
 		c.AssertSoft(x, 2, "want-x")
 		c.AssertSoft(y, 1, "want-y")
 

@@ -7,8 +7,8 @@ import (
 
 func TestBasicBooleanSolve(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
-	b := c.BoolVar("b")
+	a := c.BoolVar()
+	b := c.BoolVar()
 	c.Assert(And(a, Not(b)))
 	m := c.Solve()
 	if m == nil {
@@ -21,7 +21,7 @@ func TestBasicBooleanSolve(t *testing.T) {
 
 func TestUnsatConjunction(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
+	a := c.BoolVar()
 	c.Assert(a)
 	c.Assert(Not(a))
 	if c.Solve() != nil {
@@ -31,9 +31,9 @@ func TestUnsatConjunction(t *testing.T) {
 
 func TestImpliesIffITE(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
-	b := c.BoolVar("b")
-	d := c.BoolVar("d")
+	a := c.BoolVar()
+	b := c.BoolVar()
+	d := c.BoolVar()
 	c.Assert(Implies(a, b))
 	c.Assert(Iff(b, d))
 	c.Assert(a)
@@ -52,9 +52,9 @@ func TestITESemantics(t *testing.T) {
 		for _, tVal := range []bool{true, false} {
 			for _, eVal := range []bool{true, false} {
 				c := NewContext()
-				cond := c.BoolVar("c")
-				th := c.BoolVar("t")
-				el := c.BoolVar("e")
+				cond := c.BoolVar()
+				th := c.BoolVar()
+				el := c.BoolVar()
 				c.Assert(Iff(cond, Const(condVal)))
 				c.Assert(Iff(th, Const(tVal)))
 				c.Assert(Iff(el, Const(eVal)))
@@ -89,7 +89,7 @@ func TestConstantSimplification(t *testing.T) {
 
 func TestIntVarDomainAndEq(t *testing.T) {
 	c := NewContext()
-	x := c.IntVarOf("x", []int{50, 100, 150, 100})
+	x := c.IntVarOf([]int{50, 100, 150, 100})
 	if d := x.Domain(); len(d) != 3 || d[0] != 50 || d[2] != 150 {
 		t.Fatalf("domain = %v", d)
 	}
@@ -108,8 +108,8 @@ func TestIntVarDomainAndEq(t *testing.T) {
 
 func TestIntComparisons(t *testing.T) {
 	c := NewContext()
-	x := c.IntVarOf("x", []int{1, 2, 3})
-	y := c.IntVarOf("y", []int{1, 2, 3})
+	x := c.IntVarOf([]int{1, 2, 3})
+	y := c.IntVarOf([]int{1, 2, 3})
 	c.Assert(IntLt(x, y, 0, 0))
 	c.Assert(y.EqConst(2))
 	m := c.Solve()
@@ -124,8 +124,8 @@ func TestIntComparisons(t *testing.T) {
 func TestIntOffsets(t *testing.T) {
 	// x + 1 == y with x in {1,2}, y in {2}: x must be 1.
 	c := NewContext()
-	x := c.IntVarOf("x", []int{1, 2})
-	y := c.IntVarOf("y", []int{2})
+	x := c.IntVarOf([]int{1, 2})
+	y := c.IntVarOf([]int{2})
 	c.Assert(IntEq(x, y, 1, 0))
 	m := c.Solve()
 	if m == nil {
@@ -138,16 +138,16 @@ func TestIntOffsets(t *testing.T) {
 
 func TestIntGeGt(t *testing.T) {
 	c := NewContext()
-	x := c.IntVarOf("x", []int{5, 10})
-	y := c.IntVarOf("y", []int{7})
+	x := c.IntVarOf([]int{5, 10})
+	y := c.IntVarOf([]int{7})
 	c.Assert(IntGt(x, y, 0, 0))
 	m := c.Solve()
 	if m == nil || m.Int(x) != 10 {
 		t.Fatal("x > 7 forces x=10")
 	}
 	c2 := NewContext()
-	z := c2.IntVarOf("z", []int{5, 7})
-	w := c2.IntVarOf("w", []int{7})
+	z := c2.IntVarOf([]int{5, 7})
+	w := c2.IntVarOf([]int{7})
 	c2.Assert(IntGe(z, w, 0, 0))
 	m2 := c2.Solve()
 	if m2 == nil || m2.Int(z) != 7 {
@@ -157,10 +157,10 @@ func TestIntGeGt(t *testing.T) {
 
 func TestIntITE(t *testing.T) {
 	c := NewContext()
-	cond := c.BoolVar("cond")
-	out := c.IntVarOf("out", []int{10, 20, 21})
-	a := c.IntVarOf("a", []int{20})
-	b := c.IntVarOf("b", []int{10})
+	cond := c.BoolVar()
+	out := c.IntVarOf([]int{10, 20, 21})
+	a := c.IntVarOf([]int{20})
+	b := c.IntVarOf([]int{10})
 	c.AssertIntITE(cond, out, a, 1, b, 0)
 	c.Assert(cond)
 	m := c.Solve()
@@ -168,10 +168,10 @@ func TestIntITE(t *testing.T) {
 		t.Fatalf("then-branch: out=%v", m.Int(out))
 	}
 	c2 := NewContext()
-	cond2 := c2.BoolVar("cond")
-	out2 := c2.IntVarOf("out", []int{10, 21})
-	a2 := c2.IntVarOf("a", []int{20})
-	b2 := c2.IntVarOf("b", []int{10})
+	cond2 := c2.BoolVar()
+	out2 := c2.IntVarOf([]int{10, 21})
+	a2 := c2.IntVarOf([]int{20})
+	b2 := c2.IntVarOf([]int{10})
 	c2.AssertIntITE(cond2, out2, a2, 1, b2, 0)
 	c2.Assert(Not(cond2))
 	m2 := c2.Solve()
@@ -185,7 +185,7 @@ func TestAtMostAtLeast(t *testing.T) {
 		c := NewContext()
 		vs := make([]*Formula, 4)
 		for i := range vs {
-			vs[i] = c.BoolVar("v")
+			vs[i] = c.BoolVar()
 		}
 		c.AtMost(k, vs...)
 		// Force k+1 true if possible: should be unsat for k<4.
@@ -212,7 +212,7 @@ func TestAtMostAtLeast(t *testing.T) {
 	c := NewContext()
 	vs := make([]*Formula, 5)
 	for i := range vs {
-		vs[i] = c.BoolVar("v")
+		vs[i] = c.BoolVar()
 	}
 	c.AtLeast(3, vs...)
 	m := c.Solve()
@@ -234,7 +234,7 @@ func TestExactlyOne(t *testing.T) {
 	c := NewContext()
 	vs := make([]*Formula, 4)
 	for i := range vs {
-		vs[i] = c.BoolVar("v")
+		vs[i] = c.BoolVar()
 	}
 	c.ExactlyOne(vs...)
 	m := c.Solve()
@@ -266,8 +266,8 @@ func maximizeAll(t *testing.T, build func(c *Context)) map[Strategy]*MaxResult {
 func TestMaxSATSimple(t *testing.T) {
 	// Hard: a XOR b. Soft: a (w=2), b (w=1). Optimum: a true, b false.
 	results := maximizeAll(t, func(c *Context) {
-		a := c.BoolVar("a")
-		b := c.BoolVar("b")
+		a := c.BoolVar()
+		b := c.BoolVar()
 		c.Assert(Or(a, b))
 		c.Assert(Or(Not(a), Not(b)))
 		c.AssertSoft(a, 2, "want-a")
@@ -288,8 +288,8 @@ func TestMaxSATSimple(t *testing.T) {
 
 func TestMaxSATAllSatisfiable(t *testing.T) {
 	results := maximizeAll(t, func(c *Context) {
-		a := c.BoolVar("a")
-		b := c.BoolVar("b")
+		a := c.BoolVar()
+		b := c.BoolVar()
 		c.AssertSoft(a, 1, "a")
 		c.AssertSoft(b, 5, "b")
 	})
@@ -302,7 +302,7 @@ func TestMaxSATAllSatisfiable(t *testing.T) {
 
 func TestMaxSATHardUnsat(t *testing.T) {
 	results := maximizeAll(t, func(c *Context) {
-		a := c.BoolVar("a")
+		a := c.BoolVar()
 		c.Assert(a)
 		c.Assert(Not(a))
 		c.AssertSoft(a, 1, "a")
@@ -316,7 +316,7 @@ func TestMaxSATHardUnsat(t *testing.T) {
 
 func TestMaxSATNoSoft(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
+	a := c.BoolVar()
 	c.Assert(a)
 	r := c.Maximize(LinearDescent)
 	if r.Model == nil || !r.Model.Bool(a) {
@@ -388,7 +388,7 @@ func TestMaxSATRandomAgreement(t *testing.T) {
 		build := func(c *Context) {
 			vs := make([]*Formula, n)
 			for i := range vs {
-				vs[i] = c.BoolVar("v")
+				vs[i] = c.BoolVar()
 			}
 			toF := func(clause [][2]int) *Formula {
 				var ds []*Formula
@@ -439,8 +439,8 @@ func TestMaxSATRandomAgreement(t *testing.T) {
 
 func TestSolveAssuming(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
-	b := c.BoolVar("b")
+	a := c.BoolVar()
+	b := c.BoolVar()
 	c.Assert(Implies(a, b))
 	if m := c.SolveAssuming(a, Not(b)); m != nil {
 		t.Fatal("assuming a ∧ ¬b with a→b must be unsat")
@@ -462,8 +462,8 @@ func TestSolveAssuming(t *testing.T) {
 
 func TestModelEval(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
-	b := c.BoolVar("b")
+	a := c.BoolVar()
+	b := c.BoolVar()
 	c.Assert(a)
 	c.Assert(Not(b))
 	m := c.Solve()
@@ -477,8 +477,8 @@ func TestModelEval(t *testing.T) {
 
 func TestFormulaString(t *testing.T) {
 	c := NewContext()
-	a := c.BoolVar("a")
-	b := c.BoolVar("b")
+	a := c.BoolVar()
+	b := c.BoolVar()
 	s := And(a, Or(Not(b), TrueF)).String()
 	if s == "" {
 		t.Error("String should render something")
