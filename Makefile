@@ -75,9 +75,12 @@ bench-resolve-quick: | $(QUICK_OUT)
 # fuzzing against brute-force enumeration (assumptions, solver reuse,
 # compaction); five seconds of MaxSAT fuzzing against brute-force optima
 # across the default search sequence (core-guided, an edit, linear
-# descent on the same context); ten seconds of session fuzzing — random
-# edit sequences on one live session, its instances parked between
-# solves, each step checked against a cold synthesis and the simulator;
+# descent on the same context); five seconds of order-encoding
+# comparator fuzzing against integer arithmetic (memoized comparisons
+# reused across offsets with the same shift); ten seconds of session
+# fuzzing — random edit sequences on one live session, its instances
+# parked between solves, each step checked against a cold synthesis and
+# the simulator;
 # five seconds each on the untrusted-input parsers — policy, objective
 # and config text round trips, and api.Request.Materialize never
 # panicking and wrapping every error in ErrInvalidRequest; then five
@@ -87,6 +90,7 @@ bench-resolve-quick: | $(QUICK_OUT)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 10s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzMaxSAT -fuzztime 5s ./internal/smt/
+	$(GO) test -run '^$$' -fuzz FuzzNatCompare -fuzztime 5s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz FuzzSession -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzPolicyParse -fuzztime 5s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveParse -fuzztime 5s ./internal/objective/

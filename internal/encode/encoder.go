@@ -470,26 +470,30 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 
 	// Selection: sel_i ⇒ candidate valid, best fields equal its
 	// fields, and it is preferred over every other valid candidate.
+	// notSel[i] is ¬sel_i, built once: every binding below is an
+	// implication from sel_i, written as a clause over it.
 	sels := make([]*smt.Formula, len(cands))
+	notSel := make([]*smt.Formula, len(cands))
 	for i := range cands {
 		sels[i] = e.Ctx.BoolVar()
+		notSel[i] = smt.Not(sels[i])
 	}
 	// Exactly one selected when valid; none otherwise.
 	e.Ctx.Assert(smt.Iff(v.bestValid[key], smt.Or(sels...)))
 	for i := range cands {
 		for j := i + 1; j < len(cands); j++ {
-			e.Ctx.Assert(smt.Or(smt.Not(sels[i]), smt.Not(sels[j])))
+			e.Ctx.Assert(smt.Or(notSel[i], notSel[j]))
 		}
 	}
 	bgp := p.Protocol == config.BGP
 	peerSel := make(map[string]*smt.Formula)
 	local := smt.FalseF
 	for i, c := range cands {
-		e.Ctx.Assert(smt.Implies(sels[i], c.valid))
+		e.Ctx.Assert(smt.Or(notSel[i], c.valid))
 		// Bind best fields.
-		e.Ctx.Assert(smt.Implies(sels[i], e.costEquals(v.bestCost[key], c)))
+		e.Ctx.Assert(smt.Or(notSel[i], e.costEquals(v.bestCost[key], c)))
 		if bgp {
-			e.Ctx.Assert(smt.Implies(sels[i], e.lpEquals(v.bestLP[key], c)))
+			e.Ctx.Assert(smt.Or(notSel[i], e.lpEquals(v.bestLP[key], c)))
 		}
 		// Preference: every other valid candidate is no better; ties
 		// resolve to the earlier candidate in name order (matching

@@ -14,20 +14,32 @@ import (
 // per-tenant family prefix completed at runtime.
 var metricRegRe = regexp.MustCompile(`\.(Counter|Gauge|Histogram)\("([^"]+)"`)
 
+// spanStartRe matches a span started under a literal name:
+// .Child("name", .Start("name", .StartCtx(ctx, "name", and the
+// tracer's own .newSpan("name" (the watchdog's incident span).
+var spanStartRe = regexp.MustCompile(`\.(Child|Start|StartCtx|newSpan)\((?:ctx, )?"([^"]+)"`)
+
 // TestMetricDocDrift is the doc-drift gate: every metric name
 // registered anywhere in the source must be documented in
 // docs/OBSERVABILITY.md or docs/SERVICE.md, and every metric name
 // listed in those documents' metric tables must exist in the source.
 // The same holds for flight-recorder event kinds: every eventKindNames
 // entry needs a row in the OBSERVABILITY.md event table, and every row
-// there must name a registered kind. It runs in the standard test
-// suite, so `make check` (via its -race test pass) fails on drift in
-// either direction.
+// there must name a registered kind. Span names are held to the Span
+// taxonomy table the same way: every span the root module's non-test
+// source starts under a literal name needs a row, and every row must
+// name a span the source starts (perfbench/ is a module of its own,
+// whose layer spans are defined in perfbench/workloads.json). It runs
+// in the standard test suite, so `make check` (via its -race test
+// pass) fails on drift in either direction.
 func TestMetricDocDrift(t *testing.T) {
 	root := "../.."
+	perfbench := filepath.Join(root, "perfbench")
 
-	// Every registered metric name (non-test source, repo-wide).
+	// Every registered metric name (non-test source, repo-wide) and
+	// every span name started in the root module.
 	registered := map[string]bool{}
+	started := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,6 +59,11 @@ func TestMetricDocDrift(t *testing.T) {
 		}
 		for _, m := range metricRegRe.FindAllStringSubmatch(string(data), -1) {
 			registered[m[2]] = true
+		}
+		if !strings.HasPrefix(path, perfbench+string(filepath.Separator)) {
+			for _, m := range spanStartRe.FindAllStringSubmatch(string(data), -1) {
+				started[m[2]] = true
+			}
 		}
 		return nil
 	})
@@ -142,20 +159,40 @@ func TestMetricDocDrift(t *testing.T) {
 	}
 
 	checkEventKindDocs(t, docPaths[0], docs[docPaths[0]])
+	checkSpanDocs(t, docPaths[0], docs[docPaths[0]], started)
 }
 
-// checkEventKindDocs holds the recorder event table in doc (the table
-// after the "Event taxonomy" line) to eventKindNames in both
-// directions. The first cell of each row names one or more kinds in
-// backticks; EvNone is never recorded and needs no row.
-func checkEventKindDocs(t *testing.T, path, doc string) {
+// checkSpanDocs holds the Span taxonomy table in doc (the table after
+// the "## Span taxonomy" heading) to the span names the source starts,
+// in both directions. The first cell of each row names the span in
+// backticks.
+func checkSpanDocs(t *testing.T, path, doc string, started map[string]bool) {
 	t.Helper()
-	const anchor = "Event taxonomy (`obs.EventKind`)"
+	if len(started) < 10 {
+		t.Fatalf("found only %d started spans — the source scan is broken", len(started))
+	}
+	documented := tableNames(t, path, doc, "## Span taxonomy")
+	for name := range started {
+		if !documented[name] {
+			t.Errorf("span %q is started in the source but has no row in the %s span table", name, path)
+		}
+	}
+	for name := range documented {
+		if !started[name] {
+			t.Errorf("%s documents span %q, which no non-test source starts", path, name)
+		}
+	}
+}
+
+// tableNames returns the backticked names in the first cell of each row
+// of the first markdown table after anchor in doc.
+func tableNames(t *testing.T, path, doc, anchor string) map[string]bool {
+	t.Helper()
 	i := strings.Index(doc, anchor)
 	if i < 0 {
 		t.Fatalf("%s: %q not found — update this test's anchor", path, anchor)
 	}
-	documented := map[string]bool{}
+	names := map[string]bool{}
 	inTable := false
 	for _, line := range strings.Split(doc[i:], "\n")[1:] {
 		line = strings.TrimSpace(line)
@@ -168,9 +205,23 @@ func checkEventKindDocs(t *testing.T, path, doc string) {
 		inTable = true
 		cells := strings.Split(line, "|")
 		for _, m := range codeSpanRe.FindAllStringSubmatch(cells[1], -1) {
-			documented[m[1]] = true
+			names[m[1]] = true
 		}
 	}
+	if len(names) == 0 {
+		t.Fatalf("%s: table after %q is empty — the table scan is broken", path, anchor)
+	}
+	return names
+}
+
+// checkEventKindDocs holds the recorder event table in doc (the table
+// after the "Event taxonomy" line) to eventKindNames in both
+// directions. The first cell of each row names one or more kinds in
+// backticks; EvNone is never recorded and needs no row.
+func checkEventKindDocs(t *testing.T, path, doc string) {
+	t.Helper()
+	const anchor = "Event taxonomy (`obs.EventKind`)"
+	documented := tableNames(t, path, doc, anchor)
 	registered := map[string]bool{}
 	for k, name := range eventKindNames {
 		if EventKind(k) == EvNone {
@@ -180,9 +231,6 @@ func checkEventKindDocs(t *testing.T, path, doc string) {
 		if !documented[name] {
 			t.Errorf("recorder event kind %q has no row in the %s event table", name, path)
 		}
-	}
-	if len(documented) == 0 {
-		t.Fatalf("%s: event table after %q is empty — the table scan is broken", path, anchor)
 	}
 	for name := range documented {
 		if !registered[name] {

@@ -166,3 +166,110 @@ func FuzzMaxSAT(f *testing.F) {
 		check("after reassert", LinearDescent, in.retract)
 	})
 }
+
+// FuzzNatCompare runs a random sequence of order-encoding comparisons
+// on two or three NatVars of one context and checks each against
+// integer arithmetic for every value tuple. data[0] picks the variable
+// count and data[1..3] their bounds (0–4); each later 4-byte group is
+// one call: the comparison, its operands, two offsets in −3..4 and a
+// constant in −2..5. Calls with different offsets but the same shift
+// hit the comparator memo, so the memoized nodes must keep the meaning
+// of every call that reuses them, and must be the identical node.
+func FuzzNatCompare(f *testing.F) {
+	f.Add([]byte{0, 3, 4, 0, 0, 0x10, 0x43, 0, 0, 0x10, 0x54, 0, 1, 0x01, 0x33, 0})
+	f.Add([]byte{1, 4, 2, 3, 2, 0x21, 0x31, 2, 3, 0x10, 0x70, 5, 4, 0x02, 0, 3})
+	f.Add([]byte{1, 0, 4, 1, 0, 0x12, 0x25, 0, 1, 0x21, 0x36, 0, 2, 0x11, 0x03, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			t.Skip()
+		}
+		n := 2 + int(data[0])%2
+		c := NewContext()
+		vars := make([]*NatVar, n)
+		for i := range vars {
+			vars[i] = c.NatVarOf(int(data[1+i]) % 5)
+		}
+		type call struct {
+			f    *Formula
+			sel  *Formula // sel ⇔ f, read from the solver's model
+			want func(vals []int) bool
+		}
+		var calls []call
+		type cmpKey struct{ a, b, shift int }
+		memo := map[cmpKey]*Formula{}
+		for p := 4; p+4 <= len(data) && len(calls) < 10; p += 4 {
+			ai, bi := int(data[p+1])%n, int(data[p+1]>>4)%n
+			da, db := int(data[p+2]&7)-3, int(data[p+2]>>4&7)-3
+			k := int(data[p+3]%8) - 2
+			a, b := vars[ai], vars[bi]
+			var cl call
+			switch data[p] % 5 {
+			case 0:
+				cl.f = NatLeOffset(a, da, b, db)
+				cl.want = func(v []int) bool { return v[ai]+da <= v[bi]+db }
+			case 1:
+				cl.f = NatLtOffset(a, da, b, db)
+				cl.want = func(v []int) bool { return v[ai]+da < v[bi]+db }
+			case 2:
+				cl.f = NatEqOffset(a, b, da)
+				cl.want = func(v []int) bool { return v[ai] == v[bi]+da }
+			case 3:
+				cl.f = a.LeConst(k)
+				cl.want = func(v []int) bool { return v[ai] <= k }
+			case 4:
+				cl.f = a.EqConstNat(k)
+				cl.want = func(v []int) bool { return v[ai] == k }
+			}
+			if op := data[p] % 5; op <= 1 {
+				key := cmpKey{ai, bi, da - db + int(op)}
+				if prev, ok := memo[key]; ok && prev != cl.f {
+					t.Fatalf("call %d: comparison (%d, %d, shift %d) built a second node", len(calls), ai, bi, key.shift)
+				}
+				memo[key] = cl.f
+			}
+			cl.sel = c.BoolVar()
+			c.Assert(Iff(cl.sel, cl.f))
+			calls = append(calls, cl)
+		}
+		if len(calls) == 0 {
+			t.Skip()
+		}
+
+		// Every value tuple, fixed through assumptions on the ladders.
+		vals := make([]int, n)
+		var visit func(i int)
+		visit = func(i int) {
+			if i < n {
+				for v := 0; v <= vars[i].Max(); v++ {
+					vals[i] = v
+					visit(i + 1)
+				}
+				return
+			}
+			var asm []*Formula
+			for j, x := range vars {
+				for k := 1; k <= x.Max(); k++ {
+					if k <= vals[j] {
+						asm = append(asm, x.GeConst(k))
+					} else {
+						asm = append(asm, Not(x.GeConst(k)))
+					}
+				}
+			}
+			m := c.SolveAssuming(asm...)
+			if m == nil {
+				t.Fatalf("values %v: unsat", vals)
+			}
+			for ci, cl := range calls {
+				want := cl.want(vals)
+				if got := m.Eval(cl.f); got != want {
+					t.Fatalf("values %v, call %d: formula evaluates to %v, want %v", vals, ci, got, want)
+				}
+				if got := m.Bool(cl.sel); got != want {
+					t.Fatalf("values %v, call %d: CNF gives %v, want %v", vals, ci, got, want)
+				}
+			}
+		}
+		visit(0)
+	})
+}
