@@ -81,6 +81,12 @@ bench-resolve-quick: | $(QUICK_OUT)
 # fuzzing — random edit sequences on one live session, its instances
 # parked between solves, each step checked against a cold synthesis and
 # the simulator;
+# five seconds each on the post-solve fast paths against the algorithms
+# they replaced — the section-level config diff against the
+# whole-network leaf-set diff (random section edits, duplicate keys,
+# routers added, removed and emptied) and the indexed simulator against
+# the map-keyed fixpoint (filters, costs, redistribution, statics,
+# disabled routers);
 # five seconds each on the untrusted-input parsers — policy, objective
 # and config text round trips, and api.Request.Materialize never
 # panicking and wrapping every error in ErrInvalidRequest; then five
@@ -92,6 +98,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMaxSAT -fuzztime 5s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz FuzzNatCompare -fuzztime 5s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz FuzzSession -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDiff -fuzztime 5s ./internal/config/
+	$(GO) test -run '^$$' -fuzz FuzzRoutes -fuzztime 5s ./internal/simulate/
 	$(GO) test -run '^$$' -fuzz FuzzPolicyParse -fuzztime 5s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveParse -fuzztime 5s ./internal/objective/
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 5s ./internal/config/

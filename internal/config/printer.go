@@ -2,7 +2,10 @@ package config
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"github.com/aed-net/aed/internal/prefix"
 )
 
 // Print renders a router configuration in the canonical form accepted
@@ -17,7 +20,7 @@ func Print(r *Router) string {
 		if i.Addr.Len != 0 || i.Addr.Addr != 0 {
 			// Interface addresses keep their host bits (unlike route
 			// prefixes), so print the raw address.
-			fmt.Fprintf(&b, " ip address %s/%d\n", addrString(rawAddr(i.Addr.Addr)), i.Addr.Len)
+			fmt.Fprintf(&b, " ip address %s/%d\n", prefix.FormatAddr(i.Addr.Addr), i.Addr.Len)
 		}
 		if i.FilterIn != "" {
 			fmt.Fprintf(&b, " ip access-group %s in\n", i.FilterIn)
@@ -69,48 +72,38 @@ func Print(r *Router) string {
 	return b.String()
 }
 
-// rawAddr adapts a bare 32-bit address to the addrString interface.
-type rawAddr uint32
-
-// First returns the address itself (no masking).
-func (a rawAddr) First() uint32 { return uint32(a) }
-
-func addrString(p interface{ First() uint32 }) string {
-	a := p.First()
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-}
-
 func routeRuleString(r *RouteRule) string {
-	action := "deny"
-	if r.Permit {
-		action = "permit"
-	}
-	s := fmt.Sprintf("%s %s", action, prefixOrAny(r.Prefix))
+	b := make([]byte, 0, 64)
+	b = append(b, permitString(r.Permit)...)
+	b = append(b, ' ')
+	b = appendPrefixOrAny(b, r.Prefix)
 	if r.LocalPref != 0 {
-		s += fmt.Sprintf(" set local-preference %d", r.LocalPref)
+		b = append(b, " set local-preference "...)
+		b = strconv.AppendInt(b, int64(r.LocalPref), 10)
 	}
 	if r.Metric != 0 {
-		s += fmt.Sprintf(" set metric %d", r.Metric)
+		b = append(b, " set metric "...)
+		b = strconv.AppendInt(b, int64(r.Metric), 10)
 	}
-	return s
+	return string(b)
 }
 
 func packetRuleString(r *PacketRule) string {
-	action := "deny"
-	if r.Permit {
-		action = "permit"
-	}
-	return fmt.Sprintf("%s ip %s %s", action, prefixOrAny(r.Src), prefixOrAny(r.Dst))
+	b := make([]byte, 0, 64)
+	b = append(b, permitString(r.Permit)...)
+	b = append(b, " ip "...)
+	b = appendPrefixOrAny(b, r.Src)
+	b = append(b, ' ')
+	b = appendPrefixOrAny(b, r.Dst)
+	return string(b)
 }
 
-func prefixOrAny(p interface {
-	IsDefault() bool
-	String() string
-}) string {
+// appendPrefixOrAny appends p, or "any" for the default route.
+func appendPrefixOrAny(b []byte, p prefix.Prefix) []byte {
 	if p.IsDefault() {
-		return "any"
+		return append(b, "any"...)
 	}
-	return p.String()
+	return p.AppendTo(b)
 }
 
 // PrintNetwork renders all routers, keyed by router name.

@@ -1,7 +1,7 @@
 package config
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -99,76 +99,103 @@ func Tree(n *Network) *Node {
 func buildRouterTree(root *Node, r *Router) *Node {
 	rn := child(root, NodeRouter, r.Name, map[string]string{"name": r.Name})
 	for _, i := range r.Interfaces {
-		attrs := map[string]string{"name": i.Name, "address": i.Addr.String()}
-		if i.FilterIn != "" {
-			attrs["filterIn"] = i.FilterIn
-		}
-		if i.FilterOut != "" {
-			attrs["filterOut"] = i.FilterOut
-		}
-		child(rn, NodeInterface, "Interface["+i.Name+"]", attrs)
+		buildInterface(rn, i)
 	}
 	for _, p := range r.Processes {
-		key := fmt.Sprintf("RoutingProcess[%s:%d]", p.Protocol, p.ID)
-		pn := child(rn, NodeProcess, key, map[string]string{
-			"type": p.Protocol.String(),
-			"id":   fmt.Sprintf("%d", p.ID),
-		})
-		for _, a := range p.Adjacencies {
-			attrs := map[string]string{"peer": a.Peer}
-			if a.InFilter != "" {
-				attrs["inFilter"] = a.InFilter
-			}
-			if a.OutFilter != "" {
-				attrs["outFilter"] = a.OutFilter
-			}
-			if a.Cost > 0 {
-				attrs["cost"] = fmt.Sprintf("%d", a.Cost)
-			}
-			child(pn, NodeAdjacency, "Adjacency["+a.Peer+"]", attrs)
-		}
-		for _, o := range p.Originations {
-			child(pn, NodeOrigination, "Origination["+o.Prefix.String()+"]",
-				map[string]string{"prefix": o.Prefix.String()})
-		}
-		for _, rd := range p.Redistribute {
-			child(pn, NodeRedistribution, "Redistribution["+rd.String()+"]",
-				map[string]string{"protocol": rd.String()})
-		}
+		buildProcess(rn, p)
 	}
 	for _, f := range r.RouteFilters {
-		fn := child(rn, NodeRouteFilter, "RouteFilter["+f.Name+"]",
-			map[string]string{"name": f.Name})
-		for idx, rule := range f.Rules {
-			child(fn, NodeRule, fmt.Sprintf("Rule[%d]", idx), map[string]string{
-				"index":  fmt.Sprintf("%d", idx),
-				"line":   routeRuleString(rule),
-				"prefix": rule.Prefix.String(),
-				"action": permitString(rule.Permit),
-			})
-		}
+		buildRouteFilter(rn, f)
 	}
 	for _, f := range r.PacketFilters {
-		fn := child(rn, NodePacketFilter, "PacketFilter["+f.Name+"]",
-			map[string]string{"name": f.Name})
-		for idx, rule := range f.Rules {
-			child(fn, NodeRule, fmt.Sprintf("Rule[%d]", idx), map[string]string{
-				"index":  fmt.Sprintf("%d", idx),
-				"line":   packetRuleString(rule),
-				"src":    rule.Src.String(),
-				"dst":    rule.Dst.String(),
-				"action": permitString(rule.Permit),
-			})
-		}
+		buildPacketFilter(rn, f)
 	}
 	for _, s := range r.StaticRoutes {
-		key := "StaticRoute[" + s.Prefix.String() + "]"
-		child(rn, NodeStaticRoute, key, map[string]string{
-			"prefix":  s.Prefix.String(),
-			"nexthop": s.NextHop,
-		})
+		buildStatic(rn, s)
 	}
 	return rn
+}
+
+// The section builders below each add one top-level section of a
+// router under rn. Tree and Diff share them, so the syntax tree has a
+// single renderer.
+
+func buildInterface(rn *Node, i *Interface) {
+	attrs := map[string]string{"name": i.Name, "address": i.Addr.String()}
+	if i.FilterIn != "" {
+		attrs["filterIn"] = i.FilterIn
+	}
+	if i.FilterOut != "" {
+		attrs["filterOut"] = i.FilterOut
+	}
+	child(rn, NodeInterface, "Interface["+i.Name+"]", attrs)
+}
+
+func buildProcess(rn *Node, p *Process) {
+	id := strconv.Itoa(p.ID)
+	pn := child(rn, NodeProcess, "RoutingProcess["+p.Protocol.String()+":"+id+"]", map[string]string{
+		"type": p.Protocol.String(),
+		"id":   id,
+	})
+	for _, a := range p.Adjacencies {
+		attrs := map[string]string{"peer": a.Peer}
+		if a.InFilter != "" {
+			attrs["inFilter"] = a.InFilter
+		}
+		if a.OutFilter != "" {
+			attrs["outFilter"] = a.OutFilter
+		}
+		if a.Cost > 0 {
+			attrs["cost"] = strconv.Itoa(a.Cost)
+		}
+		child(pn, NodeAdjacency, "Adjacency["+a.Peer+"]", attrs)
+	}
+	for _, o := range p.Originations {
+		pfx := o.Prefix.String()
+		child(pn, NodeOrigination, "Origination["+pfx+"]",
+			map[string]string{"prefix": pfx})
+	}
+	for _, rd := range p.Redistribute {
+		child(pn, NodeRedistribution, "Redistribution["+rd.String()+"]",
+			map[string]string{"protocol": rd.String()})
+	}
+}
+
+func buildRouteFilter(rn *Node, f *RouteFilter) {
+	fn := child(rn, NodeRouteFilter, "RouteFilter["+f.Name+"]",
+		map[string]string{"name": f.Name})
+	for idx, rule := range f.Rules {
+		i := strconv.Itoa(idx)
+		child(fn, NodeRule, "Rule["+i+"]", map[string]string{
+			"index":  i,
+			"line":   routeRuleString(rule),
+			"prefix": rule.Prefix.String(),
+			"action": permitString(rule.Permit),
+		})
+	}
+}
+
+func buildPacketFilter(rn *Node, f *PacketFilter) {
+	fn := child(rn, NodePacketFilter, "PacketFilter["+f.Name+"]",
+		map[string]string{"name": f.Name})
+	for idx, rule := range f.Rules {
+		i := strconv.Itoa(idx)
+		child(fn, NodeRule, "Rule["+i+"]", map[string]string{
+			"index":  i,
+			"line":   packetRuleString(rule),
+			"src":    rule.Src.String(),
+			"dst":    rule.Dst.String(),
+			"action": permitString(rule.Permit),
+		})
+	}
+}
+
+func buildStatic(rn *Node, s *StaticRoute) {
+	pfx := s.Prefix.String()
+	child(rn, NodeStaticRoute, "StaticRoute["+pfx+"]", map[string]string{
+		"prefix":  pfx,
+		"nexthop": s.NextHop,
+	})
 }
 
 func permitString(p bool) string {

@@ -153,10 +153,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // NewCLITracer returns the standard telemetry root a long-running
-// consumer (aed, aedbench, aedd) starts with: an enabled tracer with a
+// consumer (aed, aedbench, aedd) starts with: an enabled tracer that
+// retains the newest DefaultSpanCapacity finished spans, with a
 // default-capacity flight recorder attached.
 func NewCLITracer() *Tracer {
-	t := NewTracer()
+	t := newRingTracer(DefaultSpanCapacity)
 	t.SetRecorder(NewRecorder(DefaultRecorderCapacity))
 	return t
 }

@@ -25,8 +25,14 @@ import (
 // per-destination workers in core.solveSplit record spans and metrics
 // into one shared tracer.
 type Tracer struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// spans holds the finished spans. With spanCap > 0 it is a ring of
+	// that many entries: the span with sequence number k (the k-th to
+	// end, from 0) sits at k % spanCap until it is overwritten.
 	spans   []SpanRecord
+	spanCap int
+	spanSeq uint64           // spans ever finished
+	dropped *Counter         // tracer.spans_dropped, for a ring
 	open    map[uint64]*Span // in-flight spans, for the live /spans view
 	nextID  atomic.Uint64
 	metrics *Registry
@@ -88,39 +94,66 @@ func (t *Tracer) newSpan(name string, parent uint64, req *RequestInfo) *Span {
 	return s
 }
 
-// Spans returns a copy of the finished spans in end order (children
-// before their parents, since a span is recorded when it ends).
+// DefaultSpanCapacity is the number of finished spans a tracer made
+// by NewCLITracer retains.
+const DefaultSpanCapacity = 16384
+
+// newRingTracer returns a tracer that keeps only the newest capacity
+// finished spans, counting overwritten ones in tracer.spans_dropped.
+func newRingTracer(capacity int) *Tracer {
+	t := NewTracer()
+	t.spanCap = capacity
+	t.dropped = t.metrics.Counter("tracer.spans_dropped")
+	return t
+}
+
+// Spans returns a copy of the retained finished spans in end order
+// (children before their parents, since a span is recorded when it
+// ends).
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
+	out, _ := t.spansFromLocked(0)
 	return out
 }
 
-// SpansFrom returns a copy of the finished spans recorded at index
-// from onward, plus the index one past the last span returned (pass it
-// back as from to drain incrementally). The finished-span log is
-// append-only, so successive calls see a consistent, gap-free stream —
-// this is what the retention spiller polls.
+// SpansFrom returns a copy of the finished spans with sequence number
+// from onward (the k-th span to end has sequence number k, from 0),
+// plus the sequence number one past the last span returned: pass it
+// back as from to drain incrementally. Successive calls see a
+// consistent, gap-free stream — this is what the retention spiller
+// polls — unless a bounded tracer overwrote spans since the last call;
+// the first span returned then has sequence number next − len(spans),
+// beyond from.
 func (t *Tracer) SpansFrom(from int) ([]SpanRecord, int) {
 	if t == nil {
 		return nil, from
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if from < 0 {
-		from = 0
+	return t.spansFromLocked(from)
+}
+
+func (t *Tracer) spansFromLocked(from int) ([]SpanRecord, int) {
+	end := int(t.spanSeq)
+	oldest := end - len(t.spans)
+	if from < oldest {
+		from = oldest
 	}
-	if from >= len(t.spans) {
-		return nil, len(t.spans)
+	if from >= end {
+		return nil, end
 	}
-	out := make([]SpanRecord, len(t.spans)-from)
-	copy(out, t.spans[from:])
-	return out, len(t.spans)
+	out := make([]SpanRecord, 0, end-from)
+	if t.spanCap == 0 {
+		return append(out, t.spans[from:]...), end
+	}
+	for k := from; k < end; k++ {
+		out = append(out, t.spans[k%t.spanCap])
+	}
+	return out, end
 }
 
 // OpenSpans returns a snapshot of the spans currently in flight, with
@@ -327,10 +360,17 @@ func (s *Span) End() {
 		Attrs:    attrMap(s.attrs, s.req),
 	}
 	s.mu.Unlock()
-	s.t.mu.Lock()
-	delete(s.t.open, s.id)
-	s.t.spans = append(s.t.spans, rec)
-	s.t.mu.Unlock()
+	t := s.t
+	t.mu.Lock()
+	delete(t.open, s.id)
+	if t.spanCap > 0 && len(t.spans) == t.spanCap {
+		t.spans[t.spanSeq%uint64(t.spanCap)] = rec
+		t.dropped.Add(1)
+	} else {
+		t.spans = append(t.spans, rec)
+	}
+	t.spanSeq++
+	t.mu.Unlock()
 }
 
 // SpanRecord is a finished span as stored by the tracer and exported

@@ -51,7 +51,7 @@ const (
 //
 //	retention.spans            spans spilled
 //	retention.events           recorder events spilled
-//	retention.lost             recorder events overwritten before spill
+//	retention.lost             spans and recorder events overwritten before spill
 //	retention.rotations        segment rotations
 //	retention.segments_deleted segments deleted by the size cap
 //	retention.bytes (gauge)    current on-disk footprint
@@ -218,6 +218,9 @@ func (r *Retention) Flush() error {
 
 	var rec aedt.Record
 	spans, next := r.t.SpansFrom(r.spanFrom)
+	if first := next - len(spans); first > r.spanFrom {
+		r.cLost.Add(int64(first - r.spanFrom))
+	}
 	r.spanFrom = next
 	for _, sp := range spans {
 		if eventToRecord(spanEvent(sp, r.t.Epoch()), &rec) {

@@ -91,8 +91,26 @@ func (p Prefix) Halves() (lo, hi Prefix) {
 
 // String renders p in dotted-quad/len form, e.g. "10.0.0.0/8".
 func (p Prefix) String() string {
-	a := p.First()
-	return fmt.Sprintf("%d.%d.%d.%d/%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a), p.Len)
+	var buf [40]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends p's String form to dst.
+func (p Prefix) AppendTo(dst []byte) []byte {
+	dst = appendAddr(dst, p.First())
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(p.Len), 10)
+}
+
+// appendAddr appends a in dotted-quad form to dst.
+func appendAddr(dst []byte, a uint32) []byte {
+	dst = strconv.AppendUint(dst, uint64(byte(a>>24)), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(byte(a>>16)), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(byte(a>>8)), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, uint64(byte(a)), 10)
 }
 
 // ParseAddr parses a dotted-quad IPv4 address.
@@ -114,7 +132,8 @@ func ParseAddr(s string) (uint32, error) {
 
 // FormatAddr renders a 32-bit address in dotted-quad form.
 func FormatAddr(a uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [16]byte
+	return string(appendAddr(buf[:0], a))
 }
 
 // Parse parses "a.b.c.d/len" into a canonical Prefix. A bare address

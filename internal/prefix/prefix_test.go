@@ -1,6 +1,7 @@
 package prefix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,36 @@ func TestQuickAtoms(t *testing.T) {
 			if want := uint64(p.Last()-p.First()) + 1; total != want {
 				t.Fatalf("iter %d: %s covered %d want %d (in=%v atoms=%v)",
 					iter, p, total, want, in, atoms)
+			}
+		}
+	}
+}
+
+// TestStringMatchesFmt pins the hand-written renderers to the fmt
+// formatting they replaced: every length 0–32, random addresses with
+// host bits set, and out-of-range lengths.
+func TestStringMatchesFmt(t *testing.T) {
+	ref := func(p Prefix) string {
+		a := p.First()
+		return fmt.Sprintf("%d.%d.%d.%d/%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a), p.Len)
+	}
+	rng := rand.New(rand.NewSource(7))
+	addrs := []uint32{0, 0xffffffff, 0x0a000001, 0x80000000, 0x01020304}
+	for i := 0; i < 200; i++ {
+		addrs = append(addrs, rng.Uint32())
+	}
+	lens := []int{-1, -32, 33, 64, 1 << 20}
+	for l := 0; l <= 32; l++ {
+		lens = append(lens, l)
+	}
+	for _, a := range addrs {
+		if got, want := FormatAddr(a), fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a)); got != want {
+			t.Fatalf("FormatAddr(%#x) = %q, want %q", a, got, want)
+		}
+		for _, l := range lens {
+			p := Prefix{Addr: a, Len: l}
+			if got, want := p.String(), ref(p); got != want {
+				t.Fatalf("Prefix{%#x, %d}.String() = %q, want %q", a, l, got, want)
 			}
 		}
 	}
