@@ -90,7 +90,6 @@ const (
 // linear descent for warm re-solves (see Options.Strategy).
 const (
 	LinearDescent = smt.LinearDescent
-	BinarySearch  = smt.BinarySearch
 	CoreGuided    = smt.CoreGuided
 )
 

@@ -4,31 +4,12 @@
 //
 // Usage:
 //
-//	aedbench -experiment fig9|fig10|fig11a|fig11b|fig12|fig13|fig14|boolopt|pruning|fig3|incremental|satperf|resolve|telemetry|parallel|service|all
-//	         [-scale quick|full] [-metrics-out FILE] [-out FILE]
-//	         [-debug-addr ADDR]
+//	aedbench -experiment fig9|fig10|fig11a|fig11b|fig12|fig13|fig14|boolopt|pruning|strategies|fig3|all
+//	         [-scale quick|full] [-metrics-out FILE] [-debug-addr ADDR]
 //
 // -debug-addr serves the live debug endpoint (/metrics, /spans,
 // /recorder, /debug/pprof/) while the experiments run — useful for
 // profiling a long full-scale run without waiting for the artifact.
-//
-// The incremental experiment measures the session engine's warm-vs-
-// cold solve latency (per-destination cache); -out writes its JSON
-// artifact (BENCH_incremental.json). The satperf experiment measures
-// the SAT layer itself — cold synthesis wall time, propagation
-// throughput, peak clause-arena bytes, and the CNF size with structural
-// hash-consing on vs off; -out writes BENCH_satperf.json. The resolve
-// experiment measures the session's tier-2 path — a one-line config
-// edit re-solved by flipping the live instance's retractable bindings
-// against the cold and re-encode baselines; -out writes
-// BENCH_resolve.json. The telemetry experiment measures the AEDT
-// binary telemetry format against the JSONL baseline (bytes/event,
-// encode/decode throughput, steady-state decode allocations); -out
-// writes BENCH_telemetry.json. The service experiment load-tests a
-// live in-process aedd over real HTTP — cold/warm/watch latency, an
-// oversubscribed burst that must reject queue-full, and a drain check
-// that no in-flight solve is dropped on shutdown; -out writes
-// BENCH_service.json.
 //
 // Each experiment prints the rows/series the corresponding paper
 // figure reports; EXPERIMENTS.md records the expected shapes.
@@ -57,7 +38,6 @@ func main() {
 		experiment = flag.String("experiment", "all", "which figure to regenerate")
 		scaleFlag  = flag.String("scale", "quick", "quick or full")
 		metricsOut = flag.String("metrics-out", "", "write a JSONL metrics artifact (spans + solver metrics) to FILE")
-		benchOut   = flag.String("out", "", "write the incremental/satperf experiment's JSON artifact to FILE")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /spans, /recorder and /debug/pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
@@ -116,68 +96,8 @@ func main() {
 		"boolopt":    func() { bench.BoolRank(os.Stdout, scale) },
 		"pruning":    func() { bench.Pruning(os.Stdout, scale) },
 		"strategies": func() { bench.MaxSATStrategies(os.Stdout, scale) },
-		"incremental": func() {
-			res := bench.Incremental(os.Stdout, scale)
-			if *benchOut != "" {
-				if err := bench.WriteIncrementalJSON(*benchOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "aedbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("benchmark artifact written to %s\n", *benchOut)
-			}
-		},
-		"satperf": func() {
-			res := bench.SatPerf(os.Stdout, scale)
-			if *benchOut != "" {
-				if err := bench.WriteSatPerfJSON(*benchOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "aedbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("benchmark artifact written to %s\n", *benchOut)
-			}
-		},
-		"resolve": func() {
-			res := bench.Resolve(os.Stdout, scale)
-			if *benchOut != "" {
-				if err := bench.WriteResolveJSON(*benchOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "aedbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("benchmark artifact written to %s\n", *benchOut)
-			}
-		},
-		"telemetry": func() {
-			res := bench.Telemetry(os.Stdout, scale)
-			if *benchOut != "" {
-				if err := bench.WriteTelemetryJSON(*benchOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "aedbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("benchmark artifact written to %s\n", *benchOut)
-			}
-		},
-		"parallel": func() {
-			res := bench.Parallel(os.Stdout, scale)
-			if *benchOut != "" {
-				if err := bench.WriteParallelJSON(*benchOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "aedbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("benchmark artifact written to %s\n", *benchOut)
-			}
-		},
-		"service": func() {
-			res := bench.Service(os.Stdout, scale)
-			if *benchOut != "" {
-				if err := bench.WriteServiceJSON(*benchOut, res); err != nil {
-					fmt.Fprintln(os.Stderr, "aedbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("benchmark artifact written to %s\n", *benchOut)
-			}
-		},
 	}
-	order := []string{"fig3", "fig9", "fig10", "fig11a", "fig11b", "fig12", "fig13", "fig14", "boolopt", "pruning", "strategies", "incremental", "satperf", "resolve", "telemetry", "parallel", "service"}
+	order := []string{"fig3", "fig9", "fig10", "fig11a", "fig11b", "fig12", "fig13", "fig14", "boolopt", "pruning", "strategies"}
 
 	runOne := func(name string, run func()) {
 		sp := tracer.Start("experiment")

@@ -125,8 +125,8 @@ type SolveOptions struct {
 	Workers int `json:"workers,omitempty"`
 	// Strategy selects the MaxSAT search. "" is smt.Auto: core-guided
 	// on fresh instances, linear descent on warm re-solves of a live
-	// session instance. "linear", "binary" and "core" force that
-	// search on every path.
+	// session instance. "linear" and "core" force that search on every
+	// path.
 	Strategy string `json:"strategy,omitempty"`
 }
 
@@ -179,12 +179,10 @@ func (r *Request) Materialize() (*Problem, error) {
 		opts.Strategy = smt.Auto
 	case "linear":
 		opts.Strategy = smt.LinearDescent
-	case "binary":
-		opts.Strategy = smt.BinarySearch
 	case "core":
 		opts.Strategy = smt.CoreGuided
 	default:
-		return nil, fmt.Errorf("%w: unknown strategy %q (want linear, binary, or core)",
+		return nil, fmt.Errorf("%w: unknown strategy %q (want linear or core)",
 			ErrInvalidRequest, r.Options.Strategy)
 	}
 	if r.ObjectiveSet != "" {

@@ -186,6 +186,7 @@ func TestMaterializeInvalid(t *testing.T) {
 		{"bad_objectives", func(r *Request) { r.Objectives = "NOMODIFY [[[\n" }},
 		{"bad_objective_set", func(r *Request) { r.ObjectiveSet = "no-such-set" }},
 		{"bad_strategy", func(r *Request) { r.Options.Strategy = "quantum" }},
+		{"binary_strategy", func(r *Request) { r.Options.Strategy = "binary" }},
 		{"negative_timeout", func(r *Request) { r.TimeoutMS = -1 }},
 	}
 	for _, tc := range cases {
@@ -238,7 +239,6 @@ func TestMaterializeStrategy(t *testing.T) {
 	for wire, want := range map[string]smt.Strategy{
 		"":       smt.Auto,
 		"linear": smt.LinearDescent,
-		"binary": smt.BinarySearch,
 		"core":   smt.CoreGuided,
 	} {
 		req := validRequest()

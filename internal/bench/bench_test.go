@@ -197,7 +197,7 @@ func TestMaxSATStrategiesAgree(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	rows := MaxSATStrategies(&buf, Quick)
-	if len(rows) != 4 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d:\n%s", len(rows), buf.String())
 	}
 	// Exact strategies must agree on the optimal objective cost
@@ -207,41 +207,5 @@ func TestMaxSATStrategiesAgree(t *testing.T) {
 			t.Errorf("strategy %s optimum weight %d, %s found %d",
 				r.Strategy, r.ViolatedWeight, rows[0].Strategy, rows[0].ViolatedWeight)
 		}
-	}
-}
-
-func TestIncrementalQuick(t *testing.T) {
-	var buf bytes.Buffer
-	res := Incremental(&buf, Quick)
-	if res.Destinations != res.Leaves {
-		t.Errorf("destinations = %d, want one per leaf (%d)", res.Destinations, res.Leaves)
-	}
-	if res.WarmMisses != 1 || res.WarmHits != res.Destinations-1 {
-		t.Errorf("warm solve hit/miss = %d/%d, want %d/1 after a one-destination edit",
-			res.WarmHits, res.WarmMisses, res.Destinations-1)
-	}
-	// The warm path skips N-1 of N instances; assert a lenient bound so
-	// loaded CI machines do not flake (the artifact records the real
-	// speedup, which the acceptance run checks at >=3x).
-	if res.WarmMS >= res.ColdMS {
-		t.Errorf("warm solve (%.1fms) not faster than cold (%.1fms)", res.WarmMS, res.ColdMS)
-	}
-}
-
-func TestResolveQuick(t *testing.T) {
-	var buf bytes.Buffer
-	res := Resolve(&buf, Quick)
-	if res.Destinations != res.Leaves {
-		t.Errorf("destinations = %d, want one per leaf (%d)", res.Destinations, res.Leaves)
-	}
-	if res.Rebound != 1 {
-		t.Errorf("rebound instances = %d, want exactly 1 (the edited destination)", res.Rebound)
-	}
-	// The rebind flips assumptions on one warm instance while the cold
-	// solve encodes and solves all of them; assert a lenient bound so
-	// loaded CI machines do not flake (the artifact records the real
-	// speedup).
-	if res.RebindMS >= res.ColdMS {
-		t.Errorf("rebind re-solve (%.1fms) not faster than cold (%.1fms)", res.RebindMS, res.ColdMS)
 	}
 }

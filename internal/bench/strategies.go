@@ -26,9 +26,9 @@ type StrategyRow struct {
 
 // MaxSATStrategies runs AED with the default strategy (smt.Auto, which
 // searches core-guided on these cold solves) and with each forced MaxSAT
-// strategy (linear descent, binary search, core-guided Fu–Malik) on the
-// datacenter workload and reports average solve time and the
-// devices-changed optimum. All strategies must agree on the optimum
+// strategy (linear descent, core-guided Fu–Malik) on the datacenter
+// workload and reports average solve time and the devices-changed
+// optimum. All strategies must agree on the optimum
 // (they are exact); only their search time differs.
 func MaxSATStrategies(w io.Writer, scale Scale) []StrategyRow {
 	nNets := 4
@@ -44,7 +44,6 @@ func MaxSATStrategies(w io.Writer, scale Scale) []StrategyRow {
 	}{
 		{"default", smt.Auto},
 		{"linear-descent", smt.LinearDescent},
-		{"binary-search", smt.BinarySearch},
 		{"core-guided", smt.CoreGuided},
 	}
 

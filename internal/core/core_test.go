@@ -208,7 +208,7 @@ func TestMinLinesObjectives(t *testing.T) {
 func TestSynthesizeStrategies(t *testing.T) {
 	net, topo := leafSpineNet(t, 2, 1)
 	ps, _ := policy.Parse("block 10.0.0.0/24 -> 10.1.0.0/24\n")
-	for _, strat := range []smt.Strategy{smt.Auto, smt.LinearDescent, smt.BinarySearch, smt.CoreGuided} {
+	for _, strat := range []smt.Strategy{smt.Auto, smt.LinearDescent, smt.CoreGuided} {
 		opts := DefaultOptions()
 		opts.Strategy = strat
 		opts.Objectives = minDevices(t)

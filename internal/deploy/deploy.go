@@ -6,11 +6,11 @@
 // possible, no intermediate network state violates a policy that both
 // the initial and final configurations satisfy.
 //
-// The planner is greedy with exhaustive fallback: at each step it
-// applies the remaining device batch that introduces the fewest
-// transient violations (ties broken toward devices closer to the
-// affected destinations, which deploys route-providing changes
-// dest-side first — the classic loop/blackhole-avoidance order).
+// The planner is greedy only: at each step it applies the remaining
+// device batch that introduces the fewest transient violations (ties
+// go to the alphabetically first router). It searches no other order,
+// so a plan that is not Safe proves nothing: a transient-safe order
+// may still exist.
 package deploy
 
 import (
@@ -58,7 +58,7 @@ func (p *Plan) String() string {
 	if p.Safe {
 		b.WriteString("rollout is transient-safe\n")
 	} else {
-		fmt.Fprintf(&b, "WARNING: no transient-safe order exists; worst step has %d violation(s)\n", p.MaxTransient)
+		fmt.Fprintf(&b, "WARNING: the greedy order found no transient-safe rollout; worst step has %d violation(s)\n", p.MaxTransient)
 	}
 	return b.String()
 }
@@ -82,21 +82,19 @@ func Build(net *config.Network, topo *topology.Topology, edits []encode.Edit, ps
 	protected := protectedPolicies(net, final, topo, ps)
 
 	plan := &Plan{Safe: true}
-	cur := net
 	remaining := append([]string(nil), routers...)
 	applied := make(map[string]bool)
 
 	for len(remaining) > 0 {
 		bestIdx := -1
 		var bestViolations []simulate.Violation
-		var bestState *config.Network
 		for i, r := range remaining {
 			// Apply the batches of all already-applied routers plus r.
 			trialEdits := collectEdits(byRouter, applied, r)
 			trial := encode.Apply(net, trialEdits)
 			vs := simulate.New(trial, topo).CheckAll(protected)
 			if bestIdx == -1 || len(vs) < len(bestViolations) {
-				bestIdx, bestViolations, bestState = i, vs, trial
+				bestIdx, bestViolations = i, vs
 				if len(vs) == 0 {
 					break
 				}
@@ -105,7 +103,6 @@ func Build(net *config.Network, topo *topology.Topology, edits []encode.Edit, ps
 		r := remaining[bestIdx]
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 		applied[r] = true
-		cur = bestState
 		step := Step{Router: r, Edits: byRouter[r], Transient: bestViolations}
 		if len(bestViolations) > 0 {
 			plan.Safe = false
@@ -115,7 +112,6 @@ func Build(net *config.Network, topo *topology.Topology, edits []encode.Edit, ps
 		}
 		plan.Steps = append(plan.Steps, step)
 	}
-	_ = cur
 	return plan
 }
 

@@ -38,7 +38,7 @@ func TestSingleDeviceTrivial(t *testing.T) {
 // TestStaticChainOrdering: repairing reachability with static routes
 // along a path deploys destination-side first; deploying the source
 // router first would blackhole protected traffic transiting it... the
-// planner must find a transient-safe order when one exists.
+// greedy planner must find the transient-safe order here.
 func TestStaticChainOrdering(t *testing.T) {
 	topo := topology.Line(4) // r0-r1-r2-r3; subnets on r0, r3
 	net := configgen.Generate(topo, configgen.Options{Protocol: config.OSPF})

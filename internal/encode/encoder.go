@@ -29,13 +29,6 @@ type Options struct {
 	WideIntegers bool
 	// MaxCost bounds the cost domain; 0 derives it from the topology.
 	MaxCost int
-	// NoIntern disables structural hash-consing of formula nodes in the
-	// SMT context, so structurally identical subformulas rebuilt per
-	// env × router × peer are Tseitin-encoded again instead of reusing
-	// one definitional literal. The default (false) interns; the flag
-	// exists so `aedbench -experiment satperf` can measure the CNF
-	// shrink hash-consing provides.
-	NoIntern bool
 	// Joint marks a monolithic encoding that shares delta variables
 	// across all destination copies (the Fig. 14 baseline); NewJoint
 	// sets it. The default (false) is a per-destination split instance
@@ -165,7 +158,6 @@ type env struct {
 // New prepares an encoder for one destination group.
 func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts Options) *Encoder {
 	ctx := smt.NewContext()
-	ctx.SetInterning(!opts.NoIntern)
 	e := &Encoder{
 		Ctx:          ctx,
 		net:          net,

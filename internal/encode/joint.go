@@ -40,10 +40,8 @@ func (j *Joint) Observe(span *obs.Span, reg *obs.Registry) {
 // so the split-mode suppression is unnecessary.
 func NewJoint(net *config.Network, topo *topology.Topology, opts Options) *Joint {
 	opts.Joint = true
-	ctx := smt.NewContext()
-	ctx.SetInterning(!opts.NoIntern)
 	return &Joint{
-		Ctx:  ctx,
+		Ctx:  smt.NewContext(),
 		net:  net,
 		topo: topo,
 		opts: opts,

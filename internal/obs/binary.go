@@ -16,8 +16,8 @@ import (
 // implementation per wire format, covering both the trace stream
 // (spans + final metrics) and a flight-recorder drain. JSONLSink is
 // the debugging format; BinarySink is the production AEDT format
-// (columnar, CRC-checksummed, ~an order of magnitude smaller — see
-// BENCH_telemetry.json). SinkForPath picks one by file extension, which
+// (columnar, CRC-checksummed, at least 5× smaller — see
+// TestAEDTSizeFloor). SinkForPath picks one by file extension, which
 // is how `aed -trace-out x.aedt` selects the binary format.
 type Sink interface {
 	// WriteTrace exports the tracer's finished spans and metrics.

@@ -77,7 +77,7 @@ type Context struct {
 	// maximized records that a Maximize call has finished on this
 	// context: Auto searches core-guided until then and by linear
 	// descent after, and linear descent sizes a totalizer it has to
-	// build to its first model's cost from then on (maximizeBounded).
+	// build to its first model's cost from then on (maximizeLinear).
 	maximized bool
 
 	// reg, when set by Observe, receives solver metrics (decision/
@@ -132,9 +132,10 @@ func NewContext() *Context {
 
 // SetInterning toggles structural hash-consing of encoded formula
 // nodes (default on). Disabling it restores the pointer-keyed-only
-// Tseitin cache, which is how benchmarks measure the CNF shrink the
-// interning provides; it must be toggled before constraints that
-// should be affected are asserted.
+// Tseitin cache, which TestInternedAgreesWithNoIntern uses to check
+// that interning changes neither verdict nor optimum and never emits
+// more CNF; it must be toggled before constraints that should be
+// affected are asserted.
 func (c *Context) SetInterning(on bool) { c.internOn = on }
 
 // Park readies a context that stays alive between searches — a live

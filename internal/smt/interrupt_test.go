@@ -18,7 +18,7 @@ func interruptContext() *Context {
 }
 
 func TestMaximizeCanceledContext(t *testing.T) {
-	for _, strategy := range []Strategy{Auto, LinearDescent, BinarySearch, CoreGuided} {
+	for _, strategy := range []Strategy{Auto, LinearDescent, CoreGuided} {
 		c := interruptContext()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()

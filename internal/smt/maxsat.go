@@ -27,21 +27,16 @@ const (
 	// LinearDescent solves, reads the current cost, then repeatedly
 	// asks for strictly better solutions until UNSAT.
 	LinearDescent
-	// BinarySearch bisects on the cost bound using totalizer
-	// assumptions.
-	BinarySearch
 	// CoreGuided relaxes unsatisfiable cores Fu–Malik style
 	// (weighted via clause cloning on the minimum core weight).
 	CoreGuided
 )
 
-// String names the search: "auto", "linear", "binary" or "core".
+// String names the search: "auto", "linear" or "core".
 func (s Strategy) String() string {
 	switch s {
 	case LinearDescent:
 		return "linear"
-	case BinarySearch:
-		return "binary"
 	case CoreGuided:
 		return "core"
 	}
@@ -80,12 +75,10 @@ func (c *Context) Maximize(strategy Strategy) *MaxResult {
 	}
 	var res *MaxResult
 	switch strategy {
-	case BinarySearch:
-		res = c.maximizeBounded(true)
 	case CoreGuided:
 		res = c.maximizeCoreGuided()
 	default:
-		res = c.maximizeBounded(false)
+		res = c.maximizeLinear()
 	}
 	c.maximized = true
 	res.Search = strategy
@@ -143,7 +136,7 @@ func (c *Context) softOuts(need int) []sat.Lit {
 	return c.totalOuts
 }
 
-func (c *Context) maximizeBounded(binary bool) *MaxResult {
+func (c *Context) maximizeLinear() *MaxResult {
 	res := &MaxResult{}
 	if len(c.soft) == 0 {
 		res.Iterations++
@@ -177,41 +170,18 @@ func (c *Context) maximizeBounded(binary bool) *MaxResult {
 	// or stuck re-proving the same bound.
 	c.rec.Record(obs.EvBoundTighten, int64(bestCost), int64(res.Iterations))
 
-	if binary {
-		lo, hi := 0, bestCost // optimum in [lo, hi]; hi achievable
-		for lo < hi {
-			mid := (lo + hi) / 2
-			// Ask for cost <= mid: assume ¬outs[mid] (fewer than
-			// mid+1 relaxations true).
-			res.Iterations++
-			if mid < len(outs) && c.solveTimed(outs[mid].Neg()) == sat.Sat {
-				best = c.solver.Model()
-				hi = c.costOf(best)
-				c.rec.Record(obs.EvBoundTighten, int64(hi), int64(res.Iterations))
-			} else {
-				if err := c.Err(); err != nil {
-					// Interrupted: an improved model may never have
-					// been ruled out, so the search is incomplete.
-					res.Err = err
-					return res
-				}
-				lo = mid + 1
+	for bestCost > 0 {
+		res.Iterations++
+		if c.solveTimed(outs[bestCost-1].Neg()) != sat.Sat {
+			if err := c.Err(); err != nil {
+				res.Err = err
+				return res
 			}
+			break
 		}
-	} else {
-		for bestCost > 0 {
-			res.Iterations++
-			if c.solveTimed(outs[bestCost-1].Neg()) != sat.Sat {
-				if err := c.Err(); err != nil {
-					res.Err = err
-					return res
-				}
-				break
-			}
-			best = c.solver.Model()
-			bestCost = c.costOf(best)
-			c.rec.Record(obs.EvBoundTighten, int64(bestCost), int64(res.Iterations))
-		}
+		best = c.solver.Model()
+		bestCost = c.costOf(best)
+		c.rec.Record(obs.EvBoundTighten, int64(bestCost), int64(res.Iterations))
 	}
 	// The search may end on a call that failed to beat best (linear
 	// descent always does); point the saved phases back at best so a

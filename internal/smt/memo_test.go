@@ -108,7 +108,7 @@ func TestInternedAgreesWithNoIntern(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		var cost [2]int
 		var sat [2]bool
-		var vars [2]int
+		var vars, clauses [2]int
 		for mode, intern := range []bool{true, false} {
 			rng := rand.New(rand.NewSource(seed))
 			c, v := varContext(4 + int(seed%3))
@@ -123,6 +123,7 @@ func TestInternedAgreesWithNoIntern(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				c.AssertSoft(randomFormula(rng, v, 3), 1+rng.Intn(3), "s")
 			}
+			clauses[mode] = c.NumSATClauses()
 			r := c.Maximize(LinearDescent)
 			sat[mode] = r.Model != nil
 			cost[mode] = r.ViolatedWeight
@@ -134,6 +135,9 @@ func TestInternedAgreesWithNoIntern(t *testing.T) {
 		}
 		if vars[0] > vars[1] {
 			t.Errorf("seed %d: interning used %d vars, more than %d without", seed, vars[0], vars[1])
+		}
+		if clauses[0] > clauses[1] {
+			t.Errorf("seed %d: interning emitted %d clauses, more than %d without", seed, clauses[0], clauses[1])
 		}
 	}
 }

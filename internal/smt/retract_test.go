@@ -161,7 +161,7 @@ func TestRetractableLearnedClausesSurvive(t *testing.T) {
 // first search is core-guided and the second linear descent over the
 // retired core-guided scaffolding.
 func TestRetractableWithMaximize(t *testing.T) {
-	for _, strat := range []Strategy{Auto, LinearDescent, BinarySearch, CoreGuided} {
+	for _, strat := range []Strategy{Auto, LinearDescent, CoreGuided} {
 		c := NewContext()
 		x := c.BoolVar()
 		y := c.BoolVar()

@@ -255,7 +255,7 @@ func TestExactlyOne(t *testing.T) {
 func maximizeAll(t *testing.T, build func(c *Context)) map[Strategy]*MaxResult {
 	t.Helper()
 	out := make(map[Strategy]*MaxResult)
-	for _, s := range []Strategy{LinearDescent, BinarySearch, CoreGuided} {
+	for _, s := range []Strategy{LinearDescent, CoreGuided} {
 		c := NewContext()
 		build(c)
 		out[s] = c.Maximize(s)
@@ -424,7 +424,7 @@ func TestMaxSATRandomAgreement(t *testing.T) {
 					iter, strat, r.ViolatedWeight, bestViol)
 			}
 		}
-		for _, strat := range []Strategy{Auto, LinearDescent, BinarySearch, CoreGuided} {
+		for _, strat := range []Strategy{Auto, LinearDescent, CoreGuided} {
 			c := NewContext()
 			build(c)
 			check(strat, c.Maximize(strat))
