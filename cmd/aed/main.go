@@ -265,17 +265,19 @@ func withTimeout(ctx context.Context, d time.Duration) (context.Context, context
 
 // report prints the change summary shared by one-shot and watch modes.
 func report(res *core.Result) {
-	cached, rebound := 0, 0
+	cached, rebound, retargeted := 0, 0, 0
 	for _, in := range res.Instances {
-		if in.Cached {
+		switch {
+		case in.Cached:
 			cached++
-		}
-		if in.Rebound {
+		case in.Rebound:
 			rebound++
+		case in.Retargeted:
+			retargeted++
 		}
 	}
-	fmt.Printf("synthesis complete in %v (%d instances, %d cached, %d rebound, solver time %v)\n",
-		res.Duration.Round(1e6), len(res.Instances), cached, rebound, res.SolveTime.Round(1e6))
+	fmt.Printf("synthesis complete in %v (%d instances, %d cached, %d rebound, %d retargeted, solver time %v)\n",
+		res.Duration.Round(1e6), len(res.Instances), cached, rebound, retargeted, res.SolveTime.Round(1e6))
 	fmt.Printf("devices changed: %d   lines changed: %d (+%d -%d)\n",
 		res.Diff.DevicesChanged, res.Diff.LinesChanged(), res.Diff.LinesAdded, res.Diff.LinesRemoved)
 	if res.ObjectiveViolations > 0 {
@@ -473,7 +475,8 @@ func loadPolicies(path string, net *config.Network, topo *topology.Topology, kee
 // mean the solver is learning reusable clauses (see docs/PERFORMANCE.md).
 // rebound marks instances re-solved on a live solver by flipping
 // retractable bindings (a -watch session's tier-2 path) instead of
-// re-encoding. slow marks instances whose solve exceeded the
+// re-encoding, and retarg those re-solved on a live solver after a
+// policy edit. slow marks instances whose solve exceeded the
 // -slow-solve watchdog threshold (each produced an incident record).
 func printStats(res *core.Result) {
 	avgLBD := func(s sat.Stats) float64 {
@@ -482,20 +485,20 @@ func printStats(res *core.Result) {
 		}
 		return float64(s.LBDSum) / float64(s.Learned)
 	}
-	fmt.Printf("%-20s %-5s %8s %8s %6s %10s %10s %9s %8s %6s %6s %12s %6s %7s %5s\n",
+	fmt.Printf("%-20s %-5s %8s %8s %6s %10s %10s %9s %8s %6s %6s %12s %6s %7s %6s %5s\n",
 		"destination", "sat", "policies", "vars", "iters",
-		"decisions", "conflicts", "restarts", "learned", "glue", "avgLBD", "time", "cached", "rebound", "slow")
+		"decisions", "conflicts", "restarts", "learned", "glue", "avgLBD", "time", "cached", "rebound", "retarg", "slow")
 	var iters, policies int
 	for _, is := range res.Instances {
 		dest := is.Destination.String()
 		if is.Destination.Len == 0 {
 			dest = "(joint)"
 		}
-		fmt.Printf("%-20s %-5v %8d %8d %6d %10d %10d %9d %8d %6d %6.1f %12v %6v %7v %5v\n",
+		fmt.Printf("%-20s %-5v %8d %8d %6d %10d %10d %9d %8d %6d %6.1f %12v %6v %7v %6v %5v\n",
 			dest, is.Sat, is.Policies, is.NumVars, is.Iterations,
 			is.Solver.Decisions, is.Solver.Conflicts, is.Solver.Restarts,
 			is.Solver.Learned, is.Solver.GlueLearned, avgLBD(is.Solver),
-			is.Duration.Round(1000), is.Cached, is.Rebound, is.Slow)
+			is.Duration.Round(1000), is.Cached, is.Rebound, is.Retargeted, is.Slow)
 		iters += is.Iterations
 		policies += is.Policies
 	}

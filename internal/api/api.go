@@ -254,6 +254,7 @@ type Instance struct {
 	DurationMS  float64 `json:"duration_ms"`
 	Cached      bool    `json:"cached,omitempty"`
 	Rebound     bool    `json:"rebound,omitempty"`
+	Retargeted  bool    `json:"retargeted,omitempty"`
 	Slow        bool    `json:"slow,omitempty"`
 }
 
@@ -269,8 +270,15 @@ type Solver struct {
 // Cached counts instances served from the session fingerprint cache.
 func (r *Response) Cached() int { return r.countInstances(func(i Instance) bool { return i.Cached }) }
 
-// Rebound counts instances re-solved live (tier-2).
+// Rebound counts instances re-solved live (tier-2) under an unchanged
+// policy set.
 func (r *Response) Rebound() int { return r.countInstances(func(i Instance) bool { return i.Rebound }) }
+
+// Retargeted counts instances re-solved live (tier-2) after a policy
+// edit.
+func (r *Response) Retargeted() int {
+	return r.countInstances(func(i Instance) bool { return i.Retargeted })
+}
 
 func (r *Response) countInstances(f func(Instance) bool) int {
 	n := 0
@@ -321,7 +329,7 @@ func FromResult(res *core.Result) *Response {
 			Destination: in.Destination.String(), Sat: in.Sat,
 			Policies: in.Policies, Iterations: in.Iterations,
 			DurationMS: float64(in.Duration.Microseconds()) / 1000,
-			Cached:     in.Cached, Rebound: in.Rebound, Slow: in.Slow,
+			Cached:     in.Cached, Rebound: in.Rebound, Retargeted: in.Retargeted, Slow: in.Slow,
 		})
 	}
 	return out

@@ -220,20 +220,6 @@ func destFingerprint(shared uint64, net *config.Network, routers map[string]uint
 	return f.sum()
 }
 
-// groupFingerprint hashes just a destination's policy group (the
-// non-configuration part of destFingerprint). The session engine uses
-// it to classify a dirty destination: when the shared inputs and the
-// group are unchanged, the only thing that moved is router
-// configuration, and the live instance may be rebindable (tier-2).
-func groupFingerprint(d prefix.Prefix, group []policy.Policy) uint64 {
-	f := newFP()
-	f.pfx(d)
-	for _, p := range group {
-		f.policy(p)
-	}
-	return f.sum()
-}
-
 // routerDigests hashes, once per Solve call, the part of each router's
 // configuration that every destination's instance reads (hashRouter).
 func routerDigests(net *config.Network) map[string]uint64 {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,5 +77,39 @@ func TestRunInstancesLongestFirst(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("LPT order = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestRunInstancesContainsPanics: a task that panics stops alone. Its
+// panic comes back, with its stack, at its index; every other task
+// runs to completion, in parallel and in sequential mode.
+func TestRunInstancesContainsPanics(t *testing.T) {
+	for _, opts := range []Options{{Workers: 2}, {Sequential: true}} {
+		var ran atomic.Int64
+		panics := runInstances(6, opts, nil, func(i int) {
+			if i == 3 {
+				panic("task 3 failed")
+			}
+			ran.Add(1)
+		})
+		if ran.Load() != 5 {
+			t.Errorf("sequential=%v: %d other tasks ran, want 5", opts.Sequential, ran.Load())
+		}
+		if len(panics) != 6 {
+			t.Fatalf("sequential=%v: panics = %v, want one slot per task", opts.Sequential, panics)
+		}
+		for i, err := range panics {
+			var pe *PanicError
+			switch {
+			case i != 3 && err != nil:
+				t.Errorf("sequential=%v: task %d reported %v", opts.Sequential, i, err)
+			case i == 3 && (!errors.As(err, &pe) || pe.Value != "task 3 failed" ||
+				!strings.Contains(string(pe.Stack), "TestRunInstancesContainsPanics")):
+				t.Errorf("sequential=%v: task 3 reported %v", opts.Sequential, err)
+			}
+		}
+	}
+	if panics := runInstances(4, Options{}, nil, func(int) {}); panics != nil {
+		t.Errorf("no task panicked, got %v", panics)
 	}
 }

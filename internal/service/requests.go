@@ -134,13 +134,15 @@ type accessEntry struct {
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 	SolveMS     float64 `json:"solve_ms"`
 	// Cache-ladder instance counts: Cached hit the fingerprint cache
-	// (tier 1), Rebound re-solved on a live instance (tier 2), Reencoded
-	// solved from scratch (tier 3, includes one-shot solves). Dirty =
-	// Rebound + Reencoded.
-	Cached    int `json:"cached"`
-	Rebound   int `json:"rebound"`
-	Reencoded int `json:"reencoded"`
-	Dirty     int `json:"dirty"`
+	// (tier 1), Rebound and Retargeted re-solved on a live instance
+	// (tier 2; Retargeted after a policy edit), Reencoded solved from
+	// scratch (tier 3, includes one-shot solves). Dirty = Rebound +
+	// Retargeted + Reencoded.
+	Cached     int `json:"cached"`
+	Rebound    int `json:"rebound"`
+	Retargeted int `json:"retargeted"`
+	Reencoded  int `json:"reencoded"`
+	Dirty      int `json:"dirty"`
 }
 
 // logAccess writes one access-log line. Lines are serialized so
@@ -177,6 +179,7 @@ func accessCounts(e *accessEntry, resp *api.Response) {
 	}
 	e.Cached = resp.Cached()
 	e.Rebound = resp.Rebound()
-	e.Reencoded = len(resp.Instances) - e.Cached - e.Rebound
-	e.Dirty = e.Rebound + e.Reencoded
+	e.Retargeted = resp.Retargeted()
+	e.Reencoded = len(resp.Instances) - e.Cached - e.Rebound - e.Retargeted
+	e.Dirty = e.Rebound + e.Retargeted + e.Reencoded
 }
