@@ -54,7 +54,11 @@ bench-quick:
 # across the default search sequence (core-guided, an edit, linear
 # descent on the same context); five seconds of order-encoding
 # comparator fuzzing against integer arithmetic (memoized comparisons
-# reused across offsets with the same shift); ten seconds of session
+# reused across offsets with the same shift); five seconds of
+# assertion-lowering fuzzing against evaluation under every assignment
+# (Assert, and AssertRetractable active, retracted and reasserted, on
+# guarded conjunctions, Iff, negated disjunctions and repeated
+# subterms); ten seconds of session
 # fuzzing — random edit sequences on one live session, its instances
 # parked between solves, each step checked against a cold synthesis and
 # the simulator;
@@ -74,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 10s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzMaxSAT -fuzztime 5s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz FuzzNatCompare -fuzztime 5s ./internal/smt/
+	$(GO) test -run '^$$' -fuzz FuzzAssert -fuzztime 5s ./internal/smt/
 	$(GO) test -run '^$$' -fuzz FuzzSession -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDiff -fuzztime 5s ./internal/config/
 	$(GO) test -run '^$$' -fuzz FuzzRoutes -fuzztime 5s ./internal/simulate/

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -34,16 +35,12 @@ import (
 //
 //	go test ./internal/bench -run TestCNFUnchanged -update-cnf
 //
-// -short checks the cold_fleet members dc00–dc05 only.
+// which refuses to write when any instance's outcome (sat=, cost=)
+// would change: a regeneration may move sizes and search counters
+// only. -short checks the cold_fleet members dc00–dc05 only.
 func TestCNFUnchanged(t *testing.T) {
 	got := cnfLines(testing.Short())
 	path := filepath.Join("testdata", "cnf_golden.txt")
-	if *updateCNF {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +55,19 @@ func TestCNFUnchanged(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	if *updateCNF {
+		if testing.Short() {
+			t.Fatal("-update-cnf needs the full corpus: drop -short")
+		}
+		if bad := outcomeChanges(want, got); len(bad) > 0 {
+			t.Fatalf("refusing to rewrite %s: a regeneration may change sizes and search counters, never an outcome:\n%s",
+				path, strings.Join(bad, "\n"))
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	for _, line := range got {
 		key, _, _ := strings.Cut(line, " ")
 		if w, ok := want[key]; !ok {
@@ -66,6 +76,41 @@ func TestCNFUnchanged(t *testing.T) {
 			t.Errorf("CNF changed:\n got %s\nwant %s", line, w)
 		}
 	}
+}
+
+// outcomeChanges lists the instances whose outcome — the sat= and
+// cost= fields, or an error= — differs between the golden lines want
+// and the regenerated lines got, and the instances either side lacks.
+func outcomeChanges(want map[string]string, got []string) []string {
+	outcome := func(line string) string {
+		var kept []string
+		for _, kv := range strings.Fields(line)[1:] {
+			if k, _, _ := strings.Cut(kv, "="); k == "sat" || k == "cost" || k == "error" {
+				kept = append(kept, kv)
+			}
+		}
+		return strings.Join(kept, " ")
+	}
+	var bad []string
+	seen := map[string]bool{}
+	for _, line := range got {
+		key, _, _ := strings.Cut(line, " ")
+		seen[key] = true
+		w, ok := want[key]
+		switch {
+		case !ok:
+			bad = append(bad, key+": not in the golden file")
+		case outcome(w) != outcome(line):
+			bad = append(bad, fmt.Sprintf("%s: %s, golden %s", key, outcome(line), outcome(w)))
+		}
+	}
+	for key := range want {
+		if !seen[key] {
+			bad = append(bad, key+": no longer produced")
+		}
+	}
+	sort.Strings(bad)
+	return bad
 }
 
 var updateCNF = flag.Bool("update-cnf", false, "rewrite testdata/cnf_golden.txt from the current encoder")

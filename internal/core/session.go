@@ -232,6 +232,7 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 		defer dsp.End()
 		if ent := liveable[i]; ent != nil {
 			if r, rt, ok := resolveLive(ctx, ent.enc, s.net, d, groups[d], s.opts, tr, dsp, wd); ok {
+				ent.enc.Park() // compacts again only if the re-solve grew the solver
 				results[i], encs[i], sizes[i] = r, ent.enc, ent.size
 				if rt.Added+rt.Retracted > 0 {
 					retargeted[i] = true

@@ -199,13 +199,14 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 // redistribution links and the delta registry's name index — which
 // between them reach the whole formula DAG, then parks the SMT context
 // (smt.Context.Park), which drops its intern table and compacts the
-// solver once. What Rebind, Retarget and ReSolveContext read stays: the
+// solver. What Rebind, Retarget and ReSolveContext read stays: the
 // context, the network, the options, the destination, the
 // local-preference domain, the rule bindings, the policy guards and the
 // delta list with its ValueOf closures. The soft constraints the
 // context keeps are negated delta variables, which pin no DAG.
 //
-// A second Park does nothing. The encoder must not encode
+// A later Park, after a re-solve, compacts the solver again if the
+// re-solve grew it and does nothing otherwise. The encoder must not encode
 // (EncodePolicies, AddObjectives, PenalizeDeltas) after Park.
 func (e *Encoder) Park() {
 	e.envs = nil

@@ -45,15 +45,16 @@ type Context struct {
 	internMisses int
 
 	// parked records that Park has run: the encoding-time tables are
-	// gone and the solver has been compacted (see Park).
-	parked bool
+	// gone. parkVars and parkClauses are the solver's variable and
+	// problem-clause counts when Park last compacted it.
+	parked                bool
+	parkVars, parkClauses int
 
 	// litBuf is a stack of clause literals under construction, shared
 	// by nested gate encodings (each works above its caller's mark).
 	litBuf []sat.Lit
 
-	// hardCount counts clauses added as hard constraints, used for
-	// reporting problem sizes in benchmarks.
+	// hardCount counts the clauses lower has added (see HardClauses).
 	hardCount int
 
 	// Retractable assertions (see retract.go): each entry's selector is
@@ -150,11 +151,17 @@ func (c *Context) SetInterning(on bool) { c.internOn = on }
 // old one, so the instance stays equisatisfiable. Nodes the context
 // stamped keep their literal on the node.
 //
-// The first Park also compacts the SAT solver (sat.Solver.Compact),
-// trimming the spare capacity encoding left behind; later calls — one
-// per re-solve of the instance — return at once.
+// Park also compacts the SAT solver (sat.Solver.Compact), trimming
+// the spare capacity encoding left behind. A later Park — one per
+// re-solve of the instance — compacts again only when the solver grew
+// variables or problem clauses since (the first warm re-solve builds
+// the MaxSAT totalizer, regrowing the compacted watch lists and arena
+// geometrically); otherwise it returns at once. Learned clauses alone
+// do not count: every search adds them, and the clause database
+// collector reclaims them.
 func (c *Context) Park() {
-	if c.parked {
+	vars, _, clauses := c.solver.Size()
+	if c.parked && vars == c.parkVars && clauses == c.parkClauses {
 		return
 	}
 	c.parked = true
@@ -163,6 +170,7 @@ func (c *Context) Park() {
 	c.foreign = nil
 	c.litBuf = nil
 	c.solver.Compact()
+	c.parkVars, c.parkClauses = vars, clauses
 }
 
 // InternStats reports how many Tseitin encodings were served from the
@@ -191,36 +199,134 @@ func (c *Context) satVar(f *Formula) sat.Var {
 // definitions.
 func (c *Context) freshSatVar() sat.Var { return c.solver.NewVar() }
 
-// Assert adds f as a hard constraint. Top-level conjunctions are
-// asserted conjunct-by-conjunct and top-level disjunctions become one
-// clause, avoiding needless gate variables.
-func (c *Context) Assert(f *Formula) {
+// Assert adds f as a hard constraint, lowered straight to clauses (see
+// lower).
+func (c *Context) Assert(f *Formula) { c.lower(len(c.litBuf), f) }
+
+// lower adds the clauses of f, each prefixed by the guard literals
+// litBuf[gmark:] — none for Assert, ¬sel for AssertRetractable — and
+// leaves litBuf as it found it. It is the one clausal path of the
+// package: only the top of f is lowered, nested subformulas get the
+// full Tseitin encoding (tseitin).
+//
+// A top-level conjunction is lowered conjunct by conjunct, and a
+// top-level disjunction (or any other formula, a one-kid disjunction)
+// becomes clauses without gate variables for its kids where their
+// shape allows:
+//
+//   - a negated conjunction ¬(k₁ ∧ … ∧ kₙ) is spliced in as the
+//     literals ¬k₁ … ¬kₙ (De Morgan);
+//   - one conjunction kid D — an And, or a negated Or; the one with the
+//     most conjuncts, the first of those — is distributed: with g the
+//     literals of the other kids, each conjunct dᵢ of D yields the
+//     clause [guard…, g…, lits(dᵢ)], where a conjunct that is itself a
+//     disjunction (an Or, or a negated And) contributes its kids'
+//     literals. Any other conjunction kid gets a gate: distributing two
+//     would multiply their clauses.
+//
+// A kid that already has a literal in this context (the node memo or
+// the intern table) is taken as that one literal instead: the clauses
+// it would cost were emitted with its definition.
+func (c *Context) lower(gmark int, f *Formula) {
 	switch f.op {
 	case opConst:
 		if !f.b {
-			v := c.freshSatVar()
-			c.solver.AddClause(sat.PosLit(v))
-			c.solver.AddClause(sat.NegLit(v))
-			c.hardCount++
+			// The guard alone: the empty clause under Assert.
+			c.addClause(gmark)
 		}
 		return
 	case opAnd:
 		for _, k := range f.kids {
-			c.Assert(k)
+			c.lower(gmark, k)
 		}
-		return
-	case opOr:
-		mark := len(c.litBuf)
-		for _, k := range f.kids {
-			l := c.tseitin(k)
-			c.litBuf = append(c.litBuf, l)
-		}
-		c.solver.AddClause(c.litBuf[mark:]...)
-		c.litBuf = c.litBuf[:mark]
-		c.hardCount++
 		return
 	}
-	c.solver.AddClause(c.tseitin(f))
+	kids := f.kids
+	if f.op != opOr {
+		kids = []*Formula{f}
+	}
+	mark := len(c.litBuf)
+	var conj *Formula
+	for _, k := range kids {
+		if isConjunction(k) {
+			if l, ok := c.knownLit(k); ok {
+				c.litBuf = append(c.litBuf, l)
+				continue
+			}
+			if conj == nil {
+				conj = k
+				continue
+			}
+			if conjuncts(k) > conjuncts(conj) {
+				conj, k = k, conj
+			}
+		}
+		c.pushDisjunct(k, false)
+	}
+	if conj == nil {
+		c.addClause(gmark)
+	} else {
+		// conj is d₁ ∧ … ∧ dₙ, or ¬(d₁ ∨ … ∨ dₙ): one clause per dᵢ,
+		// or per ¬dᵢ.
+		ds, neg := conj.kids, false
+		if conj.op == opNot {
+			ds, neg = conj.kids[0].kids, true
+		}
+		for _, d := range ds {
+			top := len(c.litBuf)
+			c.pushDisjunct(d, neg)
+			c.addClause(gmark)
+			c.litBuf = c.litBuf[:top]
+		}
+	}
+	c.litBuf = c.litBuf[:mark]
+}
+
+// isConjunction reports whether f is an And or a negated Or, the
+// shapes lower distributes.
+func isConjunction(f *Formula) bool {
+	return f.op == opAnd || f.op == opNot && f.kids[0].op == opOr
+}
+
+// conjuncts returns the number of conjuncts of a conjunction.
+func conjuncts(f *Formula) int {
+	if f.op == opNot {
+		return len(f.kids[0].kids)
+	}
+	return len(f.kids)
+}
+
+// pushDisjunct pushes onto litBuf literals whose disjunction is
+// equivalent to f, or to ¬f when neg is set: the kids' literals of a
+// disjunction, the negated kids' literals of a negated conjunction (De
+// Morgan), and one literal otherwise or when the disjunction already
+// has a literal in this context.
+func (c *Context) pushDisjunct(f *Formula, neg bool) {
+	if f.op == opNot {
+		f, neg = f.kids[0], !neg
+	}
+	if f.op == opOr && !neg || f.op == opAnd && neg {
+		if _, ok := c.cachedLit(f); !ok {
+			for _, k := range f.kids {
+				c.pushLit(c.tseitin(k), neg)
+			}
+			return
+		}
+	}
+	c.pushLit(c.tseitin(f), neg)
+}
+
+// pushLit pushes l, negated when neg is set, onto litBuf.
+func (c *Context) pushLit(l sat.Lit, neg bool) {
+	if neg {
+		l = l.Neg()
+	}
+	c.litBuf = append(c.litBuf, l)
+}
+
+// addClause adds the clause litBuf[gmark:] as a hard constraint.
+func (c *Context) addClause(gmark int) {
+	c.solver.AddClause(c.litBuf[gmark:]...)
 	c.hardCount++
 }
 
@@ -236,7 +342,9 @@ func (c *Context) AssertSoft(f *Formula, weight int, label string) {
 // NumSoft returns the number of registered soft constraints.
 func (c *Context) NumSoft() int { return len(c.soft) }
 
-// HardClauses returns the number of asserted top-level hard constraints.
+// HardClauses returns the number of clauses the lowering of hard
+// constraints (Assert, AssertRetractable) has added: every distributed
+// clause counts, Tseitin definitions of nested subformulas do not.
 func (c *Context) HardClauses() int { return c.hardCount }
 
 // NumSATVars exposes the size of the underlying SAT problem.
@@ -408,30 +516,50 @@ func (c *Context) tseitin(f *Formula) sat.Lit {
 	if f.op == opVar { // a variable is its own literal, never memoized
 		return sat.PosLit(c.satVar(f))
 	}
+	if l, ok := c.cachedLit(f); ok {
+		return l
+	}
+	l := c.tseitinUncached(f)
+	if c.internOn && f.op != opConst {
+		c.internMisses++
+		c.internTab.insert(f, l)
+	}
+	c.remember(f, l)
+	return l
+}
+
+// cachedLit returns the literal f already has in this context — from
+// the node memo, the foreign map or, when interning is on, the intern
+// table — without encoding anything. f is not a variable.
+func (c *Context) cachedLit(f *Formula) (sat.Lit, bool) {
 	m := f.memo.Load()
 	if uint32(m>>32) == c.id {
-		return sat.Lit(uint32(m))
+		return sat.Lit(uint32(m)), true
 	}
 	if m != 0 || f.op == opConst {
 		if l, ok := c.foreign[f]; ok {
-			return l
+			return l, true
 		}
 	}
 	if c.internOn && f.op != opConst {
 		if l, ok := c.internTab.lookup(f); ok {
 			c.internHits++
 			c.remember(f, l)
-			return l
+			return l, true
 		}
-		l := c.tseitinUncached(f)
-		c.internMisses++
-		c.remember(f, l)
-		c.internTab.insert(f, l)
-		return l
 	}
-	l := c.tseitinUncached(f)
-	c.remember(f, l)
-	return l
+	return 0, false
+}
+
+// knownLit returns the literal a conjunction lower would distribute
+// already has in this context, if any: a negated disjunction's is its
+// kid's, negated.
+func (c *Context) knownLit(f *Formula) (sat.Lit, bool) {
+	if f.op == opNot {
+		l, ok := c.cachedLit(f.kids[0])
+		return l.Neg(), ok
+	}
+	return c.cachedLit(f)
 }
 
 // remember records l as f's literal in this context: on the node when

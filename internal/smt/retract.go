@@ -21,48 +21,20 @@ type retractEntry struct {
 // active and ¬s while it is retracted — so retraction is an assumption
 // flip, and every learned clause derived meanwhile stays valid.
 //
-// Like Assert, top-level conjunctions are split per conjunct (all
-// sharing one selector) and top-level disjunctions become one clause,
-// avoiding needless gate variables.
+// The clauses are Assert's (see lower), each prefixed by ¬s.
 func (c *Context) AssertRetractable(f *Formula) Handle {
 	h := Handle(len(c.retract))
 	sel := sat.PosLit(c.freshSatVar())
-	c.assertGuarded(sel, f)
+	mark := len(c.litBuf)
+	c.litBuf = append(c.litBuf, sel.Neg())
+	c.lower(mark, f)
+	c.litBuf = c.litBuf[:mark]
 	c.retract = append(c.retract, retractEntry{sel: sel, active: true})
 	if c.selIdx == nil {
 		c.selIdx = make(map[sat.Lit]Handle)
 	}
 	c.selIdx[sel] = h
 	return h
-}
-
-// assertGuarded emits the clauses of f, each weakened by ¬sel.
-func (c *Context) assertGuarded(sel sat.Lit, f *Formula) {
-	switch f.op {
-	case opConst:
-		if !f.b {
-			// sel -> false: the selector itself can never hold.
-			c.solver.AddClause(sel.Neg())
-			c.hardCount++
-		}
-		return
-	case opAnd:
-		for _, k := range f.kids {
-			c.assertGuarded(sel, k)
-		}
-		return
-	case opOr:
-		clause := make([]sat.Lit, 0, len(f.kids)+1)
-		clause = append(clause, sel.Neg())
-		for _, k := range f.kids {
-			clause = append(clause, c.tseitin(k))
-		}
-		c.solver.AddClause(clause...)
-		c.hardCount++
-		return
-	}
-	c.solver.AddClause(sel.Neg(), c.tseitin(f))
-	c.hardCount++
 }
 
 // Retract deactivates a retractable assertion: from the next Solve on,

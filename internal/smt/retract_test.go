@@ -39,7 +39,7 @@ func TestRetractableFlip(t *testing.T) {
 }
 
 // TestRetractableConjunctionAndClause checks the structural cases of
-// assertGuarded: a top-level conjunction shares one selector across all
+// the guarded lowering: a top-level conjunction shares one selector across all
 // conjuncts, a disjunction becomes a single guarded clause, and a
 // constant-false retractable only bites while active.
 func TestRetractableConjunctionAndClause(t *testing.T) {

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -485,5 +486,48 @@ func TestFormulaString(t *testing.T) {
 	}
 	if TrueF.String() != "⊤" || FalseF.String() != "⊥" {
 		t.Error("constant rendering wrong")
+	}
+}
+
+// TestParkRecompactsOnlyAfterGrowth: a second Park compacts the solver
+// again (and so allocates its copies) exactly when variables or problem
+// clauses were added since the last one; a search, which adds only
+// learned clauses, leaves it a no-op.
+func TestParkRecompactsOnlyAfterGrowth(t *testing.T) {
+	c := NewContext()
+	vs := make([]*Formula, 12)
+	for i := range vs {
+		vs[i] = c.BoolVar()
+	}
+	for i := range vs {
+		c.Assert(Or(vs[i], Not(vs[(i+1)%len(vs)]), vs[(i+5)%len(vs)]))
+		c.Assert(Implies(And(vs[i], vs[(i+3)%len(vs)]), Not(vs[(i+7)%len(vs)])))
+	}
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if c.Solve() == nil {
+		t.Fatal("unsat")
+	}
+	if n := mallocs(c.Park); n == 0 {
+		t.Fatal("first Park did not compact")
+	}
+	if c.Solve() == nil {
+		t.Fatal("unsat after Park")
+	}
+	if n := mallocs(c.Park); n != 0 {
+		t.Fatalf("Park after a search alone allocated %d objects", n)
+	}
+	x := c.BoolVar()
+	c.Assert(Or(x, vs[0], vs[1]))
+	if n := mallocs(c.Park); n == 0 {
+		t.Fatal("Park after the solver grew did not compact")
+	}
+	if n := mallocs(c.Park); n != 0 {
+		t.Fatalf("repeated Park allocated %d objects", n)
 	}
 }
