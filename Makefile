@@ -53,8 +53,8 @@ bench-quick:
 # compaction); five seconds of MaxSAT fuzzing against brute-force optima
 # across the default search sequence (core-guided, an edit, linear
 # descent on the same context); five seconds of order-encoding
-# comparator fuzzing against integer arithmetic (memoized comparisons
-# reused across offsets with the same shift); five seconds of
+# comparator fuzzing against integer arithmetic (each comparison as a
+# formula and asserted as clauses under a guard); five seconds of
 # assertion-lowering fuzzing against evaluation under every assignment
 # (Assert, and AssertRetractable active, retracted and reasserted, on
 # guarded conjunctions, Iff, negated disjunctions and repeated

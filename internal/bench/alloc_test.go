@@ -34,6 +34,10 @@ import (
 //	asserted constraints lowered straight to clauses, guarded
 //	conjunctions distributed instead of gated:
 //	                                    17.4 MB, 203,900 objects
+//	the best-route preference stated against the best record (linear
+//	in the candidates), guarded NatVar comparisons asserted straight
+//	to clauses, a kept neighbor index in the topology:
+//	                                    15.3 MB, 165,150 objects
 //
 // The bounds are the last figures plus 15%.
 func TestColdSynthesisAllocs(t *testing.T) {
@@ -41,8 +45,8 @@ func TestColdSynthesisAllocs(t *testing.T) {
 		t.Skip("the race detector changes what escapes to the heap")
 	}
 	const (
-		maxBytesPerPass   = 20_010_000
-		maxObjectsPerPass = 234_485
+		maxBytesPerPass   = 17_563_000
+		maxObjectsPerPass = 189_930
 		passes            = 3
 	)
 	probs := coldFleetCNFInputs(1, 6)

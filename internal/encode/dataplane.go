@@ -220,9 +220,7 @@ func (e *Encoder) hopBound(v *env, src prefix.Prefix, start string, k int) *smt.
 			}
 			dataFwd := smt.And(fwd, e.pfAllow(src, name, peer))
 			reachV := v.reach[tag+"|"+peer]
-			e.Ctx.Assert(smt.Implies(
-				smt.And(reachU, dataFwd, reachV),
-				smt.NatEqOffset(dist[name], dist[peer], 1)))
+			e.Ctx.AssertEqUnder(smt.And(reachU, dataFwd, reachV), dist[name], dist[peer], 1)
 		}
 	}
 	return dist[start].LeConst(k)

@@ -408,8 +408,7 @@ func (e *Encoder) encodeControlPlane(v *env) {
 			if fwd == nil || fwd == smt.FalseF {
 				continue
 			}
-			e.Ctx.Assert(smt.Implies(fwd,
-				smt.NatLtOffset(rank[peer], 0, rank[name], 0)))
+			e.Ctx.AssertLeUnder(fwd, rank[peer], 1, rank[name], 0)
 		}
 	}
 }
@@ -468,10 +467,11 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 	}
 	e.Ctx.Assert(smt.Iff(v.bestValid[key], smt.Or(valid...)))
 
-	// Selection: sel_i ⇒ candidate valid, best fields equal its
-	// fields, and it is preferred over every other valid candidate.
-	// notSel[i] is ¬sel_i, built once: every binding below is an
-	// implication from sel_i, written as a clause over it.
+	// Selection: sel_i ⇒ candidate valid and best fields equal its
+	// fields; the preference below then makes the best record the most
+	// preferred valid candidate. notSel[i] is ¬sel_i, built once: every
+	// binding below is an implication from sel_i, written as a clause
+	// over it.
 	sels := make([]*smt.Formula, len(cands))
 	notSel := make([]*smt.Formula, len(cands))
 	for i := range cands {
@@ -491,20 +491,13 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 	for i, c := range cands {
 		e.Ctx.Assert(smt.Or(notSel[i], c.valid))
 		// Bind best fields.
-		e.Ctx.Assert(smt.Or(notSel[i], e.costEquals(v.bestCost[key], c)))
+		if c.nat == nil {
+			e.Ctx.Assert(smt.Or(notSel[i], v.bestCost[key].EqConstNat(c.constNat)))
+		} else {
+			e.Ctx.AssertEqUnder(sels[i], v.bestCost[key], c.nat, c.natOff)
+		}
 		if bgp {
 			e.Ctx.Assert(smt.Or(notSel[i], e.lpEquals(v.bestLP[key], c)))
-		}
-		// Preference: every other valid candidate is no better; ties
-		// resolve to the earlier candidate in name order (matching
-		// the simulator's deterministic tie-break).
-		for j, o := range cands {
-			if i == j {
-				continue
-			}
-			strict := o.name < c.name // o earlier: c must strictly beat o
-			e.Ctx.Assert(smt.Implies(smt.And(sels[i], o.valid),
-				e.preferred(c, o, bgp, strict)))
 		}
 		switch {
 		case c.peer != "":
@@ -523,8 +516,71 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 			})
 		}
 	}
+	e.assertPreference(cands, sels, v.bestCost[key], v.bestLP[key])
 	v.selPeer[key] = peerSel
 	v.selLocal[key] = local
+}
+
+// assertPreference makes the best record (cost best, local preference
+// bestLP, nil outside BGP) the most preferred valid candidate: BGP
+// prefers the higher local preference, then the lower cost; the other
+// protocols the lower cost. Ties go to the earlier candidate in name
+// order, the simulator's tie-break.
+//
+// Appendix A states this pairwise: sel_i ∧ valid_o → c_i is preferred
+// over o, strictly when o precedes c_i in name order, which is O(k²)
+// constraints for k candidates. Every selection binds the best record
+// to its candidate's fields, and a valid candidate makes exactly one
+// selected, so two constraints per candidate o, stated against the best
+// record, have the same models:
+//
+//   - valid_o → the best record is no worse than o;
+//   - valid_o ∧ ¬(a candidate up to o in name order is selected) → the
+//     best record is strictly better than o.
+//
+// "A candidate up to o is selected" is the first candidate's selector,
+// then a variable per candidate defined as o's selector or the previous
+// one's, so the preference costs O(k) constraints.
+func (e *Encoder) assertPreference(cands []candidate, sels []*smt.Formula, best *smt.NatVar, bestLP *smt.IntVar) {
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool { return cands[order[x]].name < cands[order[y]].name })
+	var upTo *smt.Formula
+	for n, i := range order {
+		o := cands[i]
+		// For BGP, "higher local preference, or equal and no costlier"
+		// is lp(best) >= lp(o), and the cost comparison unless
+		// lp(best) > lp(o); the strict preference differs in the cost
+		// comparison only.
+		costGuard := o.valid
+		if bestLP != nil {
+			e.Ctx.Assert(smt.Implies(o.valid, lpCmp(bestLP, o, func(x, y int) bool { return x >= y })))
+			costGuard = smt.And(o.valid, smt.Not(lpCmp(bestLP, o, func(x, y int) bool { return x > y })))
+		}
+		e.assertCostLe(costGuard, best, 0, o)
+		if n == len(order)-1 {
+			break // no candidate comes after the last
+		}
+		if upTo == nil {
+			upTo = sels[i]
+		} else {
+			s := e.Ctx.BoolVar()
+			e.Ctx.Assert(smt.Iff(s, smt.Or(sels[i], upTo)))
+			upTo = s
+		}
+		e.assertCostLe(smt.And(costGuard, smt.Not(upTo)), best, 1, o)
+	}
+}
+
+// assertCostLe asserts g → best + d <= the cost of candidate o.
+func (e *Encoder) assertCostLe(g *smt.Formula, best *smt.NatVar, d int, o candidate) {
+	if o.nat == nil {
+		e.Ctx.Assert(smt.Implies(g, best.LeConst(o.constNat-d)))
+		return
+	}
+	e.Ctx.AssertLeUnder(g, best, d, o.nat, o.natOff)
 }
 
 // redistLink defers wiring a redistribution candidate's forwarding
@@ -602,81 +658,30 @@ func (e *Encoder) advertisementCandidate(v *env, r *config.Router, p *config.Pro
 	}
 }
 
-// costEquals returns bestCost == candidate's cost.
-func (e *Encoder) costEquals(best *smt.NatVar, c candidate) *smt.Formula {
-	if c.nat == nil {
-		return best.EqConstNat(c.constNat)
+// lpConst returns the local preference of a candidate without an lp
+// variable: its constant, or the default 100.
+func (c candidate) lpConst() int {
+	if c.constLP == 0 {
+		return 100
 	}
-	return smt.NatEqOffset(best, c.nat, c.natOff)
+	return c.constLP
 }
 
 // lpEquals returns bestLP == candidate's lp.
 func (e *Encoder) lpEquals(best *smt.IntVar, c candidate) *smt.Formula {
 	if c.lp == nil {
-		lp := c.constLP
-		if lp == 0 {
-			lp = 100
-		}
-		return best.EqConst(lp)
+		return best.EqConst(c.lpConst())
 	}
 	return smt.IntEq(best, c.lp, 0, 0)
 }
 
-// preferred returns "candidate a is preferred over candidate b" under
-// the protocol's selection order (BGP: lp desc, cost asc; IGP: cost
-// asc). strict requires a to beat b outright (no tie).
-func (e *Encoder) preferred(a, b candidate, bgp bool, strict bool) *smt.Formula {
-	costCmp := func(strictCost bool) *smt.Formula {
-		switch {
-		case a.nat == nil && b.nat == nil:
-			if strictCost {
-				return smt.Const(a.constNat < b.constNat)
-			}
-			return smt.Const(a.constNat <= b.constNat)
-		case a.nat == nil:
-			// const vs nat: a.constNat (<|<=) b.nat + b.natOff
-			if strictCost {
-				return b.nat.GeConst(a.constNat - b.natOff + 1)
-			}
-			return b.nat.GeConst(a.constNat - b.natOff)
-		case b.nat == nil:
-			if strictCost {
-				return a.nat.LeConst(b.constNat - a.natOff - 1)
-			}
-			return a.nat.LeConst(b.constNat - a.natOff)
-		default:
-			if strictCost {
-				return smt.NatLtOffset(a.nat, a.natOff, b.nat, b.natOff)
-			}
-			return smt.NatLeOffset(a.nat, a.natOff, b.nat, b.natOff)
-		}
+// lpCmp returns f(bestLP, lp of candidate o) over the one-hot local
+// preferences.
+func lpCmp(bestLP *smt.IntVar, o candidate, f func(x, y int) bool) *smt.Formula {
+	if o.lp == nil {
+		return cmpVarConst(bestLP, o.lpConst(), f)
 	}
-	if !bgp {
-		return costCmp(strict)
-	}
-	lpA, lpB := a.lp, b.lp
-	lpCmp := func(f func(x, y int) bool) *smt.Formula {
-		ca, cb := a.constLP, b.constLP
-		if ca == 0 {
-			ca = 100
-		}
-		if cb == 0 {
-			cb = 100
-		}
-		switch {
-		case lpA == nil && lpB == nil:
-			return smt.Const(f(ca, cb))
-		case lpA == nil:
-			return cmpConstVar(ca, lpB, func(x, y int) bool { return f(x, y) })
-		case lpB == nil:
-			return cmpVarConst(lpA, cb, f)
-		default:
-			return cmpVars(lpA, lpB, f)
-		}
-	}
-	gt := lpCmp(func(x, y int) bool { return x > y })
-	eq := lpCmp(func(x, y int) bool { return x == y })
-	return smt.Or(gt, smt.And(eq, costCmp(strict)))
+	return cmpVars(bestLP, o.lp, f)
 }
 
 // cmpVarConst builds f(var, const) over a one-hot IntVar.
@@ -684,17 +689,6 @@ func cmpVarConst(v *smt.IntVar, c int, f func(x, y int) bool) *smt.Formula {
 	var parts []*smt.Formula
 	for _, val := range v.Domain() {
 		if f(val, c) {
-			parts = append(parts, v.EqConst(val))
-		}
-	}
-	return smt.Or(parts...)
-}
-
-// cmpConstVar builds f(const, var).
-func cmpConstVar(c int, v *smt.IntVar, f func(x, y int) bool) *smt.Formula {
-	var parts []*smt.Formula
-	for _, val := range v.Domain() {
-		if f(c, val) {
 			parts = append(parts, v.EqConst(val))
 		}
 	}

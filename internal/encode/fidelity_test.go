@@ -126,3 +126,68 @@ func TestModelMatchesSimulatorBlocking(t *testing.T) {
 			iter, blockingSat, delivered, src, dst)
 	}
 }
+
+// TestFrozenForwardingMatchesSimulator pins the best-route choice, the
+// name-order tie-break included: on random leaf-spine, Zoo and line
+// networks under OSPF, BGP and RIP, with every delta frozen, the
+// encoding's forwarding (controlFwd of the normal environment) must be
+// the simulator's next hop at every router, and the only forwarding
+// the encoding admits: blocking it must leave no model. Leaf-spine
+// fabrics give every leaf equal-cost routes through each spine.
+// TestModelMatchesSimulator checks delivery only.
+func TestFrozenForwardingMatchesSimulator(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for iter := 0; iter < 27; iter++ {
+		var topo *topology.Topology
+		switch iter % 3 {
+		case 0:
+			topo = topology.LeafSpine(2+rng.Intn(3), 2+rng.Intn(2), 1)
+		case 1:
+			topo = topology.Zoo(4+rng.Intn(5), int64(iter)*5+3)
+		default:
+			topo = topology.Line(3 + rng.Intn(3))
+		}
+		proto := []config.Proto{config.OSPF, config.BGP, config.RIP}[iter/3%3]
+		net := configgen.Generate(topo, configgen.Options{
+			Protocol:        proto,
+			WithRoleFilters: rng.Intn(2) == 0,
+			Seed:            int64(iter),
+		})
+		dst := topo.Subnets[rng.Intn(len(topo.Subnets))].Prefix
+		hops := simulate.New(net, topo).NextHops(dst)
+
+		e := New(net, topo, dst, DefaultOptions())
+		v := e.environment("")
+		for _, d := range e.Deltas() {
+			if !d.Aux {
+				e.Ctx.Assert(smt.Not(d.Bool))
+			}
+		}
+		m := e.Ctx.Solve()
+		if m == nil {
+			t.Fatalf("iter %d (%s, %s, dst %s): frozen network unsat", iter, topo.Name, proto, dst)
+		}
+		// differ holds, per directed link, "its forwarding differs from
+		// this model's".
+		var differ []*smt.Formula
+		for _, u := range net.RouterNames() {
+			for _, peer := range topo.Neighbors(u) {
+				fwd := v.controlFwd[u+">"+peer]
+				got, want := m.Eval(fwd), hops[u] == peer
+				if got != want {
+					t.Errorf("iter %d (%s, %s, dst %s): %s forwards to %s: model %v, simulator next hop %q",
+						iter, topo.Name, proto, dst, u, peer, got, hops[u])
+				}
+				if got {
+					differ = append(differ, smt.Not(fwd))
+				} else {
+					differ = append(differ, fwd)
+				}
+			}
+		}
+		e.Ctx.Assert(smt.Or(differ...))
+		if e.Ctx.Solve() != nil {
+			t.Errorf("iter %d (%s, %s, dst %s): the frozen network admits a second forwarding", iter, topo.Name, proto, dst)
+		}
+	}
+}

@@ -12,11 +12,11 @@ import (
 
 // watchGates sets a finalizer on every gate node (neither a variable
 // nor a constant) held by e's filter-chain cache, its environments'
-// forwarding maps and the order-encoding memos of its best-cost
-// variables — nodes nothing but the encoder's caches, the NatVar memos
-// and the context's intern table reaches once the formulas are
-// asserted — and returns how many it watches and a counter of those
-// collected. It keeps no reference to the nodes itself.
+// forwarding maps and the threshold-negation memos of its best-cost
+// variables — nodes nothing but the encoder's caches, the NatVars and
+// the context's intern table reaches once the formulas are asserted —
+// and returns how many it watches and a counter of those collected. It
+// keeps no reference to the nodes itself.
 func watchGates(e *Encoder) (int64, *atomic.Int64) {
 	freed := new(atomic.Int64)
 	var n int64
@@ -36,34 +36,6 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 		for _, f := range v.controlFwd {
 			watch(f)
 		}
-		// The cost comparisons between every process's neighbour
-		// advertisements (see preferred), which the memo hands back
-		// rather than rebuilding, and every threshold negation.
-		for _, r := range e.net.Routers {
-			for _, p := range r.Processes {
-				var nats []*smt.NatVar
-				var offs []int
-				for _, peer := range e.topo.Neighbors(r.Name) {
-					if pr := e.net.Routers[peer]; pr == nil || pr.Process(p.Protocol) == nil {
-						continue
-					}
-					off := 1
-					if adj := p.Adjacency(peer); adj != nil {
-						off = adj.LinkCost()
-					}
-					nats = append(nats, v.bestCost[procLabel(peer, p.Protocol)])
-					offs = append(offs, off)
-				}
-				for i := range nats {
-					for j := range nats {
-						if i != j {
-							watch(smt.NatLeOffset(nats[i], offs[i], nats[j], offs[j]))
-							watch(smt.NatLtOffset(nats[i], offs[i], nats[j], offs[j]))
-						}
-					}
-				}
-			}
-		}
 		for _, c := range v.bestCost {
 			for k := 0; k < c.Max(); k++ {
 				watch(c.LeConst(k))
@@ -75,7 +47,7 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 
 // TestParkFreesFormulaDAG parks a solved live encoder and checks that
 // the garbage collector then reclaims formula nodes only its caches,
-// its NatVars' comparator and negation memos and its intern table held;
+// its NatVars' negation memos and its intern table held;
 // the parked instance must still rebind, including to a local
 // preference it first sees after the park, and agree with a cold
 // encode.

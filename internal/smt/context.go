@@ -34,11 +34,12 @@ type Context struct {
 
 	// Structural hash-consing: the memo above only collapses physically
 	// shared nodes, but the encoder rebuilds structurally identical
-	// subformulas per env × router × peer (adjacency sides, `preferred`
-	// chains, filter outcomes). internTab interns encoded nodes by their
-	// constructor-computed structural hash so every such rebuild reuses
-	// one definitional literal instead of emitting fresh CNF (see
-	// intern.go and docs/PERFORMANCE.md §hash-consing).
+	// subformulas per env × router × peer (adjacency sides,
+	// local-preference comparisons, filter outcomes). internTab interns
+	// encoded nodes by their constructor-computed structural hash so
+	// every such rebuild reuses one definitional literal instead of
+	// emitting fresh CNF (see intern.go and docs/PERFORMANCE.md
+	// §hash-consing).
 	internOn     bool
 	internTab    internTable
 	internHits   int
@@ -53,9 +54,6 @@ type Context struct {
 	// litBuf is a stack of clause literals under construction, shared
 	// by nested gate encodings (each works above its caller's mark).
 	litBuf []sat.Lit
-
-	// hardCount counts the clauses lower has added (see HardClauses).
-	hardCount int
 
 	// Retractable assertions (see retract.go): each entry's selector is
 	// assumed — positively while active, negatively once retracted — on
@@ -327,7 +325,6 @@ func (c *Context) pushLit(l sat.Lit, neg bool) {
 // addClause adds the clause litBuf[gmark:] as a hard constraint.
 func (c *Context) addClause(gmark int) {
 	c.solver.AddClause(c.litBuf[gmark:]...)
-	c.hardCount++
 }
 
 // AssertSoft registers f as a soft constraint with the given positive
@@ -341,11 +338,6 @@ func (c *Context) AssertSoft(f *Formula, weight int, label string) {
 
 // NumSoft returns the number of registered soft constraints.
 func (c *Context) NumSoft() int { return len(c.soft) }
-
-// HardClauses returns the number of clauses the lowering of hard
-// constraints (Assert, AssertRetractable) has added: every distributed
-// clause counts, Tseitin definitions of nested subformulas do not.
-func (c *Context) HardClauses() int { return c.hardCount }
 
 // NumSATVars exposes the size of the underlying SAT problem.
 func (c *Context) NumSATVars() int { return c.solver.NumVars() }

@@ -172,9 +172,12 @@ func FuzzMaxSAT(f *testing.F) {
 // integer arithmetic for every value tuple. data[0] picks the variable
 // count and data[1..3] their bounds (0–4); each later 4-byte group is
 // one call: the comparison, its operands, two offsets in −3..4 and a
-// constant in −2..5. Calls with different offsets but the same shift
-// hit the comparator memo, so the memoized nodes must keep the meaning
-// of every call that reuses them, and must be the identical node.
+// constant in −2..5. Each call is checked twice: as a formula, defined
+// by a fresh variable through Iff, and asserted under a fresh guard —
+// through AssertLeUnder or AssertEqUnder for a comparison of two
+// NatVars, as an implication otherwise. Under its guard the comparison
+// must hold exactly; with every guard false the guarded assertions
+// must constrain nothing.
 func FuzzNatCompare(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 0, 0x10, 0x43, 0, 0, 0x10, 0x54, 0, 1, 0x01, 0x33, 0})
 	f.Add([]byte{1, 4, 2, 3, 2, 0x21, 0x31, 2, 3, 0x10, 0x70, 5, 4, 0x02, 0, 3})
@@ -190,42 +193,39 @@ func FuzzNatCompare(f *testing.F) {
 			vars[i] = c.NatVarOf(int(data[1+i]) % 5)
 		}
 		type call struct {
-			f    *Formula
-			sel  *Formula // sel ⇔ f, read from the solver's model
-			want func(vals []int) bool
+			f     *Formula
+			sel   *Formula // sel ⇔ f, read from the solver's model
+			guard *Formula // guard → the comparison, asserted as clauses
+			want  func(vals []int) bool
 		}
 		var calls []call
-		type cmpKey struct{ a, b, shift int }
-		memo := map[cmpKey]*Formula{}
 		for p := 4; p+4 <= len(data) && len(calls) < 10; p += 4 {
 			ai, bi := int(data[p+1])%n, int(data[p+1]>>4)%n
 			da, db := int(data[p+2]&7)-3, int(data[p+2]>>4&7)-3
 			k := int(data[p+3]%8) - 2
 			a, b := vars[ai], vars[bi]
-			var cl call
+			cl := call{guard: c.BoolVar()}
 			switch data[p] % 5 {
 			case 0:
 				cl.f = NatLeOffset(a, da, b, db)
+				c.AssertLeUnder(cl.guard, a, da, b, db)
 				cl.want = func(v []int) bool { return v[ai]+da <= v[bi]+db }
 			case 1:
 				cl.f = NatLtOffset(a, da, b, db)
+				c.AssertLeUnder(cl.guard, a, da+1, b, db)
 				cl.want = func(v []int) bool { return v[ai]+da < v[bi]+db }
 			case 2:
 				cl.f = NatEqOffset(a, b, da)
+				c.AssertEqUnder(cl.guard, a, b, da)
 				cl.want = func(v []int) bool { return v[ai] == v[bi]+da }
 			case 3:
 				cl.f = a.LeConst(k)
+				c.Assert(Implies(cl.guard, cl.f))
 				cl.want = func(v []int) bool { return v[ai] <= k }
 			case 4:
 				cl.f = a.EqConstNat(k)
+				c.Assert(Implies(cl.guard, cl.f))
 				cl.want = func(v []int) bool { return v[ai] == k }
-			}
-			if op := data[p] % 5; op <= 1 {
-				key := cmpKey{ai, bi, da - db + int(op)}
-				if prev, ok := memo[key]; ok && prev != cl.f {
-					t.Fatalf("call %d: comparison (%d, %d, shift %d) built a second node", len(calls), ai, bi, key.shift)
-				}
-				memo[key] = cl.f
 			}
 			cl.sel = c.BoolVar()
 			c.Assert(Iff(cl.sel, cl.f))
@@ -256,9 +256,23 @@ func FuzzNatCompare(f *testing.F) {
 					}
 				}
 			}
+			// Every guard false: the guarded assertions constrain nothing.
+			off := len(asm)
+			for _, cl := range calls {
+				asm = append(asm, Not(cl.guard))
+			}
 			m := c.SolveAssuming(asm...)
 			if m == nil {
-				t.Fatalf("values %v: unsat", vals)
+				t.Fatalf("values %v: unsat with every guard false", vals)
+			}
+			// One guard true: its comparison holds exactly.
+			for ci, cl := range calls {
+				asm[off+ci] = cl.guard
+				sat := c.SolveAssuming(asm...) != nil
+				asm[off+ci] = Not(cl.guard)
+				if want := cl.want(vals); sat != want {
+					t.Fatalf("values %v, call %d: guarded clauses sat=%v, want %v", vals, ci, sat, want)
+				}
 			}
 			for ci, cl := range calls {
 				want := cl.want(vals)

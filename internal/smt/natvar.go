@@ -1,5 +1,7 @@
 package smt
 
+import "github.com/aed-net/aed/internal/sat"
+
 // NatVar is a bounded natural variable in [0, Max] with an order
 // ("thermometer") encoding: ge[k] ⇔ value >= k, for k in 1..Max, with
 // the monotone ladder ge[k] → ge[k-1] asserted. Order encoding makes
@@ -7,24 +9,14 @@ package smt
 // one-hot encoding would be quadratic; this matters because AED
 // instantiates cost variables per (router, protocol) per destination.
 //
-// A NatVar builds each threshold negation and each comparison against
-// another NatVar once and hands the same node to every later caller:
-// the encoder compares the same cost variables many times over (every
-// leaf of a fabric compares the same spines' costs), and building each
-// comparison once keeps those repeats from allocating nodes the intern
-// table would only discard. The memo lives on the NatVar, so it dies
-// with the encoder structures that hold the variable.
+// A NatVar builds each threshold negation once and hands the same node
+// to every later caller. Comparisons between two NatVars that are
+// asserted under a guard go straight to clauses (AssertLeUnder,
+// AssertEqUnder) and build no node at all.
 type NatVar struct {
 	max int
 	ge  []*Formula // ge[k-1] ⇔ value >= k
 	neg []*Formula // neg[k-1] = ¬ge[k-1], built on first use
-	cmp map[natCmpKey]*Formula
-}
-
-// natCmpKey names the comparison n + d <= b memoized on n.
-type natCmpKey struct {
-	b *NatVar
-	d int
 }
 
 // NatVarOf allocates a bounded natural in [0, max].
@@ -115,8 +107,7 @@ func NatEqOffset(a, b *NatVar, w int) *Formula {
 }
 
 // NatLeOffset returns the formula a + da <= b + db. It depends on the
-// offsets only through their difference, and a NatVar builds each
-// (b, da−db) comparison once (see leShift).
+// offsets only through their difference (see leShift).
 func NatLeOffset(a *NatVar, da int, b *NatVar, db int) *Formula {
 	return a.leShift(b, da-db)
 }
@@ -126,29 +117,119 @@ func NatLtOffset(a *NatVar, da int, b *NatVar, db int) *Formula {
 	return a.leShift(b, da-db+1)
 }
 
-// leShift returns the formula n + d <= b, memoized on n under (b, d):
+// leShift returns the formula n + d <= b:
 // n + d <= b  ⇔  ∀j: n >= j → b >= j+d, for j over the union of both
 // ranges.
 func (n *NatVar) leShift(b *NatVar, d int) *Formula {
-	key := natCmpKey{b, d}
-	if f, ok := n.cmp[key]; ok {
-		return f
-	}
 	lo, hi := min(1, 1-d), max(n.max, b.max-d)
 	parts := make([]*Formula, 0, hi-lo+1)
 	for j := lo; j <= hi; j++ {
 		parts = append(parts, Or(n.notGe(j), b.GeConst(j+d)))
 	}
-	f := And(parts...)
-	if n.cmp == nil {
-		n.cmp = make(map[natCmpKey]*Formula)
-	}
-	n.cmp[key] = f
-	return f
+	return And(parts...)
 }
 
 // NatEq returns a == b.
 func NatEq(a, b *NatVar) *Formula { return NatEqOffset(a, b, 0) }
+
+// AssertLeUnder asserts g → a + da <= b + db straight to clauses, with
+// no formula node: with d = da − db, one clause [¬g…, ¬(a >= j),
+// b >= j+d] per threshold j of leShift, where ¬g… are the literals
+// lower gives ¬g. These are the clauses lower makes of
+// Implies(g, NatLeOffset(a, da, b, db)).
+func (c *Context) AssertLeUnder(g *Formula, a *NatVar, da int, b *NatVar, db int) {
+	d := da - db
+	lo, hi := min(1, 1-d), max(a.max, b.max-d)
+	c.assertOrdUnder(g, hi-lo+1, func(i int) (ord, ord) {
+		j := lo + i
+		return ord{a, j, true}, ord{b, j + d, false}
+	})
+}
+
+// AssertEqUnder asserts g → a == b + w straight to clauses: the clauses
+// lower makes of Implies(g, NatEqOffset(a, b, w)), two bounding b's
+// range and two per threshold of a.
+func (c *Context) AssertEqUnder(g *Formula, a, b *NatVar, w int) {
+	c.assertOrdUnder(g, 2+2*a.max, func(i int) (ord, ord) {
+		switch i {
+		case 0:
+			return ord{b, -w, false}, ord{} // b >= -w
+		case 1:
+			return ord{b, a.max - w + 1, true}, ord{} // b <= a.max - w
+		}
+		k := i / 2
+		if i%2 == 0 {
+			return ord{a, k, true}, ord{b, k - w, false} // a >= k → b >= k-w
+		}
+		return ord{a, k, false}, ord{b, k - w, true} // b >= k-w → a >= k
+	})
+}
+
+// ord is the order-encoding literal n >= k, negated when neg is set. A
+// threshold outside 1..n.max makes it a constant; the zero ord is the
+// constant false.
+type ord struct {
+	n   *NatVar
+	k   int
+	neg bool
+}
+
+// constant returns o's value and true when o is a constant.
+func (o ord) constant() (val, ok bool) {
+	switch {
+	case o.n == nil:
+		return false, true
+	case o.k <= 0:
+		return !o.neg, true
+	case o.k > o.n.max:
+		return o.neg, true
+	}
+	return false, false
+}
+
+// assertOrdUnder adds, under guard g, the n clauses x ∨ y that
+// clause(i) returns, folding constants as the formula constructors
+// would: a true literal drops its clause and a false one drops itself.
+// A clause left with no literal makes g → false the only clause.
+func (c *Context) assertOrdUnder(g *Formula, n int, clause func(int) (ord, ord)) {
+	if g.op == opConst && !g.b {
+		return
+	}
+	empty := false
+	for i := 0; i < n && !empty; i++ {
+		x, y := clause(i)
+		xv, xc := x.constant()
+		yv, yc := y.constant()
+		empty = xc && !xv && yc && !yv
+	}
+	gmark := len(c.litBuf)
+	if g.op != opConst {
+		c.pushDisjunct(g, true)
+	}
+	if empty {
+		c.addClause(gmark)
+	} else {
+		for i := 0; i < n; i++ {
+			x, y := clause(i)
+			top := len(c.litBuf)
+			if !c.pushOrd(x) && !c.pushOrd(y) {
+				c.addClause(gmark)
+			}
+			c.litBuf = c.litBuf[:top]
+		}
+	}
+	c.litBuf = c.litBuf[:gmark]
+}
+
+// pushOrd pushes o's literal onto litBuf unless o is a constant, and
+// reports whether o is the constant true.
+func (c *Context) pushOrd(o ord) bool {
+	if val, ok := o.constant(); ok {
+		return val
+	}
+	c.pushLit(sat.PosLit(c.satVar(o.n.ge[o.k-1])), o.neg)
+	return false
+}
 
 func min(a, b int) int {
 	if a < b {

@@ -21,6 +21,8 @@ type Topology struct {
 	Name    string
 	Routers []string
 	links   map[[2]string]bool
+	// nbrs holds each router's neighbors, sorted; AddLink keeps it.
+	nbrs    map[string][]string
 	Subnets []Subnet
 	// Role tags routers for template grouping (e.g. "leaf", "spine").
 	Role map[string]string
@@ -37,6 +39,7 @@ func New(name string) *Topology {
 	return &Topology{
 		Name:  name,
 		links: make(map[[2]string]bool),
+		nbrs:  make(map[string][]string),
 		Role:  make(map[string]string),
 	}
 }
@@ -69,7 +72,22 @@ func (t *Topology) AddLink(a, b string) {
 	if a == b {
 		panic("topology: self link")
 	}
-	t.links[linkKey(a, b)] = true
+	k := linkKey(a, b)
+	if t.links[k] {
+		return
+	}
+	t.links[k] = true
+	t.nbrs[a] = insertSorted(t.nbrs[a], b)
+	t.nbrs[b] = insertSorted(t.nbrs[b], a)
+}
+
+// insertSorted inserts x into the sorted slice s.
+func insertSorted(s []string, x string) []string {
+	i := sort.SearchStrings(s, x)
+	s = append(s, "")
+	copy(s[i+1:], s[i:])
+	s[i] = x
+	return s
 }
 
 // HasLink reports whether a and b are directly connected.
@@ -90,18 +108,12 @@ func (t *Topology) Links() [][2]string {
 	return out
 }
 
-// Neighbors returns the routers adjacent to name, sorted.
+// Neighbors returns the routers adjacent to name, sorted. The slice is
+// the topology's own index, clipped so that appending to it copies;
+// callers must not write to it.
 func (t *Topology) Neighbors(name string) []string {
-	var out []string
-	for k := range t.links {
-		if k[0] == name {
-			out = append(out, k[1])
-		} else if k[1] == name {
-			out = append(out, k[0])
-		}
-	}
-	sort.Strings(out)
-	return out
+	s := t.nbrs[name]
+	return s[:len(s):len(s)]
 }
 
 // AddSubnet attaches a host subnet to a router.

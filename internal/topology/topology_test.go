@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/aed-net/aed/internal/prefix"
@@ -172,6 +175,49 @@ func TestLinksSorted(t *testing.T) {
 		if links[i-1][0] > links[i][0] ||
 			(links[i-1][0] == links[i][0] && links[i-1][1] > links[i][1]) {
 			t.Fatal("links not sorted")
+		}
+	}
+}
+
+// TestNeighborsIndexMatchesScan checks the neighbor index AddLink keeps
+// against scanning every link and sorting, on random Zoo, leaf-spine
+// and line topologies with every link also added a second time, in
+// reverse (AddLink is idempotent), and checks that appends to two
+// returned slices do not share storage.
+func TestNeighborsIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 30; iter++ {
+		var top *Topology
+		switch iter % 3 {
+		case 0:
+			top = Zoo(4+rng.Intn(40), rng.Int63())
+		case 1:
+			top = LeafSpine(1+rng.Intn(8), 1+rng.Intn(4), 1)
+		default:
+			top = Line(2 + rng.Intn(10))
+		}
+		for _, l := range top.Links() {
+			top.AddLink(l[1], l[0])
+		}
+		for _, r := range top.Routers {
+			var want []string
+			for _, l := range top.Links() {
+				if l[0] == r {
+					want = append(want, l[1])
+				} else if l[1] == r {
+					want = append(want, l[0])
+				}
+			}
+			sort.Strings(want)
+			got := top.Neighbors(r)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Neighbors(%s) = %v, scan gives %v", top.Name, r, got, want)
+			}
+			x := append(top.Neighbors(r), "x")
+			y := append(top.Neighbors(r), "y")
+			if x[len(x)-1] != "x" || y[len(y)-1] != "y" {
+				t.Fatalf("%s: two appends to Neighbors(%s) share storage", top.Name, r)
+			}
 		}
 	}
 }
