@@ -35,6 +35,15 @@ const (
 	PathMetrics  = "/metrics"
 )
 
+// MaxRequestBytes bounds the body of one POST /v1/solve: the server
+// stops reading a larger body at this many bytes and answers
+// ErrInvalidRequest, so a hostile or broken client cannot make it
+// buffer without limit. A request carries whole network snapshots as
+// text; 32 MiB is over two thousand times the 12 KiB request for a
+// 12×3 leaf-spine fabric. It is a property of the wire protocol, not a
+// setting.
+const MaxRequestBytes = 32 << 20
+
 // Request-identity headers. The client sends both on every call; the
 // server echoes HeaderRequestID on the response so a caller always
 // learns the ID its solve ran under (its own, or the server-assigned

@@ -2,10 +2,15 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/core"
+	"github.com/aed-net/aed/internal/policy"
+	"github.com/aed-net/aed/internal/prefix"
 )
 
 // TestColdSynthesisAllocs bounds the garbage of cold synthesis: the
@@ -38,6 +43,8 @@ import (
 //	in the candidates), guarded NatVar comparisons asserted straight
 //	to clauses, a kept neighbor index in the topology:
 //	                                    15.3 MB, 165,150 objects
+//	binary clauses only in the watch lists, an int32 order heap, level
+//	stamps grown on demand:             14.4 MB, 165,770 objects
 //
 // The bounds are the last figures plus 15%.
 func TestColdSynthesisAllocs(t *testing.T) {
@@ -45,7 +52,7 @@ func TestColdSynthesisAllocs(t *testing.T) {
 		t.Skip("the race detector changes what escapes to the heap")
 	}
 	const (
-		maxBytesPerPass   = 17_563_000
+		maxBytesPerPass   = 16_559_000
 		maxObjectsPerPass = 189_930
 		passes            = 3
 	)
@@ -77,5 +84,81 @@ func TestColdSynthesisAllocs(t *testing.T) {
 	}
 	if objects > maxObjectsPerPass {
 		t.Errorf("cold synthesis allocates %d objects per pass, bound %d", objects, maxObjectsPerPass)
+	}
+}
+
+// TestParkedSessionBytes bounds what a session keeps alive between
+// solves: the live heap of an edit_stream session (editStreamCNFInputs'
+// 12x3 fabric, min-lines, one parked live instance per destination)
+// after a priming solve and a fixed script of local-preference flips
+// (tier 2), extra-block toggles (tier 3) and resubmits (tier 1), above
+// the heap before the session, each read after two collections. Most
+// of it is the parked instances' solver storage: watch lists, clause
+// arenas and per-variable arrays.
+//
+// Measured on linux/amd64, go1.24, GOMAXPROCS=2:
+//
+//	binary clauses in the arena and the watch lists, aux deltas kept
+//	after Park, []Var/[]int order heap, a level stamp per variable:
+//	                                    15.0 MB
+//	binary clauses only as watchers, aux deltas dropped by Park, int32
+//	order heap, level stamps grown on demand:
+//	                                    10.7 MB
+//
+// The bound is the last figure plus 15%.
+func TestParkedSessionBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what escapes to the heap")
+	}
+	const maxRetainedBytes = 12_282_000
+	p := editStreamCNFInputs()
+	lp120 := p.net.Clone()
+	lp120.Routers["spine0"].RouteFilter("rf_edit").Rules[0].LocalPref = 120
+	nets := [2]*config.Network{p.net, lp120}
+	extra := append(slices.Clone(p.ps), policy.Policy{Kind: policy.Blocking,
+		Src: prefix.MustParse("10.6.0.0/24"), Dst: prefix.MustParse("10.4.0.0/24")})
+	sets := [2][]policy.Policy{p.ps, extra}
+
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	ctx := context.Background()
+	eng := core.NewEngine(p.net, p.topo, core.Options{MinimizeLines: true})
+	lp, set, warm := 0, 0, 0
+	solve := func(step string) {
+		res, err := eng.Solve(ctx, sets[set])
+		if err != nil || res.Unsat() != nil {
+			t.Fatalf("%s: err=%v unsat=%v", step, err, res.Unsat())
+		}
+		for _, in := range res.Instances {
+			if in.Rebound || in.Retargeted {
+				warm++
+			}
+		}
+	}
+	solve("prime")
+	for i := 0; i < 30; i++ {
+		switch i % 5 {
+		case 0, 2, 3: // flip
+			lp ^= 1
+			eng.SetNetwork(nets[lp])
+		case 1: // toggle the extra block
+			set ^= 1
+		}
+		solve(fmt.Sprintf("step %d", i))
+	}
+	retained := live() - before
+	runtime.KeepAlive(eng)
+	t.Logf("retained: %d bytes (%.2f MB); %d instances re-solved on a parked instance", retained, float64(retained)/(1<<20), warm)
+	if warm == 0 {
+		t.Fatal("no step was served by a parked instance")
+	}
+	if retained > maxRetainedBytes {
+		t.Errorf("a parked edit_stream session retains %d bytes, bound %d", retained, maxRetainedBytes)
 	}
 }

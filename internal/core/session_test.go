@@ -321,8 +321,13 @@ func editLocalPref(eng *Engine, lp int) *config.Network {
 func TestSessionRebindOnVolatileEdit(t *testing.T) {
 	eng, ps, tr := rebindFixture(t, DefaultOptions())
 	ctx := context.Background()
-	if _, err := eng.Solve(ctx, ps); err != nil {
+	cold, err := eng.Solve(ctx, ps)
+	if err != nil {
 		t.Fatal(err)
+	}
+	coldDeltas := map[string]int{}
+	for _, in := range cold.Instances {
+		coldDeltas[in.Destination.String()] = in.NumDeltas
 	}
 
 	eng.SetNetwork(editLocalPref(eng, 120))
@@ -340,6 +345,10 @@ func TestSessionRebindOnVolatileEdit(t *testing.T) {
 	for _, in := range res.Instances {
 		if in.Rebound {
 			rebound = append(rebound, in.Destination)
+			// Park dropped the aux deltas; the count stays the encode's.
+			if want := coldDeltas[in.Destination.String()]; in.NumDeltas != want {
+				t.Errorf("%v: rebound NumDeltas = %d, cold encode %d", in.Destination, in.NumDeltas, want)
+			}
 		}
 		if in.Cached && in.Rebound {
 			t.Errorf("%v flagged both cached and rebound", in.Destination)

@@ -199,11 +199,15 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 // redistribution links and the delta registry's name index — which
 // between them reach the whole formula DAG, then parks the SMT context
 // (smt.Context.Park), which drops its intern table and compacts the
-// solver. What Rebind, Retarget and ReSolveContext read stays: the
+// solver. It also drops the aux deltas (Delta.Aux) from the delta list:
+// only objectives read them, and a live instance has none (see
+// core's keepsLive), so Deltas returns the structural deltas alone after
+// Park, while a re-solve's Result.NumDeltas still reports the count at
+// encode time. What Rebind, Retarget and ReSolveContext read stays: the
 // context, the network, the options, the destination, the
 // local-preference domain, the rule bindings, the policy guards and the
-// delta list with its ValueOf closures. The soft constraints the
-// context keeps are negated delta variables, which pin no DAG.
+// structural deltas with their ValueOf closures. The soft constraints
+// the context keeps are negated delta variables, which pin no DAG.
 //
 // A later Park, after a re-solve, compacts the solver again if the
 // re-solve grew it and does nothing otherwise. The encoder must not encode
@@ -215,7 +219,7 @@ func (e *Encoder) Park() {
 	e.pfChainCache = nil
 	e.rfChainCache = nil
 	e.pendingRedist = nil
-	e.reg.byName = nil
+	e.reg.park()
 	e.Ctx.Park()
 }
 

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,11 +13,12 @@ import (
 
 // watchGates sets a finalizer on every gate node (neither a variable
 // nor a constant) held by e's filter-chain cache, its environments'
-// forwarding maps and the threshold-negation memos of its best-cost
-// variables — nodes nothing but the encoder's caches, the NatVars and
-// the context's intern table reaches once the formulas are asserted —
-// and returns how many it watches and a counter of those collected. It
-// keeps no reference to the nodes itself.
+// forwarding maps, the threshold-negation memos of its best-cost
+// variables and its aux deltas — nodes nothing but the encoder's
+// caches, the NatVars, the delta list and the context's intern table
+// reaches once the formulas are asserted — and returns how many it
+// watches and a counter of those collected. It keeps no reference to
+// the nodes itself.
 func watchGates(e *Encoder) (int64, *atomic.Int64) {
 	freed := new(atomic.Int64)
 	var n int64
@@ -31,6 +33,11 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 	}
 	for _, c := range e.rfChainCache {
 		watch(c.allow)
+	}
+	for _, d := range e.Deltas() {
+		if d.Aux {
+			watch(d.Bool)
+		}
 	}
 	for _, v := range e.envs {
 		for _, f := range v.controlFwd {
@@ -53,7 +60,7 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 // encode.
 func TestParkFreesFormulaDAG(t *testing.T) {
 	net, _ := rebindNet(t)
-	e, _ := solveLive(t, net)
+	e, cold := solveLive(t, net)
 	watched, freed := watchGates(e)
 	if watched == 0 {
 		t.Fatal("no gate nodes to watch")
@@ -68,11 +75,23 @@ func TestParkFreesFormulaDAG(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	for _, d := range e.Deltas() {
+		if d.Aux {
+			t.Fatalf("aux delta %s still listed after Park", d.Name)
+		}
+	}
+	if len(e.Deltas()) == cold.NumDeltas {
+		t.Fatalf("Park kept all %d deltas: the fixture has no aux delta to drop", cold.NumDeltas)
+	}
+
 	// 120 has no retractable anchor yet: the rebind asserts one on the
 	// parked context, with interning off.
 	edited := editedClone(net, func(r *config.RouteRule) { r.LocalPref = 120 })
 	if swapped, ok := e.Rebind(edited); !ok || swapped == 0 {
 		t.Fatalf("lp edit after Park: ok=%v swapped=%d", ok, swapped)
+	}
+	if warm := e.ReSolveContext(context.Background(), smt.LinearDescent); warm.NumDeltas != cold.NumDeltas {
+		t.Errorf("re-solve after Park reports %d deltas, the cold encode %d", warm.NumDeltas, cold.NumDeltas)
 	}
 	agreeWithCold(t, e, edited)
 	e.Park() // a second park is a no-op

@@ -322,10 +322,12 @@ func intIn(v int, vs []int) bool {
 // typically right after a successful Rebind or Retarget — and reports
 // the solver work of this call alone: the context's counters are
 // cumulative over the instance's lifetime, so a snapshot taken before
-// the search is subtracted out.
+// the search is subtracted out. NumDeltas counts the aux deltas Park
+// dropped, as the encode-time result did.
 func (e *Encoder) ReSolveContext(ctx context.Context, strategy smt.Strategy) *Result {
 	before := e.Ctx.Stats()
 	out := solveInstrumented(ctx, e.Ctx, e.span, e.reg.all(), strategy)
 	out.Stats = out.Stats.Sub(before)
+	out.NumDeltas = e.reg.count()
 	return out
 }

@@ -50,13 +50,50 @@ func TestAddClauseZeroAlloc(t *testing.T) {
 	}
 }
 
-// lastClause returns the literals of the most recently stored problem
-// clause, or nil when none is stored.
-func lastClause(s *Solver) []Lit {
-	if len(s.clauses) == 0 {
-		return nil
+// addClause adds lits to s and returns AddClause's result and the
+// literals of the problem clause it stored, or nil when it stored none.
+// A clause of three or more literals is read from the arena. A binary
+// clause lives only in the watch lists, so it is read back from the two
+// watchers the addition appended, each of which must mirror the other:
+// the clause x ∨ y is watcher{binRef(x), y} in the list of ¬x and
+// watcher{binRef(y), x} in the list of ¬y.
+func addClause(t *testing.T, s *Solver, lits ...Lit) (bool, []Lit) {
+	t.Helper()
+	arenaBefore, binBefore := len(s.clauses), s.binClauses
+	lens := make([]int, len(s.watches))
+	for li, ws := range s.watches {
+		lens[li] = len(ws)
 	}
-	return s.arena.lits(s.clauses[len(s.clauses)-1])
+	ok := s.AddClause(lits...)
+	switch {
+	case len(s.clauses) > arenaBefore:
+		return ok, s.arena.lits(s.clauses[len(s.clauses)-1])
+	case s.binClauses == binBefore:
+		return ok, nil
+	}
+	type added struct {
+		list Lit
+		w    watcher
+	}
+	var ws []added
+	for li := range s.watches {
+		for _, w := range s.watches[li][lens[li]:] {
+			ws = append(ws, added{Lit(li), w})
+		}
+	}
+	if len(ws) != 2 {
+		t.Fatalf("binary clause added %d watchers, want 2", len(ws))
+	}
+	for i, a := range ws {
+		mirror := ws[1-i].w
+		if !a.w.cref.binary() || a.w.cref.lit() != a.list.Neg() ||
+			mirror.cref != binRef(a.w.blocker) || mirror.blocker != a.w.cref.lit() {
+			t.Fatalf("binary watchers %+v and %+v do not mirror each other", ws[0], ws[1])
+		}
+	}
+	cl := []Lit{ws[0].w.cref.lit(), ws[0].w.blocker}
+	slices.Sort(cl)
+	return ok, cl
 }
 
 func TestAddClauseNormalization(t *testing.T) {
@@ -71,35 +108,37 @@ func TestAddClauseNormalization(t *testing.T) {
 
 	t.Run("duplicate", func(t *testing.T) {
 		s, v := newSolver(3)
-		s.AddClause(PosLit(v[2]), PosLit(v[0]), PosLit(v[2]), PosLit(v[0]))
-		if got, want := lastClause(s), []Lit{PosLit(v[0]), PosLit(v[2])}; !slices.Equal(got, want) {
+		_, got := addClause(t, s, PosLit(v[2]), PosLit(v[0]), PosLit(v[2]), PosLit(v[0]))
+		if want := []Lit{PosLit(v[0]), PosLit(v[2])}; !slices.Equal(got, want) {
 			t.Errorf("stored %v, want %v", got, want)
 		}
 	})
 	t.Run("tautology", func(t *testing.T) {
 		s, v := newSolver(3)
-		if !s.AddClause(PosLit(v[1]), PosLit(v[0]), NegLit(v[1])) {
+		ok, got := addClause(t, s, PosLit(v[1]), PosLit(v[0]), NegLit(v[1]))
+		if !ok {
 			t.Fatal("tautology must be accepted")
 		}
-		if s.NumClauses() != 0 {
-			t.Errorf("tautology stored: %v", lastClause(s))
+		if s.NumClauses() != 0 || got != nil {
+			t.Errorf("tautology stored: %v", got)
 		}
 	})
 	t.Run("root-true", func(t *testing.T) {
 		s, v := newSolver(3)
 		s.AddClause(PosLit(v[0]))
-		if !s.AddClause(PosLit(v[1]), PosLit(v[0]), PosLit(v[2])) {
+		ok, got := addClause(t, s, PosLit(v[1]), PosLit(v[0]), PosLit(v[2]))
+		if !ok {
 			t.Fatal("satisfied clause must be accepted")
 		}
-		if s.NumClauses() != 0 {
-			t.Errorf("root-satisfied clause stored: %v", lastClause(s))
+		if s.NumClauses() != 0 || got != nil {
+			t.Errorf("root-satisfied clause stored: %v", got)
 		}
 	})
 	t.Run("root-false", func(t *testing.T) {
 		s, v := newSolver(3)
 		s.AddClause(NegLit(v[0]))
-		s.AddClause(PosLit(v[2]), PosLit(v[0]), PosLit(v[1]))
-		if got, want := lastClause(s), []Lit{PosLit(v[1]), PosLit(v[2])}; !slices.Equal(got, want) {
+		_, got := addClause(t, s, PosLit(v[2]), PosLit(v[0]), PosLit(v[1]))
+		if want := []Lit{PosLit(v[1]), PosLit(v[2])}; !slices.Equal(got, want) {
 			t.Errorf("stored %v, want %v (root-false literal dropped)", got, want)
 		}
 		// Down to one literal: the clause becomes a root assignment.
@@ -120,8 +159,7 @@ func TestAddClauseNormalization(t *testing.T) {
 		for i := len(v) - 1; i >= 0; i -= 2 {
 			in = append(in, NegLit(v[i]), NegLit(v[i])) // 60 literals, 30 distinct
 		}
-		s.AddClause(in...)
-		got := lastClause(s)
+		_, got := addClause(t, s, in...)
 		if len(got) != 30 || !slices.IsSorted(got) {
 			t.Errorf("stored %d literals %v, want 30 sorted", len(got), got)
 		}
@@ -147,14 +185,14 @@ func TestAddClauseNormalization(t *testing.T) {
 				continue // a unit would assign at the root
 			}
 			before := s.NumClauses()
-			s.AddClause(in...)
+			_, got := addClause(t, s, in...)
 			switch {
 			case taut:
-				if s.NumClauses() != before {
-					t.Fatalf("input %v: stored %v, want nothing", in, lastClause(s))
+				if s.NumClauses() != before || got != nil {
+					t.Fatalf("input %v: stored %v, want nothing", in, got)
 				}
-			case !slices.Equal(lastClause(s), want):
-				t.Fatalf("input %v: stored %v, want %v", in, lastClause(s), want)
+			case !slices.Equal(got, want):
+				t.Fatalf("input %v: stored %v, want %v", in, got, want)
 			}
 		}
 	})

@@ -3,7 +3,7 @@ package sat
 import "math"
 
 // CRef is a clause reference: the index of a clause header inside the
-// arena's flat slab. Replacing *clause pointers with 32-bit refs halves
+// arena's flat slab, or a tagged binary clause (see binTag). Replacing *clause pointers with 32-bit refs halves
 // the watcher size, removes one pointer chase per propagation step, and
 // lets the whole clause database live in one allocation that the
 // compacting GC can defragment (MiniSat/Glucose "ClauseAllocator"
@@ -12,6 +12,25 @@ type CRef uint32
 
 // CRefUndef is the nil clause reference (no antecedent / deleted).
 const CRefUndef CRef = ^CRef(0)
+
+// binTag marks a CRef that names a binary clause rather than an arena
+// slot. A 2-literal clause is never stored in the arena: it lives only
+// as its two watchers, and the tagged ref carries one of its literals.
+// The clause x ∨ y is watcher{binRef(x), y} in the watch list of ¬x
+// and watcher{binRef(y), x} in that of ¬y, so when x becomes false the
+// watcher alone implies its blocker y with reason binRef(x): a binary
+// reason is the tagged literal other than the one it implied.
+const binTag CRef = 1 << 31
+
+// binRef returns the tagged ref that carries literal l of a binary
+// clause.
+func binRef(l Lit) CRef { return binTag | CRef(l) }
+
+// binary reports whether c names a binary clause; CRefUndef does not.
+func (c CRef) binary() bool { return c&binTag != 0 && c != CRefUndef }
+
+// lit returns the literal a binary ref carries.
+func (c CRef) lit() Lit { return Lit(c &^ binTag) }
 
 // Arena clause layout, in 32-bit words of the data slab:
 //
@@ -24,10 +43,11 @@ const CRefUndef CRef = ^CRef(0)
 //	│ lit[0] … lit[size-1]         │ watched literals are lit[0], lit[1]
 //	└──────────────────────────────┘
 //
-// Problem clauses carry a 1-word header, learnt clauses 3 words. A
-// size-0 header marks a clause forwarded during GC; the following word
-// then holds the new CRef (clauses always have ≥ 2 literals, so size 0
-// is never a live clause).
+// Problem clauses carry a 1-word header, learnt clauses 3 words. Only
+// clauses of three or more literals live here (binary clauses are
+// watchers only, see binTag). A size-0 header marks a clause forwarded
+// during GC; the following word then holds the new CRef (size 0 is
+// never a live clause).
 const (
 	hdrLearntBit = 1
 	learntHdr    = 3

@@ -27,15 +27,29 @@ func sameLits(a, b []Lit) bool {
 }
 
 // checkWatchInvariants verifies the two-watched-literal structure over
-// the whole solver: every watcher's clause ref is live (not a forwarding
-// record), the watched literal is one of the clause's first two, and
-// every clause in the database is watched exactly twice.
+// the whole solver: every arena watcher's clause ref is live (not a
+// forwarding record), its clause has at least three literals and the
+// watched literal is one of its first two, and every arena clause in
+// the database is watched exactly twice. A binary watcher in the list
+// of ¬x carries x and has the clause's other literal y as blocker; the
+// list of ¬y must hold its mirror, and the binary watchers must number
+// two per binary clause.
 func checkWatchInvariants(t *testing.T, s *Solver) {
 	t.Helper()
 	count := make(map[CRef]int)
+	binary := make(map[watcher]int) // a clause stored twice has twin watchers
+	nbinary := 0
 	for li := range s.watches {
 		for _, w := range s.watches[li] {
 			c := w.cref
+			if c.binary() {
+				if c.lit() != Lit(li).Neg() {
+					t.Fatalf("binary watcher %+v in watch list of %v carries %v", w, Lit(li), c.lit())
+				}
+				binary[w]++
+				nbinary++
+				continue
+			}
 			if int(c) >= len(s.arena.data) {
 				t.Fatalf("watcher cref %d out of slab bounds %d", c, len(s.arena.data))
 			}
@@ -43,12 +57,25 @@ func checkWatchInvariants(t *testing.T, s *Solver) {
 				t.Fatalf("watcher cref %d points at a forwarding record", c)
 			}
 			cl := s.arena.lits(c)
+			if len(cl) < 3 {
+				t.Fatalf("clause %d (%v) of %d literals stored in the arena", c, cl, len(cl))
+			}
 			watched := Lit(li).Neg()
 			if cl[0] != watched && cl[1] != watched {
 				t.Fatalf("clause %d (%v) in watch list of %v but watches neither first literal", c, cl, Lit(li))
 			}
 			count[c]++
 		}
+	}
+	for w, n := range binary {
+		if m := binary[watcher{binRef(w.blocker), w.cref.lit()}]; m != n {
+			t.Fatalf("binary watcher %+v appears %d times, its mirror in the watch list of %v %d times",
+				w, n, w.blocker.Neg(), m)
+		}
+	}
+	if want := 2 * (s.binClauses + s.binLearnts); nbinary != want {
+		t.Fatalf("%d binary watchers, want %d for %d problem and %d learned binary clauses",
+			nbinary, want, s.binClauses, s.binLearnts)
 	}
 	for _, c := range s.clauses {
 		if count[c] != 2 {

@@ -4,16 +4,18 @@ import "testing"
 
 // fuzzCNF derives a small CNF and assumption list deterministically from
 // fuzz bytes: byte 0 picks the variable count (3..10), byte 1 the number
-// of assumptions (0..3), and the rest encode literals (var from the high
-// bits, sign from the low bit), with 0xff acting as a clause break and
-// clauses capped at three literals.
+// of assumptions (0..3), byte 2 the clause width cap (2 when even, 3
+// when odd: under a cap of 2 every conflict and every reason is a
+// binary clause), and the rest encode literals (var from the high bits,
+// sign from the low bit), with 0xff acting as a clause break.
 func fuzzCNF(data []byte) (n int, cnf [][]Lit, assume []Lit) {
-	if len(data) < 3 {
+	if len(data) < 4 {
 		return 0, nil, nil
 	}
 	n = 3 + int(data[0])%8
 	nAssume := int(data[1]) % 4
-	body := data[2:]
+	width := 2 + int(data[2])%2
+	body := data[3:]
 	if nAssume > len(body) {
 		nAssume = len(body)
 	}
@@ -30,7 +32,7 @@ func fuzzCNF(data []byte) (n int, cnf [][]Lit, assume []Lit) {
 			continue
 		}
 		cl = append(cl, NewLit(Var(1+int(b>>1)%n), b&1 == 1))
-		if len(cl) == 3 {
+		if len(cl) == width {
 			cnf = append(cnf, cl)
 			cl = nil
 		}
@@ -64,10 +66,12 @@ func satisfies(s *Solver, cnf [][]Lit) bool {
 // analysis), solver reuse after a Solve call (trail/watch state reset),
 // and determinism against a freshly built solver on the same input.
 func FuzzSolver(f *testing.F) {
-	f.Add([]byte{5, 2, 1, 4, 2, 3, 6, 0xff, 7, 8, 9, 12, 13})
-	f.Add([]byte{3, 0, 2, 3, 4, 5, 0xff, 1, 1, 6})
-	f.Add([]byte{8, 3, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
-	f.Add([]byte{4, 1, 9, 9, 8, 0xff, 0xff, 2, 4, 6, 1, 3, 5})
+	f.Add([]byte{5, 2, 3, 1, 4, 2, 3, 6, 0xff, 7, 8, 9, 12, 13})
+	f.Add([]byte{3, 0, 3, 2, 3, 4, 5, 0xff, 1, 1, 6})
+	f.Add([]byte{8, 3, 3, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
+	f.Add([]byte{4, 1, 3, 9, 9, 8, 0xff, 0xff, 2, 4, 6, 1, 3, 5})
+	f.Add([]byte{6, 1, 2, 3, 0, 2, 5, 4, 7, 6, 9, 8, 11, 1, 10, 3, 5})
+	f.Add([]byte{9, 2, 2, 4, 17, 0, 3, 1, 4, 5, 8, 9, 12, 13, 16, 2, 6, 10, 14, 7, 11, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, cnf, assume := fuzzCNF(data)
 		if n == 0 || len(cnf) == 0 {

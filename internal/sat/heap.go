@@ -2,15 +2,16 @@ package sat
 
 // varHeap is a binary max-heap of variables ordered by VSIDS activity,
 // with an index map for decrease-key. It holds a pointer to the
-// solver's activity slice so bumps are visible without copying.
+// solver's activity slice so bumps are visible without copying. Both
+// arrays hold int32s, 8 bytes per variable between them.
 type varHeap struct {
 	activity *[]float64
-	heap     []Var
-	indices  []int // indices[v] = position in heap, -1 if absent
+	heap     []int32 // variables
+	indices  []int32 // indices[v] = position in heap, -1 if absent
 }
 
 func newVarHeap(act *[]float64) *varHeap {
-	return &varHeap{activity: act, indices: make([]int, 1)}
+	return &varHeap{activity: act, indices: make([]int32, 1)}
 }
 
 // grow preallocates heap storage for variables up to index n-1, the
@@ -25,12 +26,12 @@ func (h *varHeap) grow(n int) {
 // entries it can hold, so backtracking never has to regrow it.
 func (h *varHeap) compact(numVars int) {
 	h.indices = exact(h.indices)
-	heap := make([]Var, len(h.heap), numVars)
+	heap := make([]int32, len(h.heap), numVars)
 	copy(heap, h.heap)
 	h.heap = heap
 }
 
-func (h *varHeap) less(a, b Var) bool {
+func (h *varHeap) less(a, b int32) bool {
 	return (*h.activity)[a] > (*h.activity)[b]
 }
 
@@ -47,16 +48,16 @@ func (h *varHeap) insert(v Var) {
 	if h.indices[v] >= 0 {
 		return
 	}
-	h.indices[v] = len(h.heap)
-	h.heap = append(h.heap, v)
-	h.up(h.indices[v])
+	h.indices[v] = int32(len(h.heap))
+	h.heap = append(h.heap, int32(v))
+	h.up(int(h.indices[v]))
 }
 
 // decrease restores the heap property after v's activity increased
 // (key moved toward the top of a max-heap).
 func (h *varHeap) decrease(v Var) {
 	if h.inHeap(v) {
-		h.up(h.indices[v])
+		h.up(int(h.indices[v]))
 	}
 }
 
@@ -70,7 +71,7 @@ func (h *varHeap) pop() Var {
 	if len(h.heap) > 0 {
 		h.down(0)
 	}
-	return v
+	return Var(v)
 }
 
 func (h *varHeap) up(i int) {
@@ -81,11 +82,11 @@ func (h *varHeap) up(i int) {
 			break
 		}
 		h.heap[i] = h.heap[p]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = p
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
@@ -103,9 +104,9 @@ func (h *varHeap) down(i int) {
 			break
 		}
 		h.heap[i] = h.heap[c]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = c
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }

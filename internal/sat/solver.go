@@ -23,15 +23,22 @@ type varInfo struct {
 // A Solver is not safe for concurrent use; AED's per-destination
 // parallelism uses one Solver per goroutine.
 //
-// Clauses live in a flat arena ([]Lit slab) addressed by 32-bit CRefs
-// instead of per-clause heap allocations; learned clauses carry their
-// literal block distance (LBD) and are managed Glucose-style: glue
-// clauses (LBD ≤ 2) are never deleted, and reduceDB victims are chosen
-// by (LBD, activity). See docs/PERFORMANCE.md.
+// Clauses of three or more literals live in a flat arena ([]Lit slab)
+// addressed by 32-bit CRefs instead of per-clause heap allocations;
+// binary clauses live only as their two watchers (see binTag). Learned
+// clauses carry their literal block distance (LBD) and are managed
+// Glucose-style: glue clauses (LBD ≤ 2, which includes every binary
+// one) are never deleted, and reduceDB victims are chosen by (LBD,
+// activity). See docs/PERFORMANCE.md.
 type Solver struct {
 	arena   arena
-	clauses []CRef // problem clauses
-	learnts []CRef // learned clauses
+	clauses []CRef // problem clauses in the arena
+	learnts []CRef // learned clauses in the arena
+
+	// binClauses and binLearnts count the problem and learned binary
+	// clauses, which are held only in the watch lists.
+	binClauses int
+	binLearnts int
 
 	watches  [][]watcher // watches[lit] = clauses watching lit
 	assigns  []Tribool   // assigns[var]
@@ -55,6 +62,12 @@ type Solver struct {
 	ok        bool  // false once a top-level conflict is derived
 	conflictC []Lit // final conflict clause in assumption terms
 
+	// conflLit is the literal a binary conflict's ref leaves out: the
+	// watcher's blocker (see propagate and analyze).
+	conflLit Lit
+	// binLits is clauseLits' scratch for a binary clause.
+	binLits [2]Lit
+
 	// Reusable clause-normalization and conflict-analysis scratch, so
 	// AddClause and the analyze/minimize path allocate nothing once the
 	// buffers have grown to steady state.
@@ -62,7 +75,7 @@ type Solver struct {
 	learntBuf  []Lit   // learned clause under construction
 	preBuf     []Lit   // pre-minimization copy for the onMinimize hook
 	markBuf    []bool  // per-var marks for clause minimization
-	levelStamp []int32 // per-level stamps for LBD computation
+	levelStamp []int32 // per-level stamps for LBD computation, grown on demand
 	lbdStamp   int32
 
 	// Budget limits a single Solve call; 0 means unlimited.
@@ -110,6 +123,10 @@ type Solver struct {
 	onMinimize func(pre, post []Lit)
 	// debugChain, if set, observes each resolution step in analyze.
 	debugChain func(clause []Lit, pivot Lit)
+	// learntLimit, if positive, replaces the learned-clause limit each
+	// Solve call starts from (testing hook: a tiny limit reaches reduceDB
+	// and the arena collector on small instances).
+	learntLimit float64
 
 	Stats Stats
 }
@@ -126,7 +143,6 @@ func New() *Solver {
 	s.polarity = make([]bool, 1)
 	s.seen = make([]bool, 1)
 	s.markBuf = make([]bool, 1)
-	s.levelStamp = make([]int32, 1)
 	s.heap = newVarHeap(&s.activity)
 	return s
 }
@@ -158,13 +174,12 @@ func (s *Solver) Grow(n int) {
 	s.polarity = growCap(s.polarity, need)
 	s.seen = growCap(s.seen, need)
 	s.markBuf = growCap(s.markBuf, need)
-	s.levelStamp = growCap(s.levelStamp, need)
 	s.heap.grow(need)
 }
 
 // Reserve preallocates storage for a solver that will hold about vars
-// variables, words arena words and clauses problem clauses — the Size
-// of a similar instance encoded before — so encoding fills storage in
+// variables, words arena words and clauses arena problem clauses — the
+// Size of a similar instance encoded before — so encoding fills storage in
 // place instead of regrowing it from empty. Capacities grow
 // geometrically (growCap), so repeated calls stay amortized. Reserve
 // changes no state the search reads.
@@ -176,8 +191,9 @@ func (s *Solver) Reserve(vars, words, clauses int) {
 }
 
 // Size reports the solver's variable count, clause-arena words and
-// problem clause count: the arguments that Reserve presizes a similar
-// instance with.
+// arena problem clause count: the arguments that Reserve presizes a
+// similar instance with. Binary clauses, which take no arena space, are
+// not counted; NumClauses counts every problem clause.
 func (s *Solver) Size() (vars, words, clauses int) {
 	return s.numVars, len(s.arena.data), len(s.clauses)
 }
@@ -193,7 +209,6 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false (sign=true)
 	s.seen = append(s.seen, false)
 	s.markBuf = append(s.markBuf, false)
-	s.levelStamp = append(s.levelStamp, 0)
 	s.heap.insert(v)
 	return v
 }
@@ -201,8 +216,9 @@ func (s *Solver) NewVar() Var {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.numVars }
 
-// NumClauses returns the number of problem clauses currently held.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+// NumClauses returns the number of problem clauses currently held,
+// binary ones included.
+func (s *Solver) NumClauses() int { return len(s.clauses) + s.binClauses }
 
 // Value returns the current assignment of v (Undef if unassigned).
 func (s *Solver) Value(v Var) Tribool { return s.assigns[v] }
@@ -273,6 +289,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			return false
 		}
 		return true
+	case 2:
+		s.binClauses++
+		s.attachBinary(out[0], out[1])
+		return true
 	}
 	c := s.arena.alloc(out, false, 0)
 	s.notePeak()
@@ -286,6 +306,24 @@ func (s *Solver) attach(c CRef) {
 	w0, w1 := cl[0], cl[1]
 	s.addWatch(w0.Neg(), watcher{c, w1})
 	s.addWatch(w1.Neg(), watcher{c, w0})
+}
+
+// attachBinary stores the binary clause a ∨ b as its two watchers.
+func (s *Solver) attachBinary(a, b Lit) {
+	s.addWatch(a.Neg(), watcher{binRef(a), b})
+	s.addWatch(b.Neg(), watcher{binRef(b), a})
+}
+
+// clauseLits returns the literals of clause c. A binary ref carries
+// only one literal; first is the other, which leads the returned pair:
+// for a reason, the literal it implied; for a binary conflict, conflLit.
+// The pair aliases scratch that the next call overwrites.
+func (s *Solver) clauseLits(c CRef, first Lit) []Lit {
+	if c.binary() {
+		s.binLits = [2]Lit{first, c.lit()}
+		return s.binLits[:]
+	}
+	return s.arena.lits(c)
 }
 
 // Watch windows: most literals are watched by a handful of clauses, so
@@ -340,9 +378,11 @@ func (s *Solver) enqueue(l Lit, from CRef) bool {
 }
 
 // propagate runs unit propagation; it returns the conflicting clause
-// ref or CRefUndef. This is the solver's hot loop: watchers carry the
-// clause ref plus a blocker literal, so satisfied clauses are skipped
-// without touching the arena at all, and the clause literals are read
+// ref or CRefUndef (for a binary conflict, conflLit holds the literal
+// the ref leaves out). This is the solver's hot loop: watchers carry
+// the clause ref plus a blocker literal, so satisfied clauses are
+// skipped without touching the arena at all, a binary clause is handled
+// from its watcher alone, and the literals of a longer clause are read
 // through one slab index instead of a pointer chase.
 func (s *Solver) propagate() CRef {
 	for s.qhead < len(s.trail) {
@@ -359,6 +399,18 @@ func (s *Solver) propagate() CRef {
 				continue
 			}
 			c := w.cref
+			if c.binary() {
+				// The blocker is the clause's only other literal.
+				kept = append(kept, w)
+				if !s.enqueue(w.blocker, c) {
+					s.conflLit = w.blocker
+					confl = c
+					s.qhead = len(s.trail)
+					kept = append(kept, ws[i+1:]...)
+					break
+				}
+				continue
+			}
 			cl := s.arena.lits(c)
 			// Ensure cl[0] is the other watched literal.
 			falseLit := p.Neg()
@@ -434,8 +486,8 @@ func (s *Solver) analyze(confl CRef) ([]Lit, int, int) {
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
-	for {
-		cl := s.arena.lits(confl)
+	for first := s.conflLit; ; first = p {
+		cl := s.clauseLits(confl, first)
 		if s.debugChain != nil {
 			s.debugChain(cl, p)
 		}
@@ -522,7 +574,7 @@ func (s *Solver) redundant(l Lit) bool {
 	if r == CRefUndef {
 		return false
 	}
-	for _, q := range s.arena.lits(r) {
+	for _, q := range s.clauseLits(r, l.Neg()) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -568,7 +620,7 @@ func (s *Solver) bumpVar(v Var) {
 }
 
 func (s *Solver) bumpClause(c CRef) {
-	if !s.arena.learnt(c) {
+	if c.binary() || !s.arena.learnt(c) {
 		return
 	}
 	act := float64(s.arena.activity(c)) + s.claInc
@@ -622,6 +674,10 @@ func luby(base int64, i int64) int64 {
 // rest are ranked by (LBD, activity) so high-glue, low-activity
 // clauses go first. When enough slab space is freed, the arena is
 // compacted in place (garbageCollect).
+//
+// Binary learned clauses are not in learnts, but they count toward the
+// half: they would rank first (their LBD is at most 2), so the cut in
+// learnts falls binLearnts places earlier.
 func (s *Solver) reduceDB() {
 	a := &s.arena
 	sort.Slice(s.learnts, func(i, j int) bool {
@@ -633,10 +689,10 @@ func (s *Solver) reduceDB() {
 		return a.activity(ci) > a.activity(cj)
 	})
 	keep := s.learnts[:0]
-	limit := len(s.learnts) / 2
-	before := len(s.learnts)
+	before := len(s.learnts) + s.binLearnts
+	limit := before/2 - s.binLearnts
 	for i, c := range s.learnts {
-		if a.size(c) <= 2 || a.lbd(c) <= glueLBD || s.locked(c) || i < limit {
+		if a.lbd(c) <= glueLBD || s.locked(c) || i < limit {
 			keep = append(keep, c)
 		} else {
 			s.detach(c)
@@ -644,8 +700,8 @@ func (s *Solver) reduceDB() {
 			s.Stats.Deleted++
 		}
 	}
+	s.emitEvent(EventReduceDB, int64(before), int64(len(s.learnts)-len(keep)))
 	s.learnts = keep
-	s.emitEvent(EventReduceDB, int64(before), int64(before-len(keep)))
 	if a.wasted*5 > len(a.data) {
 		s.garbageCollect()
 	}
@@ -658,7 +714,8 @@ const glueLBD = 2
 // garbageCollect compacts the clause arena: every live clause is moved
 // into a fresh slab and all aliases — watcher refs, assignment reasons,
 // and the problem/learnt clause lists — are remapped through forwarding
-// records. Runs at root or mid-search; locked clauses keep their role.
+// records. Binary refs name no slot and stay as they are. Runs at root
+// or mid-search; locked clauses keep their role.
 func (s *Solver) garbageCollect() {
 	from := &s.arena
 	bytesBefore := from.bytes()
@@ -666,12 +723,14 @@ func (s *Solver) garbageCollect() {
 	for li := range s.watches {
 		ws := s.watches[li]
 		for i := range ws {
-			ws[i].cref = from.reloc(ws[i].cref, &to)
+			if c := ws[i].cref; !c.binary() {
+				ws[i].cref = from.reloc(c, &to)
+			}
 		}
 	}
 	for _, l := range s.trail {
 		v := l.Var()
-		if r := s.vardata[v].reason; r != CRefUndef {
+		if r := s.vardata[v].reason; r != CRefUndef && !r.binary() {
 			s.vardata[v].reason = from.reloc(r, &to)
 		}
 	}
@@ -719,7 +778,6 @@ func (s *Solver) Compact() {
 	s.polarity = exact(s.polarity)
 	s.seen = exact(s.seen)
 	s.markBuf = exact(s.markBuf)
-	s.levelStamp = exact(s.levelStamp)
 	s.heap.compact(s.numVars)
 }
 
@@ -730,12 +788,14 @@ func exact[T any](s []T) []T {
 	return out
 }
 
-// locked reports whether c is the reason of an assigned variable.
+// locked reports whether arena clause c is the reason of an assigned
+// variable.
 func (s *Solver) locked(c CRef) bool {
 	l := s.arena.lits(c)[0]
 	return s.litValue(l) == True && s.vardata[l.Var()].reason == c
 }
 
+// detach removes arena clause c's two watchers.
 func (s *Solver) detach(c CRef) {
 	cl := s.arena.lits(c)
 	for _, w := range []Lit{cl[0].Neg(), cl[1].Neg()} {
@@ -766,7 +826,7 @@ func (s *Solver) emitProgress(final bool) {
 	s.Progress(ProgressSample{
 		Stats:         s.Stats,
 		TrailDepth:    len(s.trail),
-		LearntClauses: len(s.learnts),
+		LearntClauses: len(s.learnts) + s.binLearnts,
 		DecisionLevel: s.decisionLevel(),
 		Final:         final,
 	})
@@ -797,7 +857,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unknown
 	}
 
-	maxLearnts := float64(len(s.clauses))/3 + 500
+	maxLearnts := float64(s.NumClauses())/3 + 500
+	if s.learntLimit > 0 {
+		maxLearnts = s.learntLimit
+	}
 	var restartN int64 = 1
 	conflictsAtStart := s.Stats.Conflicts
 
@@ -850,12 +913,17 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *float64) St
 			}
 			// Never backtrack past the assumptions.
 			s.backtrack(btLevel)
-			if len(learnt) == 1 {
+			switch len(learnt) {
+			case 1:
 				if !s.enqueue(learnt[0], CRefUndef) {
 					s.ok = false
 					return Unsat
 				}
-			} else {
+			case 2:
+				s.binLearnts++
+				s.attachBinary(learnt[0], learnt[1])
+				s.enqueue(learnt[0], binRef(learnt[1]))
+			default:
 				c := s.arena.alloc(learnt, true, lbd)
 				s.notePeak()
 				s.learnts = append(s.learnts, c)
@@ -870,7 +938,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *float64) St
 			}
 			s.varInc *= varDecay
 			s.claInc *= claDecay
-			if float64(len(s.learnts)) > *maxLearnts {
+			if float64(len(s.learnts)+s.binLearnts) > *maxLearnts {
 				*maxLearnts *= 1.3
 				s.reduceDB()
 			}
@@ -933,7 +1001,7 @@ func (s *Solver) analyzeFinal(a Lit, assumptions []Lit) []Lit {
 				out = append(out, s.trail[i].Neg())
 			}
 		} else {
-			for _, q := range s.arena.lits(r) {
+			for _, q := range s.clauseLits(r, s.trail[i]) {
 				if s.vardata[q.Var()].level > 0 {
 					seen[q.Var()] = true
 				}

@@ -5,6 +5,12 @@
 // restarts, learned-clause database reduction, incremental solving
 // under assumptions, and final-conflict (core) extraction.
 //
+// Clauses of three or more literals live in one flat arena; a binary
+// clause, problem or learned, is stored only as its two watchers, whose
+// blockers are each other's literal, so propagating, deleting and
+// compacting never touch it in the arena (see binTag). About half the
+// clauses AED's encodings emit are binary.
+//
 // The solver is deliberately self-contained (stdlib only): the paper's
 // artifact delegated to Z3, which has no maintained Go bindings, so this
 // package is the substitution that makes the whole system reproducible

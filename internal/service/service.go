@@ -519,7 +519,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			err = fmt.Errorf("larger than %d bytes", tooLarge.Limit)
+		}
 		writeError(w, fmt.Errorf("%w: body: %v", api.ErrInvalidRequest, err))
 		return
 	}

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -513,5 +516,62 @@ func TestTenantLabelCap(t *testing.T) {
 	}
 	if got := s.tenantLabel("a"); got != "a" {
 		t.Errorf("label(a) second lookup = %q", got)
+	}
+}
+
+// letters is an endless reader of 'a' bytes.
+type letters struct{}
+
+func (letters) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// TestOversizedRequestRejected streams a valid solve request that an
+// unknown field pads past api.MaxRequestBytes, and requires a 400
+// invalid_request answer naming the limit, a server that still solves
+// the next request, and a goroutine count that settles back to where it
+// was before the oversized request.
+func TestOversizedRequestRejected(t *testing.T) {
+	f := newFixture(3, 1)
+	_, cl := start(t, Config{})
+	ctx := context.Background()
+	if _, err := cl.Do(ctx, f.request("", "")); err != nil {
+		t.Fatalf("solve before: %v", err)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	before := runtime.NumGoroutine()
+
+	valid, err := json.Marshal(f.request("", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.MultiReader(strings.NewReader(`{"padding": "`), io.LimitReader(letters{}, api.MaxRequestBytes),
+		strings.NewReader(`", `), bytes.NewReader(valid[1:]))
+	res, err := http.Post(cl.Base+api.PathSolve, "application/json", body)
+	if err != nil {
+		t.Fatalf("oversized request: %v", err)
+	}
+	var werr api.WireError
+	json.NewDecoder(res.Body).Decode(&werr)
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest || werr.Code != api.CodeInvalidRequest ||
+		!strings.Contains(werr.Message, fmt.Sprint(api.MaxRequestBytes)) {
+		t.Fatalf("oversized request: status %d code %q, want 400 %q (%s)",
+			res.StatusCode, werr.Code, api.CodeInvalidRequest, werr.Message)
+	}
+
+	if _, err := cl.Do(ctx, f.request("", "")); err != nil {
+		t.Fatalf("solve after the oversized request: %v", err)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10 s after the oversized request, %d before it", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -154,11 +154,12 @@ func (c *Context) SetInterning(on bool) { c.internOn = on }
 // re-solve of the instance — compacts again only when the solver grew
 // variables or problem clauses since (the first warm re-solve builds
 // the MaxSAT totalizer, regrowing the compacted watch lists and arena
-// geometrically); otherwise it returns at once. Learned clauses alone
-// do not count: every search adds them, and the clause database
-// collector reclaims them.
+// geometrically); otherwise it returns at once. Problem clauses count
+// binary ones, which grow the watch lists alone (sat.Solver.NumClauses,
+// not Size). Learned clauses alone do not count: every search adds
+// them, and the clause database collector reclaims them.
 func (c *Context) Park() {
-	vars, _, clauses := c.solver.Size()
+	vars, clauses := c.solver.NumVars(), c.solver.NumClauses()
 	if c.parked && vars == c.parkVars && clauses == c.parkClauses {
 		return
 	}
@@ -366,7 +367,7 @@ func (c *Context) Reserve(vars, words, clauses int) {
 }
 
 // Size reports the SAT problem's variable count, clause-arena words and
-// problem clause count, the arguments Reserve takes.
+// arena problem clause count, the arguments Reserve takes.
 func (c *Context) Size() (vars, words, clauses int) { return c.solver.Size() }
 
 // Stats returns the accumulated SAT-solver statistics.

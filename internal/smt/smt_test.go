@@ -530,4 +530,15 @@ func TestParkRecompactsOnlyAfterGrowth(t *testing.T) {
 	if n := mallocs(c.Park); n != 0 {
 		t.Fatalf("repeated Park allocated %d objects", n)
 	}
+	// Growth that is all binary clauses leaves the arena as it was but
+	// regrows the watch lists, so it counts too.
+	_, words, _ := c.Size()
+	clauses := c.NumSATClauses()
+	c.Assert(Or(x, Not(vs[2])))
+	if _, w, _ := c.Size(); w != words || c.NumSATClauses() != clauses+1 {
+		t.Fatalf("binary assert: arena %d -> %d words, %d -> %d clauses", words, w, clauses, c.NumSATClauses())
+	}
+	if n := mallocs(c.Park); n == 0 {
+		t.Fatal("Park after binary-only growth did not compact")
+	}
 }
