@@ -58,7 +58,8 @@ bench-quick:
 # assertion-lowering fuzzing against evaluation under every assignment
 # (Assert, and AssertRetractable active, retracted and reasserted, on
 # guarded conjunctions, Iff, negated disjunctions and repeated
-# subterms); ten seconds of session
+# subterms, both shared and rebuilt: structural duplicates that nothing
+# merges, each encoded on its own); ten seconds of session
 # fuzzing — random edit sequences on one live session, its instances
 # parked between solves, each step checked against a cold synthesis and
 # the simulator;

@@ -392,7 +392,7 @@ type encSize struct{ vars, words, clauses int }
 // sizeMax is the running maximum of the encSizes of one call's
 // instances, shared by its workers. Destinations of one network encode
 // to nearly equal sizes, so an instance that reserves the maximum
-// before it encodes fills its solver storage and intern table in place
+// before it encodes fills its solver storage in place
 // instead of regrowing them from empty.
 type sizeMax struct{ vars, words, clauses atomic.Int64 }
 

@@ -198,7 +198,7 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 // copies, the adjacency and filter-chain caches, the pending
 // redistribution links and the delta registry's name index — which
 // between them reach the whole formula DAG, then parks the SMT context
-// (smt.Context.Park), which drops its intern table and compacts the
+// (smt.Context.Park), which drops its foreign-node memo and compacts the
 // solver. It also drops the aux deltas (Delta.Aux) from the delta list:
 // only objectives read them, and a live instance has none (see
 // core's keepsLive), so Deltas returns the structural deltas alone after
@@ -489,7 +489,10 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 			e.Ctx.Assert(smt.Or(notSel[i], notSel[j]))
 		}
 	}
-	bgp := p.Protocol == config.BGP
+	var lp *lpComparer // nil outside BGP
+	if p.Protocol == config.BGP {
+		lp = &lpComparer{best: v.bestLP[key], memo: map[lpKey]*smt.Formula{}}
+	}
 	peerSel := make(map[string]*smt.Formula)
 	local := smt.FalseF
 	for i, c := range cands {
@@ -500,8 +503,8 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 		} else {
 			e.Ctx.AssertEqUnder(sels[i], v.bestCost[key], c.nat, c.natOff)
 		}
-		if bgp {
-			e.Ctx.Assert(smt.Or(notSel[i], e.lpEquals(v.bestLP[key], c)))
+		if lp != nil {
+			e.Ctx.Assert(smt.Or(notSel[i], lp.cmp(c, lpEq)))
 		}
 		switch {
 		case c.peer != "":
@@ -520,15 +523,15 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 			})
 		}
 	}
-	e.assertPreference(cands, sels, v.bestCost[key], v.bestLP[key])
+	e.assertPreference(cands, sels, v.bestCost[key], lp)
 	v.selPeer[key] = peerSel
 	v.selLocal[key] = local
 }
 
 // assertPreference makes the best record (cost best, local preference
-// bestLP, nil outside BGP) the most preferred valid candidate: BGP
-// prefers the higher local preference, then the lower cost; the other
-// protocols the lower cost. Ties go to the earlier candidate in name
+// compared by lp, nil outside BGP) the most preferred valid candidate:
+// BGP prefers the higher local preference, then the lower cost; the
+// other protocols the lower cost. Ties go to the earlier candidate in name
 // order, the simulator's tie-break.
 //
 // Appendix A states this pairwise: sel_i ∧ valid_o → c_i is preferred
@@ -545,7 +548,7 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 // "A candidate up to o is selected" is the first candidate's selector,
 // then a variable per candidate defined as o's selector or the previous
 // one's, so the preference costs O(k) constraints.
-func (e *Encoder) assertPreference(cands []candidate, sels []*smt.Formula, best *smt.NatVar, bestLP *smt.IntVar) {
+func (e *Encoder) assertPreference(cands []candidate, sels []*smt.Formula, best *smt.NatVar, lp *lpComparer) {
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i
@@ -559,9 +562,9 @@ func (e *Encoder) assertPreference(cands []candidate, sels []*smt.Formula, best 
 		// lp(best) > lp(o); the strict preference differs in the cost
 		// comparison only.
 		costGuard := o.valid
-		if bestLP != nil {
-			e.Ctx.Assert(smt.Implies(o.valid, lpCmp(bestLP, o, func(x, y int) bool { return x >= y })))
-			costGuard = smt.And(o.valid, smt.Not(lpCmp(bestLP, o, func(x, y int) bool { return x > y })))
+		if lp != nil {
+			e.Ctx.Assert(smt.Implies(o.valid, lp.cmp(o, lpGe)))
+			costGuard = smt.And(o.valid, smt.Not(lp.cmp(o, lpGt)))
 		}
 		e.assertCostLe(costGuard, best, 0, o)
 		if n == len(order)-1 {
@@ -671,49 +674,61 @@ func (c candidate) lpConst() int {
 	return c.constLP
 }
 
-// lpEquals returns bestLP == candidate's lp.
-func (e *Encoder) lpEquals(best *smt.IntVar, c candidate) *smt.Formula {
-	if c.lp == nil {
-		return best.EqConst(c.lpConst())
-	}
-	return smt.IntEq(best, c.lp, 0, 0)
+// lpRel is how lpComparer.cmp relates the best record's local
+// preference to a candidate's.
+type lpRel int8
+
+const (
+	lpEq lpRel = iota // equal
+	lpGe              // at least
+	lpGt              // greater
+)
+
+// lpKey names one comparison of a process's best local preference:
+// the candidate's lp variable and the relation.
+type lpKey struct {
+	lp  *smt.IntVar
+	rel lpRel
 }
 
-// lpCmp returns f(bestLP, lp of candidate o) over the one-hot local
-// preferences.
-func lpCmp(bestLP *smt.IntVar, o candidate, f func(x, y int) bool) *smt.Formula {
+// lpComparer builds the comparisons of one process's best local
+// preference with its candidates'. A comparison with a candidate's lp
+// variable is built once and kept in memo: a named inbound filter hands
+// the same variable to every peer it filters. A comparison with a
+// constant, and the inner Ors of a comparison with a variable, are the
+// IntVars' shared threshold nodes.
+type lpComparer struct {
+	best *smt.IntVar
+	memo map[lpKey]*smt.Formula
+}
+
+// cmp returns lp(best) rel lp(o) over the one-hot local preferences.
+func (l *lpComparer) cmp(o candidate, rel lpRel) *smt.Formula {
 	if o.lp == nil {
-		return cmpVarConst(bestLP, o.lpConst(), f)
-	}
-	return cmpVars(bestLP, o.lp, f)
-}
-
-// cmpVarConst builds f(var, const) over a one-hot IntVar.
-func cmpVarConst(v *smt.IntVar, c int, f func(x, y int) bool) *smt.Formula {
-	var parts []*smt.Formula
-	for _, val := range v.Domain() {
-		if f(val, c) {
-			parts = append(parts, v.EqConst(val))
+		switch c := o.lpConst(); rel {
+		case lpEq:
+			return l.best.EqConst(c)
+		case lpGe:
+			return l.best.GeConst(c)
+		default:
+			return l.best.GtConst(c)
 		}
 	}
-	return smt.Or(parts...)
-}
-
-// cmpVars builds f(a, b) over two one-hot IntVars.
-func cmpVars(a, b *smt.IntVar, f func(x, y int) bool) *smt.Formula {
-	var parts []*smt.Formula
-	for _, va := range a.Domain() {
-		var bs []*smt.Formula
-		for _, vb := range b.Domain() {
-			if f(va, vb) {
-				bs = append(bs, b.EqConst(vb))
-			}
-		}
-		if len(bs) > 0 {
-			parts = append(parts, smt.And(a.EqConst(va), smt.Or(bs...)))
-		}
+	k := lpKey{o.lp, rel}
+	if f, ok := l.memo[k]; ok {
+		return f
 	}
-	return smt.Or(parts...)
+	var f *smt.Formula
+	switch rel {
+	case lpEq:
+		f = smt.IntEq(l.best, o.lp, 0, 0)
+	case lpGe:
+		f = smt.IntGe(l.best, o.lp, 0, 0)
+	default:
+		f = smt.IntGt(l.best, o.lp, 0, 0)
+	}
+	l.memo[k] = f
+	return f
 }
 
 // encodeRouterSelection builds bestOverall and controlFwd for one

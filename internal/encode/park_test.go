@@ -14,11 +14,12 @@ import (
 // watchGates sets a finalizer on every gate node (neither a variable
 // nor a constant) held by e's filter-chain cache, its environments'
 // forwarding maps, the threshold-negation memos of its best-cost
-// variables and its aux deltas — nodes nothing but the encoder's
-// caches, the NatVars, the delta list and the context's intern table
-// reaches once the formulas are asserted — and returns how many it
-// watches and a counter of those collected. It keeps no reference to
-// the nodes itself.
+// variables, the threshold memos of the local-preference variables its
+// BGP comparisons read (the best records' and the filter chains') and
+// its aux deltas — nodes nothing but the encoder's caches, the NatVars,
+// the IntVars and the delta list reaches once the formulas are asserted
+// — and returns how many it watches and a counter of those collected.
+// It keeps no reference to the nodes itself.
 func watchGates(e *Encoder) (int64, *atomic.Int64) {
 	freed := new(atomic.Int64)
 	var n int64
@@ -31,8 +32,19 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 		n++
 		runtime.SetFinalizer(f, func(*smt.Formula) { freed.Add(1) })
 	}
+	watchLP := func(lp *smt.IntVar) {
+		for _, d := range lp.Domain() {
+			watch(lp.LeConst(d))
+			watch(lp.LtConst(d))
+			watch(lp.GeConst(d))
+			watch(lp.GtConst(d))
+		}
+	}
 	for _, c := range e.rfChainCache {
 		watch(c.allow)
+		if c.lp != nil {
+			watchLP(c.lp)
+		}
 	}
 	for _, d := range e.Deltas() {
 		if d.Aux {
@@ -48,18 +60,27 @@ func watchGates(e *Encoder) (int64, *atomic.Int64) {
 				watch(c.LeConst(k))
 			}
 		}
+		for _, lp := range v.bestLP {
+			watchLP(lp)
+		}
 	}
 	return n, freed
 }
 
-// TestParkFreesFormulaDAG parks a solved live encoder and checks that
-// the garbage collector then reclaims formula nodes only its caches,
-// its NatVars' negation memos and its intern table held;
-// the parked instance must still rebind, including to a local
-// preference it first sees after the park, and agree with a cold
+// TestParkFreesFormulaDAG parks a solved live encoder, under OSPF and
+// under BGP, and checks that the garbage collector then reclaims
+// formula nodes only its caches and its NatVars' and IntVars' threshold
+// memos held; the parked instance must still rebind, including to a
+// local preference it first sees after the park, and agree with a cold
 // encode.
 func TestParkFreesFormulaDAG(t *testing.T) {
-	net, _ := rebindNet(t)
+	for _, proto := range []config.Proto{config.OSPF, config.BGP} {
+		t.Run(proto.String(), func(t *testing.T) { testParkFreesFormulaDAG(t, proto) })
+	}
+}
+
+func testParkFreesFormulaDAG(t *testing.T, proto config.Proto) {
+	net, _ := rebindNet(t, proto)
 	e, cold := solveLive(t, net)
 	watched, freed := watchGates(e)
 	if watched == 0 {
@@ -85,7 +106,7 @@ func TestParkFreesFormulaDAG(t *testing.T) {
 	}
 
 	// 120 has no retractable anchor yet: the rebind asserts one on the
-	// parked context, with interning off.
+	// parked context.
 	edited := editedClone(net, func(r *config.RouteRule) { r.LocalPref = 120 })
 	if swapped, ok := e.Rebind(edited); !ok || swapped == 0 {
 		t.Fatalf("lp edit after Park: ok=%v swapped=%d", ok, swapped)

@@ -5,20 +5,22 @@ import (
 	"testing"
 
 	"github.com/aed-net/aed/internal/config"
+	"github.com/aed-net/aed/internal/configgen"
 	"github.com/aed-net/aed/internal/policy"
 	"github.com/aed-net/aed/internal/prefix"
 	"github.com/aed-net/aed/internal/simulate"
 	"github.com/aed-net/aed/internal/smt"
+	"github.com/aed-net/aed/internal/topology"
 )
 
-// rebindNet builds the line network with an editable in-filter on r1's
-// adjacency toward r2 (matching the 10.1.0.0/24 destination) plus an
-// unattached anchor filter that pins local preferences 110 and 120 into
-// the network-wide lp domain, so toggling the editable rule between
-// them never changes the rank encoding.
-func rebindNet(t *testing.T) (*config.Network, *config.RouteRule) {
+// rebindNet builds the line network, running proto, with an editable
+// in-filter on r1's adjacency toward r2 (matching the 10.1.0.0/24
+// destination) plus an unattached anchor filter that pins local
+// preferences 110 and 120 into the network-wide lp domain, so toggling
+// the editable rule between them never changes the rank encoding.
+func rebindNet(t *testing.T, proto config.Proto) (*config.Network, *config.RouteRule) {
 	t.Helper()
-	net, _ := lineNet(t)
+	net := configgen.Generate(topology.Line(3), configgen.Options{Protocol: proto})
 	dst := prefix.MustParse("10.1.0.0/24")
 	rule := &config.RouteRule{Permit: true, Prefix: dst, LocalPref: 110}
 	r1 := net.Routers["r1"]
@@ -29,7 +31,7 @@ func rebindNet(t *testing.T) (*config.Network, *config.RouteRule) {
 			{Permit: true, Prefix: prefix.MustParse("10.0.0.0/24"), LocalPref: 120},
 		}},
 	)
-	r1.Process(config.OSPF).Adjacency("r2").InFilter = "f_edit"
+	r1.Process(proto).Adjacency("r2").InFilter = "f_edit"
 	return net, rule
 }
 
@@ -86,7 +88,7 @@ func agreeWithCold(t *testing.T, e *Encoder, edited *config.Network) {
 }
 
 func TestRebindLocalPref(t *testing.T) {
-	net, _ := rebindNet(t)
+	net, _ := rebindNet(t, config.OSPF)
 	e, _ := solveLive(t, net)
 
 	edited := editedClone(net, func(r *config.RouteRule) { r.LocalPref = 120 })
@@ -108,7 +110,7 @@ func TestRebindLocalPref(t *testing.T) {
 }
 
 func TestRebindPermitFlip(t *testing.T) {
-	net, _ := rebindNet(t)
+	net, _ := rebindNet(t, config.OSPF)
 	e, _ := solveLive(t, net)
 
 	edited := editedClone(net, func(r *config.RouteRule) { r.Permit = false })
@@ -128,7 +130,7 @@ func TestRebindPermitFlip(t *testing.T) {
 }
 
 func TestRebindRefusesStructuralChanges(t *testing.T) {
-	net, _ := rebindNet(t)
+	net, _ := rebindNet(t, config.OSPF)
 
 	cases := []struct {
 		name string
@@ -177,7 +179,7 @@ func TestRebindRefusesStructuralChanges(t *testing.T) {
 }
 
 func TestRebindNoChangesIsNoop(t *testing.T) {
-	net, _ := rebindNet(t)
+	net, _ := rebindNet(t, config.OSPF)
 	e, _ := solveLive(t, net)
 	swapped, ok := e.Rebind(net.Clone())
 	if !ok || swapped != 0 {

@@ -33,7 +33,8 @@ type Result struct {
 	Duration   time.Duration
 	// Problem size, for the scalability experiments. NumClauses is the
 	// post-Tseitin CNF clause count the solver actually holds (the
-	// quantity hash-consing shrinks; see docs/PERFORMANCE.md).
+	// quantity sharing at the formula builders shrinks; see
+	// docs/PERFORMANCE.md §3).
 	NumVars    int
 	NumClauses int
 	NumDeltas  int

@@ -29,21 +29,15 @@ type Context struct {
 	// once. It lives on the nodes themselves, stamped with id (see
 	// Formula); foreign holds the nodes this context may not stamp — the
 	// shared constants and nodes already stamped by another context.
-	id      uint32
-	foreign map[*Formula]sat.Lit
-
-	// Structural hash-consing: the memo above only collapses physically
-	// shared nodes, but the encoder rebuilds structurally identical
-	// subformulas per env × router × peer (adjacency sides,
-	// local-preference comparisons, filter outcomes). internTab interns
-	// encoded nodes by their constructor-computed structural hash so
-	// every such rebuild reuses one definitional literal instead of
-	// emitting fresh CNF (see intern.go and docs/PERFORMANCE.md
-	// §hash-consing).
-	internOn     bool
-	internTab    internTable
-	internHits   int
-	internMisses int
+	// The memo collapses physically shared nodes only: a structurally
+	// equal rebuild is encoded afresh, so the builders share the nodes
+	// they repeat (docs/PERFORMANCE.md §3). memoHits and memoMisses
+	// count tseitin calls answered from the memo and nodes encoded
+	// fresh (InternStats).
+	id         uint32
+	foreign    map[*Formula]sat.Lit
+	memoHits   int
+	memoMisses int
 
 	// parked records that Park has run: the encoding-time tables are
 	// gone. parkVars and parkClauses are the solver's variable and
@@ -118,36 +112,25 @@ func nextContextID() uint32 {
 	}
 }
 
-// NewContext returns a fresh solving context with structural
-// hash-consing enabled.
+// NewContext returns a fresh solving context.
 func NewContext() *Context {
 	return &Context{
-		solver:   sat.New(),
-		id:       nextContextID(),
-		internOn: true,
-		totalN:   -1,
+		solver: sat.New(),
+		id:     nextContextID(),
+		totalN: -1,
 	}
 }
 
-// SetInterning toggles structural hash-consing of encoded formula
-// nodes (default on). Disabling it restores the pointer-keyed-only
-// Tseitin cache, which TestInternedAgreesWithNoIntern uses to check
-// that interning changes neither verdict nor optimum and never emits
-// more CNF; it must be toggled before constraints that should be
-// affected are asserted.
-func (c *Context) SetInterning(on bool) { c.internOn = on }
-
 // Park readies a context that stays alive between searches — a live
 // per-destination instance waiting for its next re-solve — by
-// releasing what only encoding reads. It drops the intern table and
-// the foreign-node memo, which between them reach every formula node
-// the context ever encoded, and the clause-literal stack, and turns
-// interning off for good (SetInterning must not turn it back on). A
-// formula asserted after Park (a retractable anchor for a value first
-// seen by a rebind) is still encoded correctly: a node Park forgot
-// gets a fresh Tseitin literal whose definition is equivalent to the
-// old one, so the instance stays equisatisfiable. Nodes the context
-// stamped keep their literal on the node.
+// releasing what only encoding reads: the foreign-node memo, which
+// reaches every formula node the context encoded but could not stamp,
+// and the clause-literal stack. A formula asserted after Park (a
+// retractable anchor for a value first seen by a rebind) is still
+// encoded correctly: a node Park forgot gets a fresh Tseitin literal
+// whose definition is equivalent to the old one, so the instance stays
+// equisatisfiable. Nodes the context stamped keep their literal on the
+// node.
 //
 // Park also compacts the SAT solver (sat.Solver.Compact), trimming
 // the spare capacity encoding left behind. A later Park — one per
@@ -164,18 +147,19 @@ func (c *Context) Park() {
 		return
 	}
 	c.parked = true
-	c.internOn = false
-	c.internTab = internTable{}
 	c.foreign = nil
 	c.litBuf = nil
 	c.solver.Compact()
 	c.parkVars, c.parkClauses = vars, clauses
 }
 
-// InternStats reports how many Tseitin encodings were served from the
-// structural intern table (hits) versus freshly emitted (misses).
+// InternStats reports the Tseitin node memo's reuse: hits are tseitin
+// calls answered by a literal the context already holds for the node,
+// misses are nodes it encoded fresh. The name is that of the structural
+// intern table it once reported on: perfbench (coldfleet.go,
+// editstream.go) reads it as its smt.intern_hit_ratio.
 func (c *Context) InternStats() (hits, misses int) {
-	return c.internHits, c.internMisses
+	return c.memoHits, c.memoMisses
 }
 
 // BoolVar allocates a fresh boolean variable and returns it as a
@@ -183,7 +167,7 @@ func (c *Context) InternStats() (hits, misses int) {
 func (c *Context) BoolVar() *Formula {
 	idx := len(c.vars)
 	c.vars = append(c.vars, c.solver.NewVar())
-	return varFormula(idx)
+	return &Formula{op: opVar, v: int32(idx)}
 }
 
 // satVar returns the SAT variable backing a formula variable.
@@ -223,9 +207,9 @@ func (c *Context) Assert(f *Formula) { c.lower(len(c.litBuf), f) }
 //     literals. Any other conjunction kid gets a gate: distributing two
 //     would multiply their clauses.
 //
-// A kid that already has a literal in this context (the node memo or
-// the intern table) is taken as that one literal instead: the clauses
-// it would cost were emitted with its definition.
+// A kid that already has a literal in this context (the node memo) is
+// taken as that one literal instead: the clauses it would cost were
+// emitted with its definition.
 func (c *Context) lower(gmark int, f *Formula) {
 	switch f.op {
 	case opConst:
@@ -354,16 +338,12 @@ func (c *Context) NumSATClauses() int { return c.solver.NumClauses() }
 // one step.
 func (c *Context) Grow(n int) { c.solver.Grow(n) }
 
-// Reserve presizes the context for an encoding of about the given
-// Size — typically that of a sibling instance or of this destination's
-// previous encoding: the solver's storage (sat.Solver.Reserve) and the
-// intern table, which holds about one node per SAT variable. It changes
+// Reserve presizes the solver's storage (sat.Solver.Reserve) for an
+// encoding of about the given Size — typically that of a sibling
+// instance or of this destination's previous encoding. It changes
 // neither the CNF nor the search, only how often storage regrows.
 func (c *Context) Reserve(vars, words, clauses int) {
 	c.solver.Reserve(vars, words, clauses)
-	if c.internOn {
-		c.internTab.reserve(vars)
-	}
 }
 
 // Size reports the SAT problem's variable count, clause-arena words and
@@ -502,28 +482,25 @@ func (c *Context) solveTimed(assumptions ...sat.Lit) sat.Status {
 }
 
 // tseitin returns a literal equisatisfiably representing f, memoized
-// per formula node and, when interning is on, per structural key: a
-// rebuilt-but-identical subformula reuses the definitional literal of
-// its first encoding and emits no new clauses.
+// per formula node: a node encoded before reuses its definitional
+// literal and emits no new clauses.
 func (c *Context) tseitin(f *Formula) sat.Lit {
 	if f.op == opVar { // a variable is its own literal, never memoized
 		return sat.PosLit(c.satVar(f))
 	}
 	if l, ok := c.cachedLit(f); ok {
+		c.memoHits++
 		return l
 	}
+	c.memoMisses++
 	l := c.tseitinUncached(f)
-	if c.internOn && f.op != opConst {
-		c.internMisses++
-		c.internTab.insert(f, l)
-	}
 	c.remember(f, l)
 	return l
 }
 
 // cachedLit returns the literal f already has in this context — from
-// the node memo, the foreign map or, when interning is on, the intern
-// table — without encoding anything. f is not a variable.
+// the node memo or the foreign map — without encoding anything. f is
+// not a variable.
 func (c *Context) cachedLit(f *Formula) (sat.Lit, bool) {
 	m := f.memo.Load()
 	if uint32(m>>32) == c.id {
@@ -531,13 +508,6 @@ func (c *Context) cachedLit(f *Formula) (sat.Lit, bool) {
 	}
 	if m != 0 || f.op == opConst {
 		if l, ok := c.foreign[f]; ok {
-			return l, true
-		}
-	}
-	if c.internOn && f.op != opConst {
-		if l, ok := c.internTab.lookup(f); ok {
-			c.internHits++
-			c.remember(f, l)
 			return l, true
 		}
 	}
@@ -565,31 +535,6 @@ func (c *Context) remember(f *Formula, l sat.Lit) {
 		c.foreign = make(map[*Formula]sat.Lit)
 	}
 	c.foreign[f] = l
-}
-
-// structEq reports structural equality of two formulas. Interned DAGs
-// converge to shared pointers quickly, so the pointer fast path keeps
-// repeated comparisons cheap, and the constructor hashes reject most
-// mismatches without descending.
-func structEq(a, b *Formula) bool {
-	if a == b {
-		return true
-	}
-	if a.hash != b.hash || a.op != b.op || len(a.kids) != len(b.kids) {
-		return false
-	}
-	switch a.op {
-	case opConst:
-		return a.b == b.b
-	case opVar:
-		return a.v == b.v
-	}
-	for i := range a.kids {
-		if !structEq(a.kids[i], b.kids[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func (c *Context) tseitinUncached(f *Formula) sat.Lit {

@@ -26,11 +26,11 @@ import (
 // Formula is a boolean formula over solver variables. Formulas are
 // immutable; construct them with the package-level combinators.
 //
-// Each node carries its structural hash, fixed by its constructor, and
-// a one-slot Tseitin memo: the first Context to encode a gate node
-// (Not/And/Or) stamps it with its id and keeps the node's literal on
-// the node, so encoding needs no pointer-keyed map. The layout is kept
-// within the 48-byte allocation size class (see TestFormulaSize).
+// Each node carries a one-slot Tseitin memo: the first Context to
+// encode a gate node (Not/And/Or) stamps it with its id and keeps the
+// node's literal on the node, so encoding needs no pointer-keyed map.
+// The layout is kept within the 48-byte allocation size class (see
+// TestFormulaSize).
 //
 // A node may be encoded by several contexts, one after another or at
 // the same time: the stamp is one atomic word set once, so exactly one
@@ -38,7 +38,6 @@ import (
 // and FalseF are never stamped.
 type Formula struct {
 	kids []*Formula
-	hash uint64 // structural hash: equal structures have equal hashes
 	// memo is a gate node's Tseitin memo: the id of the Context that
 	// encoded it first in the high 32 bits and that context's literal
 	// in the low 32; 0 until a context encodes it.
@@ -60,38 +59,10 @@ const (
 
 var (
 	// TrueF is the constant-true formula.
-	TrueF = &Formula{op: opConst, b: true, hash: leafHash(opConst, 1)}
+	TrueF = &Formula{op: opConst, b: true}
 	// FalseF is the constant-false formula.
-	FalseF = &Formula{op: opConst, b: false, hash: leafHash(opConst, 2)}
+	FalseF = &Formula{op: opConst, b: false}
 )
-
-// FNV-1a style mixing over the node's op and its children's hashes
-// (or, for leaves, a payload word), so a DAG hashes in time linear in
-// its node count: each node is hashed once, when it is built.
-const (
-	hashOffset = 14695981039346656037
-	hashPrime  = 1099511628211
-)
-
-func mixHash(h, x uint64) uint64 { return (h ^ x) * hashPrime }
-
-func leafHash(o op, payload uint64) uint64 {
-	return mixHash(mixHash(hashOffset, uint64(o)+1), payload)
-}
-
-// varFormula returns the leaf node for variable index v.
-func varFormula(v int) *Formula {
-	return &Formula{op: opVar, v: int32(v), hash: leafHash(opVar, uint64(v)+3)}
-}
-
-// gate returns a Not/And/Or node over kids with its structural hash.
-func gate(o op, kids []*Formula) *Formula {
-	h := mixHash(hashOffset, uint64(o)+1)
-	for _, k := range kids {
-		h = mixHash(h, k.hash)
-	}
-	return &Formula{op: o, kids: kids, hash: h}
-}
 
 // Const returns the constant formula for b.
 func Const(b bool) *Formula {
@@ -109,7 +80,7 @@ func Not(f *Formula) *Formula {
 	case opNot:
 		return f.kids[0]
 	}
-	return gate(opNot, []*Formula{f})
+	return &Formula{op: opNot, kids: []*Formula{f}}
 }
 
 // And returns the conjunction of fs, dropping true conjuncts and
@@ -158,7 +129,7 @@ func junction(o op, fs []*Formula) *Formula {
 			kids = append(kids, f)
 		}
 	}
-	return gate(o, kids)
+	return &Formula{op: o, kids: kids}
 }
 
 // Implies returns f ⇒ g.

@@ -7,26 +7,11 @@ import (
 	"unsafe"
 )
 
-// TestFormulaSize: the node-resident hash and Tseitin memo must not
-// push Formula out of the 48-byte allocation size class.
+// TestFormulaSize: the node-resident Tseitin memo must not push
+// Formula out of the 48-byte allocation size class.
 func TestFormulaSize(t *testing.T) {
 	if n := unsafe.Sizeof(Formula{}); n > 48 {
 		t.Errorf("unsafe.Sizeof(Formula{}) = %d, want <= 48", n)
-	}
-}
-
-// TestConstructorHashIsStructural: structurally equal formulas built
-// separately get equal hashes, so the intern table can find them.
-func TestConstructorHashIsStructural(t *testing.T) {
-	c := NewContext()
-	a, b, x := c.BoolVar(), c.BoolVar(), c.BoolVar()
-	f := Or(And(a, Not(b)), x)
-	g := Or(And(a, Not(b)), x)
-	if f == g || f.hash != g.hash || !structEq(f, g) {
-		t.Errorf("rebuilt formula: hash %x vs %x, structEq %v", f.hash, g.hash, structEq(f, g))
-	}
-	if h := Or(And(a, Not(x)), b); h.hash == f.hash && structEq(h, f) {
-		t.Error("different formulas compare equal")
 	}
 }
 
@@ -100,44 +85,78 @@ func TestNodeEncodedInTwoContexts(t *testing.T) {
 	}
 }
 
-// TestInternedAgreesWithNoIntern: on random formulas with structurally
-// duplicated subtrees (rebuilt, not shared), solving with structural
-// interning on and off gives the same verdict and the same MaxSAT
-// optimum, and interning never emits more CNF.
-func TestInternedAgreesWithNoIntern(t *testing.T) {
+// TestRebuiltSubtreesAgreeWithBruteForce: on random formulas with
+// structurally duplicated subtrees (rebuilt, not shared), which the node
+// memo encodes once per copy, the verdict, the MaxSAT optimum and the
+// optimal model agree with brute-force enumeration over the variables.
+func TestRebuiltSubtreesAgreeWithBruteForce(t *testing.T) {
+	type soft struct {
+		f *Formula
+		w int
+	}
 	for seed := int64(0); seed < 200; seed++ {
-		var cost [2]int
-		var sat [2]bool
-		var vars, clauses [2]int
-		for mode, intern := range []bool{true, false} {
-			rng := rand.New(rand.NewSource(seed))
-			c, v := varContext(4 + int(seed%3))
-			c.SetInterning(intern)
-			// Each hard formula is drawn twice from one seed, so the
-			// copies are structurally equal but not pointer-shared.
-			for i := 0; i < 3; i++ {
-				state := rng.Int63()
-				c.Assert(randomFormula(rand.New(rand.NewSource(state)), v, 4))
-				c.Assert(Or(randomFormula(rand.New(rand.NewSource(state)), v, 4), v[i]))
+		rng := rand.New(rand.NewSource(seed))
+		c, v := varContext(4 + int(seed%3))
+		// Each hard formula is drawn twice from one seed, so the copies
+		// are structurally equal but not pointer-shared.
+		var hard []*Formula
+		for i := 0; i < 3; i++ {
+			state := rng.Int63()
+			hard = append(hard, randomFormula(rand.New(rand.NewSource(state)), v, 4),
+				Or(randomFormula(rand.New(rand.NewSource(state)), v, 4), v[i]))
+		}
+		softs := make([]soft, 4)
+		for i := range softs {
+			softs[i] = soft{randomFormula(rng, v, 3), 1 + rng.Intn(3)}
+		}
+		for _, f := range hard {
+			c.Assert(f)
+		}
+		for _, s := range softs {
+			c.AssertSoft(s.f, s.w, "s")
+		}
+
+		best := -1 // the brute-force optimum; -1 when unsat
+		for a := uint(0); a < 1<<uint(len(v)); a++ {
+			ok := true
+			for _, f := range hard {
+				ok = ok && evalUnder(f, v, a)
 			}
-			for i := 0; i < 4; i++ {
-				c.AssertSoft(randomFormula(rng, v, 3), 1+rng.Intn(3), "s")
+			if !ok {
+				continue
 			}
-			clauses[mode] = c.NumSATClauses()
-			r := c.Maximize(LinearDescent)
-			sat[mode] = r.Model != nil
-			cost[mode] = r.ViolatedWeight
-			vars[mode] = c.NumSATVars()
+			cost := 0
+			for _, s := range softs {
+				if !evalUnder(s.f, v, a) {
+					cost += s.w
+				}
+			}
+			if best < 0 || cost < best {
+				best = cost
+			}
 		}
-		if sat[0] != sat[1] || (sat[0] && cost[0] != cost[1]) {
-			t.Fatalf("seed %d: interned sat=%v cost=%d, NoIntern sat=%v cost=%d",
-				seed, sat[0], cost[0], sat[1], cost[1])
+
+		r := c.Maximize(LinearDescent)
+		if (r.Model != nil) != (best >= 0) || (best >= 0 && r.ViolatedWeight != best) {
+			t.Fatalf("seed %d: sat=%v cost=%d, brute force optimum %d (-1: unsat)",
+				seed, r.Model != nil, r.ViolatedWeight, best)
 		}
-		if vars[0] > vars[1] {
-			t.Errorf("seed %d: interning used %d vars, more than %d without", seed, vars[0], vars[1])
+		if r.Model == nil {
+			continue
 		}
-		if clauses[0] > clauses[1] {
-			t.Errorf("seed %d: interning emitted %d clauses, more than %d without", seed, clauses[0], clauses[1])
+		cost := 0
+		for _, s := range softs {
+			if !r.Model.Eval(s.f) {
+				cost += s.w
+			}
+		}
+		for _, f := range hard {
+			if !r.Model.Eval(f) {
+				t.Fatalf("seed %d: the model violates hard formula %s", seed, f)
+			}
+		}
+		if cost != best {
+			t.Fatalf("seed %d: the model violates weight %d, optimum %d", seed, cost, best)
 		}
 	}
 }
@@ -183,10 +202,9 @@ func TestNodeEncodedConcurrently(t *testing.T) {
 		return fs
 	}
 	// A context encoding its own structural copy gives the reference
-	// sizes and leaves the shared nodes unstamped. Interning is off, so
-	// the node memo alone must find every encoded node again.
+	// sizes and leaves the shared nodes unstamped; the node memo alone
+	// must find every encoded node again.
 	ref, _ := varContext(nvars)
-	ref.SetInterning(false)
 	for _, f := range draw() {
 		ref.Assert(Or(f, Not(f)))
 	}
@@ -200,7 +218,6 @@ func TestNodeEncodedConcurrently(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c, _ := varContext(nvars)
-			c.SetInterning(false)
 			<-start
 			for _, f := range fs {
 				c.Assert(Or(f, Not(f)))

@@ -170,3 +170,35 @@ func TestNatNegationShared(t *testing.T) {
 		t.Error("negations of constant thresholds must fold")
 	}
 }
+
+// TestIntThresholdShared checks the threshold memo of IntVar: repeated
+// prefix and suffix comparisons with a constant return the identical
+// node, ≥ d[k] and > d[k-1] share one node (as do ≤ d[k] and < d[k+1]),
+// and the full prefix is the full suffix.
+func TestIntThresholdShared(t *testing.T) {
+	c := NewContext()
+	iv := c.IntVarOf([]int{50, 100, 150, 200})
+	ge := iv.GeConst(150)
+	if iv.GeConst(150) != ge || iv.GeConst(101) != ge {
+		t.Error("GeConst must return the identical suffix node")
+	}
+	if iv.GtConst(100) != ge || iv.GtConst(149) != ge {
+		t.Error("> 100 must share the node of >= 150")
+	}
+	if len(ge.kids) != 2 || ge.kids[0] != iv.indicators[2] || ge.kids[1] != iv.indicators[3] {
+		t.Errorf(">= 150 is %v, want the Or of the last two indicators", ge)
+	}
+	le := iv.LeConst(100)
+	if iv.LeConst(100) != le || iv.LtConst(150) != le || iv.LtConst(101) != le {
+		t.Error("<= 100 and < 150 must share one prefix node")
+	}
+	if iv.LeConst(200) != iv.GeConst(50) || iv.GeConst(0) != iv.LeConst(999) {
+		t.Error("the full prefix and the full suffix must be one node")
+	}
+	if iv.LeConst(50) != iv.EqConst(50) || iv.GeConst(200) != iv.EqConst(200) {
+		t.Error("a one-value threshold is that value's indicator")
+	}
+	if iv.LtConst(50) != FalseF || iv.GtConst(200) != FalseF {
+		t.Error("empty thresholds must fold to false")
+	}
+}

@@ -87,7 +87,7 @@ func evalUnder(f *Formula, vars []*Formula, assignment uint) bool {
 // conjunction kids under one disjunction — over subterms that repeat,
 // as the same node or as a structurally equal rebuild, so the lowering
 // meets conjunctions that already have a literal through the node memo
-// and through the intern table.
+// and structural duplicates that nothing merges.
 type loweredGen struct {
 	ch   chooser
 	vars []*Formula
@@ -132,7 +132,7 @@ func (g *loweredGen) formula() *Formula {
 }
 
 // rebuild returns a copy of f with fresh gate nodes: structurally equal
-// to f, so it shares f's intern entry but not its node memo.
+// to f, but with a node memo of its own.
 func rebuild(f *Formula) *Formula {
 	if f.op == opConst || f.op == opVar {
 		return f
@@ -141,7 +141,7 @@ func rebuild(f *Formula) *Formula {
 	for i, k := range f.kids {
 		kids[i] = rebuild(k)
 	}
-	return gate(f.op, kids)
+	return &Formula{op: f.op, kids: kids}
 }
 
 // checkLowering is the oracle of the clausal lowering. It generates two
@@ -249,7 +249,8 @@ func FuzzAssert(f *testing.F) {
 	})
 }
 
-// TestQuickIntVarComparisons: IntEq/IntLt/IntLe with offsets agree
+// TestQuickIntVarComparisons: IntEq, IntLt, IntLe, IntGt and IntGe with
+// offsets, and the memoized threshold comparisons with a constant, agree
 // with integer arithmetic for random domains and forced values.
 func TestQuickIntVarComparisons(t *testing.T) {
 	f := func(seed int64) bool {
@@ -259,6 +260,7 @@ func TestQuickIntVarComparisons(t *testing.T) {
 		va := domA[rng.Intn(len(domA))]
 		vb := domB[rng.Intn(len(domB))]
 		da, db := rng.Intn(5)-2, rng.Intn(5)-2
+		k := rng.Intn(14) - 1
 
 		type cmp struct {
 			build func(a, b *IntVar) *Formula
@@ -270,11 +272,21 @@ func TestQuickIntVarComparisons(t *testing.T) {
 			{func(a, b *IntVar) *Formula { return IntLe(a, b, da, db) }, va+da <= vb+db},
 			{func(a, b *IntVar) *Formula { return IntGt(a, b, da, db) }, va+da > vb+db},
 			{func(a, b *IntVar) *Formula { return IntGe(a, b, da, db) }, va+da >= vb+db},
+			{func(a, _ *IntVar) *Formula { return a.LeConst(k) }, va <= k},
+			{func(a, _ *IntVar) *Formula { return a.LtConst(k) }, va < k},
+			{func(a, _ *IntVar) *Formula { return a.GeConst(k) }, va >= k},
+			{func(a, _ *IntVar) *Formula { return a.GtConst(k) }, va > k},
 		}
 		for i, cse := range cases {
 			c := NewContext()
 			a := c.IntVarOf(domA)
 			b := c.IntVarOf(domB)
+			// Fill a's threshold memo first, from every constant and in
+			// an order of its own, so the comparison is served from it.
+			for _, x := range rng.Perm(14) {
+				a.GtConst(x - 1)
+				a.LtConst(x - 1)
+			}
 			c.Assert(a.EqConst(va))
 			c.Assert(b.EqConst(vb))
 			c.Assert(cse.build(a, b))
