@@ -53,13 +53,14 @@ bench-quick:
 # compaction); five seconds of MaxSAT fuzzing against brute-force optima
 # across the default search sequence (core-guided, an edit, linear
 # descent on the same context); five seconds of order-encoding
-# comparator fuzzing against integer arithmetic (each comparison as a
-# formula and asserted as clauses under a guard); five seconds of
-# assertion-lowering fuzzing against evaluation under every assignment
-# (Assert, and AssertRetractable active, retracted and reasserted, on
-# guarded conjunctions, Iff, negated disjunctions and repeated
-# subterms, both shared and rebuilt: structural duplicates that nothing
-# merges, each encoded on its own); ten seconds of session
+# comparator fuzzing against integer arithmetic (each comparison
+# asserted as clauses under a guard, a threshold literal also read from
+# the model); five seconds of gate fuzzing against evaluation under
+# every assignment (random circuits built as And/Or gates and asserted
+# as clauses: plainly, under a guard, and retractably while active,
+# retracted and reasserted; repeated subcircuits both shared and
+# rebuilt: structural duplicates that nothing merges, each built on its
+# own); ten seconds of session
 # fuzzing — random edit sequences on one live session, its instances
 # parked between solves, each step checked against a cold synthesis and
 # the simulator;

@@ -18,7 +18,7 @@ import (
 // golden corpus's short form (cold_fleet dc00–dc05, default options
 // with two workers, so the count does not depend on the core count),
 // averaged over a few passes. Most of it is CNF construction — solver
-// storage, watch lists, formula nodes — so a change that regrows solver
+// storage, watch lists, gate literals — so a change that regrows solver
 // storage from empty, or brings back per-variable names or formatted
 // cache keys, fails here before it shows up as GC time in the
 // benchmark.
@@ -47,16 +47,18 @@ import (
 //	stamps grown on demand:             14.4 MB, 165,770 objects
 //	structural intern table and constructor hashes deleted:
 //	                                    14.0 MB, 165,740 objects
+//	builders emit literals through the gate API (no formula DAG, no
+//	node memo), the selector at-most-one on the preference chain:
+//	                                    10.1 MB, 95,190 objects
 //
-// The byte bound is the last figure plus 15%, the object bound the
-// 165,150 row's.
+// Both bounds are the last row's figures plus 15%.
 func TestColdSynthesisAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what escapes to the heap")
 	}
 	const (
-		maxBytesPerPass   = 16_100_000
-		maxObjectsPerPass = 189_930
+		maxBytesPerPass   = 12_195_000
+		maxObjectsPerPass = 109_480
 		passes            = 3
 	)
 	probs := coldFleetCNFInputs(1, 6)
@@ -107,13 +109,16 @@ func TestColdSynthesisAllocs(t *testing.T) {
 //	binary clauses only as watchers, aux deltas dropped by Park, int32
 //	order heap, level stamps grown on demand:
 //	                                    10.7 MB
+//	literals for the formula DAG's nodes, no SMT-level variable table
+//	or retractable-selector index:
+//	                                    8.72 MB
 //
 // The bound is the last figure plus 15%.
 func TestParkedSessionBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what escapes to the heap")
 	}
-	const maxRetainedBytes = 12_282_000
+	const maxRetainedBytes = 10_516_000
 	p := editStreamCNFInputs()
 	lp120 := p.net.Clone()
 	lp120.Routers["spine0"].RouteFilter("rf_edit").Rules[0].LocalPref = 120

@@ -26,10 +26,10 @@ import (
 // TestCNFUnchanged pins the CNF the encoder emits for the perfbench
 // cold_fleet and edit_stream inputs (seed 1), and the search the solver
 // runs over it: per instance, the SAT variable and clause counts after
-// encoding and after the MaxSAT solve, the Tseitin node memo's hit/miss
-// counts (smt.Context.InternStats), and the solve's decision, conflict
-// and propagation counts.
-// Changes to the CNF construction machinery (Tseitin memo, solver
+// encoding and after the MaxSAT solve, the gates' hit/miss counts
+// (smt.Context.InternStats), and the solve's decision, conflict and
+// propagation counts.
+// Changes to the CNF construction machinery (gate folding, solver
 // growth, clause normalization) or to solver plumbing that must not
 // alter the search must leave every line identical; a deliberate change
 // to the encoding or the search heuristics regenerates the file with

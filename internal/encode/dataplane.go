@@ -5,6 +5,7 @@ import (
 
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/prefix"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/smt"
 )
 
@@ -14,17 +15,17 @@ import (
 // permit. Existing matching rules get removal and action-flip deltas;
 // v's inbound side additionally gets a potential new (src,dst) rule —
 // the construct AED uses to implement blocking policies (Fig. 7).
-func (e *Encoder) pfAllow(src prefix.Prefix, u, v string) *smt.Formula {
+func (e *Encoder) pfAllow(src prefix.Prefix, u, v string) sat.Lit {
 	key := hopKey{src.Canonical(), u, v}
 	if f, ok := e.pfAllowCache[key]; ok {
 		return f
 	}
 	ur := e.net.Routers[u]
 	vr := e.net.Routers[v]
-	out := smt.TrueF
+	out, in := e.Ctx.True(), e.Ctx.True()
 	if ur != nil {
 		if iface := ur.Interface("eth-" + v); iface != nil && iface.FilterOut != "" {
-			out = smt.And(out, e.packetFilterChain(ur, iface.FilterOut, src, "", false))
+			out = e.packetFilterChain(ur, iface.FilterOut, src, "", false)
 		}
 	}
 	if vr != nil {
@@ -34,17 +35,18 @@ func (e *Encoder) pfAllow(src prefix.Prefix, u, v string) *smt.Formula {
 		if iface != nil {
 			filterName = iface.FilterIn
 		}
-		out = smt.And(out, e.packetFilterChain(vr, filterName, src, ifaceName, true))
+		in = e.packetFilterChain(vr, filterName, src, ifaceName, true)
 	}
-	e.pfAllowCache[key] = out
-	return out
+	allow := e.Ctx.And(out, in)
+	e.pfAllowCache[key] = allow
+	return allow
 }
 
 // packetFilterChain encodes one packet filter's first-match outcome
 // for the (src, e.dst) class. When inbound, a potential new
 // class-specific rule (and, if needed, a new filter attachment) is
 // modeled.
-func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src prefix.Prefix, ifaceName string, inbound bool) *smt.Formula {
+func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src prefix.Prefix, ifaceName string, inbound bool) sat.Lit {
 	// A named filter attached to several interfaces is one object: its
 	// chain (including the potential added rule and that rule's action)
 	// must be shared, or the model could behave differently per
@@ -65,8 +67,8 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 	}
 
 	type link struct {
-		matched *smt.Formula
-		allow   *smt.Formula
+		matched sat.Lit
+		allow   sat.Lit
 	}
 	var chain []link
 
@@ -80,7 +82,7 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 		allowD := e.Ctx.BoolVar()
 		addD.ValueOf = func(m *smt.Model, ed *Edit) { ed.Permit = m.Bool(allowD) }
 		e.reg.getAux(addD.Name+"_deny", DeltaAdd, addD.Path, "deny",
-			smt.And(addD.Bool, smt.Not(allowD)))
+			addD.Bool, allowD.Neg())
 		chain = append(chain, link{matched: addD.Bool, allow: allowD})
 		if filterName == "" {
 			// Attaching a brand-new filter to the interface. The
@@ -92,7 +94,7 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 				fmt.Sprintf("%s/PacketFilter[%s]", r.Name, name),
 				Edit{Kind: AttachPacketFilter, Router: r.Name, Iface: ifaceName, Filter: name},
 			)
-			e.Ctx.Assert(smt.Implies(addD.Bool, attach.Bool))
+			e.Ctx.Clause(addD.Bool.Neg(), attach.Bool)
 		}
 	}
 
@@ -107,8 +109,8 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 				// fixed in split mode; the prepended class-specific
 				// rule can still override it.
 				chain = append(chain, link{
-					matched: smt.Const(matches),
-					allow:   smt.Const(rule.Permit),
+					matched: e.boolLit(matches),
+					allow:   e.boolLit(rule.Permit),
 				})
 				continue
 			}
@@ -124,35 +126,38 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 				fmt.Sprintf("%s/PacketFilter[%s]/Rule[%d]", r.Name, f.Name, i),
 				Edit{Kind: FlipPacketRuleAction, Router: r.Name, Filter: f.Name, RuleIndex: i},
 			)
-			matchedF := smt.And(smt.Const(matches), smt.Not(rmD.Bool))
-			var allowF *smt.Formula
-			if rule.Permit {
-				allowF = smt.Not(flipD.Bool)
-			} else {
-				allowF = flipD.Bool
+			matched := e.Ctx.False()
+			if matches {
+				matched = rmD.Bool.Neg()
 			}
-			chain = append(chain, link{matched: matchedF, allow: allowF})
+			allow := flipD.Bool
+			if rule.Permit {
+				allow = allow.Neg()
+			}
+			chain = append(chain, link{matched: matched, allow: allow})
 		}
 	}
 
-	allow := smt.TrueF
-	notEarlier := smt.TrueF
+	// A rule decides when no earlier rule matched and it does (see
+	// filterChain); no matching rule permits.
+	cases := make([]sat.Lit, 0, len(chain))
+	earlier := make([]sat.Lit, 0, len(chain)+1)
 	for _, lnk := range chain {
-		cond := smt.And(notEarlier, lnk.matched)
-		allow = smt.And(allow, smt.Implies(cond, lnk.allow))
-		notEarlier = smt.And(notEarlier, smt.Not(lnk.matched))
+		cases = append(cases, e.impliesLit(append(earlier, lnk.matched), lnk.allow))
+		earlier = append(earlier, lnk.matched.Neg())
 	}
+	allow := e.Ctx.And(cases...)
 	e.pfChainCache[cacheKey] = allow
 	return allow
 }
 
-// reachable returns (building on first use) the formula "traffic of
+// reachable returns (building on first use) the literal "traffic of
 // class (src, dst) injected at router start is delivered to the
 // destination router" in environment v. Well-foundedness comes from
 // controlFwd's acyclicity (cost equations exclude loops), so the
 // mutually recursive reach definitions are consistent only for real
 // forwarding paths.
-func (e *Encoder) reachable(v *env, src prefix.Prefix, start string) *smt.Formula {
+func (e *Encoder) reachable(v *env, src prefix.Prefix, start string) sat.Lit {
 	e.buildReach(v, src)
 	return v.reach[src.String()+"|"+start]
 }
@@ -164,7 +169,7 @@ func (e *Encoder) buildReach(v *env, src prefix.Prefix) {
 		return
 	}
 	routers := e.net.RouterNames()
-	vars := make(map[string]*smt.Formula, len(routers))
+	vars := make(map[string]sat.Lit, len(routers))
 	for _, name := range routers {
 		vars[name] = e.Ctx.BoolVar()
 		v.reach[tag+"|"+name] = vars[name]
@@ -174,31 +179,30 @@ func (e *Encoder) buildReach(v *env, src prefix.Prefix) {
 			// Delivered on arrival (the destination subnet hangs off
 			// this router). A failed destination delivers nothing.
 			if v.failed == name {
-				e.Ctx.Assert(smt.Not(vars[name]))
+				e.Ctx.Clause(vars[name].Neg())
 			} else {
-				e.Ctx.Assert(vars[name])
+				e.Ctx.Clause(vars[name])
 			}
 			continue
 		}
-		var hops []*smt.Formula
+		var hops []sat.Lit
 		for _, peer := range e.topo.Neighbors(name) {
-			fwd := v.controlFwd[name+">"+peer]
-			if fwd == nil {
+			fwd, ok := v.controlFwd[name+">"+peer]
+			if !ok {
 				continue
 			}
-			dataFwd := smt.And(fwd, e.pfAllow(src, name, peer))
-			hops = append(hops, smt.And(dataFwd, vars[peer]))
+			hops = append(hops, e.Ctx.And(fwd, e.pfAllow(src, name, peer), vars[peer]))
 		}
-		e.Ctx.Assert(smt.Iff(vars[name], smt.Or(hops...)))
+		e.Ctx.DefineOr(vars[name], hops...)
 	}
 }
 
-// hopBound returns the formula "the delivered path of class (src,dst)
+// hopBound returns the literal "the delivered path of class (src,dst)
 // from router start uses at most k hops" in environment v, encoding
 // exact per-router hop distances along the forwarding function (§6.2
 // path-length constraints). The distance of the destination router is
 // 0; every delivered router's distance is its next hop's plus one.
-func (e *Encoder) hopBound(v *env, src prefix.Prefix, start string, k int) *smt.Formula {
+func (e *Encoder) hopBound(v *env, src prefix.Prefix, start string, k int) sat.Lit {
 	e.buildReach(v, src)
 	tag := src.String()
 	routers := e.net.RouterNames()
@@ -207,37 +211,35 @@ func (e *Encoder) hopBound(v *env, src prefix.Prefix, start string, k int) *smt.
 	for _, name := range routers {
 		dist[name] = e.Ctx.NatVarOf(maxD)
 	}
-	e.Ctx.Assert(dist[e.dstRouter].EqConstNat(0))
+	e.Ctx.Clause(dist[e.dstRouter].LeConst(0))
 	for _, name := range routers {
 		if name == e.dstRouter {
 			continue
 		}
 		reachU := v.reach[tag+"|"+name]
 		for _, peer := range e.topo.Neighbors(name) {
-			fwd := v.controlFwd[name+">"+peer]
-			if fwd == nil || fwd == smt.FalseF {
+			fwd, ok := v.controlFwd[name+">"+peer]
+			if !ok || fwd == e.Ctx.False() {
 				continue
 			}
-			dataFwd := smt.And(fwd, e.pfAllow(src, name, peer))
-			reachV := v.reach[tag+"|"+peer]
-			e.Ctx.AssertEqUnder(smt.And(reachU, dataFwd, reachV), dist[name], dist[peer], 1)
+			guard := []sat.Lit{reachU, fwd, e.pfAllow(src, name, peer), v.reach[tag+"|"+peer]}
+			e.Ctx.AssertEqUnder(guard, dist[name], dist[peer], 1)
 		}
 	}
 	return dist[start].LeConst(k)
 }
 
-// visits returns the formula "the forwarding path of class (src,dst)
+// visits returns the literal "the forwarding path of class (src,dst)
 // from router start traverses router via" in environment v.
-func (e *Encoder) visits(v *env, src prefix.Prefix, start, via string) *smt.Formula {
+func (e *Encoder) visits(v *env, src prefix.Prefix, start, via string) sat.Lit {
 	tag := src.String() + "|" + start
 	if _, ok := v.vis[tag+"|"+via]; !ok {
 		e.buildVisits(v, src, start)
 	}
-	f := v.vis[tag+"|"+via]
-	if f == nil {
-		return smt.FalseF
+	if l, ok := v.vis[tag+"|"+via]; ok {
+		return l
 	}
-	return f
+	return e.Ctx.False()
 }
 
 // buildVisits defines on-path variables rooted at start: vis[u] ⇔
@@ -246,29 +248,28 @@ func (e *Encoder) visits(v *env, src prefix.Prefix, start, via string) *smt.Form
 func (e *Encoder) buildVisits(v *env, src prefix.Prefix, start string) {
 	tag := src.String() + "|" + start
 	routers := e.net.RouterNames()
-	vars := make(map[string]*smt.Formula, len(routers))
+	vars := make(map[string]sat.Lit, len(routers))
 	for _, name := range routers {
 		vars[name] = e.Ctx.BoolVar()
 		v.vis[tag+"|"+name] = vars[name]
 	}
 	for _, name := range routers {
 		if name == start {
-			e.Ctx.Assert(vars[name])
+			e.Ctx.Clause(vars[name])
 			continue
 		}
-		var ins []*smt.Formula
+		var ins []sat.Lit
 		for _, w := range e.topo.Neighbors(name) {
-			fwd := v.controlFwd[w+">"+name]
-			if fwd == nil {
+			fwd, ok := v.controlFwd[w+">"+name]
+			if !ok {
 				continue
 			}
 			// Traffic does not continue past the destination router.
 			if w == e.dstRouter {
 				continue
 			}
-			dataFwd := smt.And(fwd, e.pfAllow(src, w, name))
-			ins = append(ins, smt.And(vars[w], dataFwd))
+			ins = append(ins, e.Ctx.And(vars[w], fwd, e.pfAllow(src, w, name)))
 		}
-		e.Ctx.Assert(smt.Iff(vars[name], smt.Or(ins...)))
+		e.Ctx.DefineOr(vars[name], ins...)
 	}
 }

@@ -1,6 +1,9 @@
 package encode
 
-import "github.com/aed-net/aed/internal/smt"
+import (
+	"github.com/aed-net/aed/internal/sat"
+	"github.com/aed-net/aed/internal/smt"
+)
 
 // DeltaKind classifies a delta variable by what it does to the syntax
 // tree, which is what objective restrictions key on (§7.2): NOMODIFY
@@ -35,7 +38,9 @@ func (k DeltaKind) String() string {
 // to apply when it is true. AED keeps the variable ↔ tree-node mapping
 // explicit (paper §5.1) so objectives can quantify change impact.
 type Delta struct {
-	Bool *smt.Formula
+	// Bool is the delta's literal. An aux delta's is 0 until an
+	// objective reads it (registry.lit).
+	Bool sat.Lit
 	Kind DeltaKind
 	// Path is the syntax-tree path of the affected node. For adds it
 	// is the path the node would occupy.
@@ -55,6 +60,9 @@ type Delta struct {
 	// SlotSuffix disambiguates deltas sharing a path when matching
 	// corresponding positions across EQUATE group members.
 	SlotSuffix string
+	// conj is the conjunction an aux delta stands for, until lit builds
+	// its gate.
+	conj []sat.Lit
 }
 
 // registry accumulates deltas during encoding, deduplicating by name:
@@ -102,7 +110,7 @@ func (r *registry) count() int { return len(r.list) + r.parkedAux }
 // objectives read (Extract and PenalizeDeltas skip them, and a live
 // instance has no objectives). The structural deltas move to an
 // exact-size list, so nothing reaches the dropped ones: not their
-// names, nor the gate formulas they are bound to.
+// names, nor the literals of their conjunctions.
 func (r *registry) park() {
 	r.byName = nil
 	n := 0
@@ -124,16 +132,26 @@ func (r *registry) park() {
 	r.list = kept
 }
 
-// getAux registers a value-choice companion delta bound to an
-// existing formula (no new variable is allocated).
-func (r *registry) getAux(name string, kind DeltaKind, path, slotSuffix string, f *smt.Formula) *Delta {
+// getAux registers a value-choice companion delta standing for the
+// conjunction of conj. Only objectives read aux deltas, so its gate is
+// built when one first does (lit), and an instance without objectives
+// builds none.
+func (r *registry) getAux(name string, kind DeltaKind, path, slotSuffix string, conj ...sat.Lit) *Delta {
 	if d, ok := r.byName[name]; ok {
 		return d
 	}
-	d := &Delta{Bool: f, Kind: kind, Path: path, Name: name, Aux: true, SlotSuffix: slotSuffix}
+	d := &Delta{Kind: kind, Path: path, Name: name, Aux: true, SlotSuffix: slotSuffix, conj: conj}
 	r.byName[name] = d
 	r.list = append(r.list, d)
 	return d
+}
+
+// lit returns d's literal, building an aux delta's gate on first use.
+func (r *registry) lit(d *Delta) sat.Lit {
+	if d.Bool == 0 {
+		d.Bool, d.conj = r.ctx.And(d.conj...), nil
+	}
+	return d.Bool
 }
 
 // Extract returns the edits for all deltas set true in the model.

@@ -8,6 +8,7 @@ import (
 	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/policy"
 	"github.com/aed-net/aed/internal/prefix"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/smt"
 	"github.com/aed-net/aed/internal/topology"
 )
@@ -74,17 +75,17 @@ type Encoder struct {
 	// failures for path-preference policies.
 	envs map[string]*env
 
-	// adjacency caches per (router,proto,peer) the formula "this
+	// adjacency caches per (router,proto,peer) the literal "this
 	// directed adjacency side is configured", shared across envs.
-	adjSide map[adjKey]*smt.Formula
+	adjSide map[adjKey]sat.Lit
 
-	// pfAllowCache caches packet filter hop formulas per (src, u, v).
-	pfAllowCache map[hopKey]*smt.Formula
+	// pfAllowCache caches packet filter hop literals per (src, u, v).
+	pfAllowCache map[hopKey]sat.Lit
 	// pfChainCache caches packet-filter chain outcomes per
 	// (router, filter, src): a named filter attached to several
 	// interfaces must be one consistent symbolic object — its added
 	// rule and action apply everywhere the filter does.
-	pfChainCache map[pfChainKey]*smt.Formula
+	pfChainCache map[pfChainKey]sat.Lit
 	// rfChainCache likewise caches route-filter chains per
 	// (router, filter, direction): a filter referenced by several
 	// adjacencies shares its rule deltas and symbolic actions.
@@ -133,7 +134,7 @@ type (
 
 // rfChain is a memoized route-filter evaluation.
 type rfChain struct {
-	allow *smt.Formula
+	allow sat.Lit
 	lp    *smt.IntVar
 }
 
@@ -142,23 +143,17 @@ type rfChain struct {
 type env struct {
 	failed string
 	// per (router|proto): best-route record.
-	bestValid map[string]*smt.Formula
+	bestValid map[string]sat.Lit
 	bestCost  map[string]*smt.NatVar
 	bestLP    map[string]*smt.IntVar
 	// controlFwd per directed link "u>v".
-	controlFwd map[string]*smt.Formula
-	// selPeer / selLocal record, per process key, the formulas "this
-	// process's best route points at peer" / "...is a local
-	// origination (directly or through redistribution)".
-	selPeer  map[string]map[string]*smt.Formula
-	selLocal map[string]*smt.Formula
-	// localDeliver per router: the router's best route is its own
-	// origination (traffic terminates here from the control plane's
-	// point of view).
-	localDeliver map[string]*smt.Formula
+	controlFwd map[string]sat.Lit
+	// selPeer records, per process key, the literals "this process's
+	// best route points at peer".
+	selPeer map[string]map[string]sat.Lit
 	// reach/vis per (src traffic class|router), built lazily.
-	reach map[string]*smt.Formula
-	vis   map[string]*smt.Formula
+	reach map[string]sat.Lit
+	vis   map[string]sat.Lit
 }
 
 // New prepares an encoder for one destination group.
@@ -173,9 +168,9 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 		dst:          dst,
 		dstRouter:    topo.RouterOfSubnet(dst),
 		envs:         make(map[string]*env),
-		adjSide:      make(map[adjKey]*smt.Formula),
-		pfAllowCache: make(map[hopKey]*smt.Formula),
-		pfChainCache: make(map[pfChainKey]*smt.Formula),
+		adjSide:      make(map[adjKey]sat.Lit),
+		pfAllowCache: make(map[hopKey]sat.Lit),
+		pfChainCache: make(map[pfChainKey]sat.Lit),
 		rfChainCache: make(map[rfChainKey]rfChain),
 		ruleBind:     make(map[ruleKey]*ruleBinding),
 	}
@@ -195,19 +190,22 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 // Park readies a solved instance for its life as a live instance
 // (kept between solves for tier-2 re-solves, see rebind.go and
 // retarget.go). It releases what only encoding reads — the environment
-// copies, the adjacency and filter-chain caches, the pending
-// redistribution links and the delta registry's name index — which
-// between them reach the whole formula DAG, then parks the SMT context
-// (smt.Context.Park), which drops its foreign-node memo and compacts the
-// solver. It also drops the aux deltas (Delta.Aux) from the delta list:
-// only objectives read them, and a live instance has none (see
-// core's keepsLive), so Deltas returns the structural deltas alone after
-// Park, while a re-solve's Result.NumDeltas still reports the count at
-// encode time. What Rebind, Retarget and ReSolveContext read stays: the
-// context, the network, the options, the destination, the
-// local-preference domain, the rule bindings, the policy guards and the
-// structural deltas with their ValueOf closures. The soft constraints
-// the context keeps are negated delta variables, which pin no DAG.
+// copies, the adjacency and filter-chain caches and the delta
+// registry's name index — then parks the SMT context (smt.Context.Park),
+// which compacts the solver. It also drops the aux deltas (Delta.Aux)
+// from the delta list: only objectives read them, and a live instance
+// has none (see core's keepsLive), so Deltas returns the structural
+// deltas alone after Park, while a re-solve's Result.NumDeltas still
+// reports the count at encode time. What Rebind, Retarget and
+// ReSolveContext read stays: the context, the network, the options, the
+// destination, the local-preference domain, the rule bindings, the
+// policy guards and the structural deltas with their ValueOf closures.
+// Each release shows in the heap a parked edit_stream session retains
+// (TestParkedSessionBytes, 8.72 MB): keeping the registry's name index
+// and aux deltas would add 2.44 MB, the route-filter chains (their lp
+// IntVars) 0.45 MB, the environments 0.20 MB, the packet-filter hop
+// cache 0.11 MB, the adjacency cache 0.08 MB and the packet-filter
+// chains 0.04 MB.
 //
 // A later Park, after a re-solve, compacts the solver again if the
 // re-solve grew it and does nothing otherwise. The encoder must not encode
@@ -218,7 +216,6 @@ func (e *Encoder) Park() {
 	e.pfAllowCache = nil
 	e.pfChainCache = nil
 	e.rfChainCache = nil
-	e.pendingRedist = nil
 	e.reg.park()
 	e.Ctx.Park()
 }
@@ -317,7 +314,7 @@ func (e *Encoder) LPDomain() []int { return append([]int(nil), e.lpDomain...) }
 // taken only when a more-preferred path is unavailable", §9.2).
 func (e *Encoder) EncodePolicies(ps []policy.Policy) error {
 	for _, p := range ps {
-		if err := e.encodeGuarded(p, smt.TrueF); err != nil {
+		if err := e.encodeGuarded(p, nil); err != nil {
 			return err
 		}
 	}
@@ -331,16 +328,14 @@ func (e *Encoder) environment(failed string) *env {
 		return v
 	}
 	v := &env{
-		failed:       failed,
-		bestValid:    make(map[string]*smt.Formula),
-		bestCost:     make(map[string]*smt.NatVar),
-		bestLP:       make(map[string]*smt.IntVar),
-		controlFwd:   make(map[string]*smt.Formula),
-		localDeliver: make(map[string]*smt.Formula),
-		selPeer:      make(map[string]map[string]*smt.Formula),
-		selLocal:     make(map[string]*smt.Formula),
-		reach:        make(map[string]*smt.Formula),
-		vis:          make(map[string]*smt.Formula),
+		failed:     failed,
+		bestValid:  make(map[string]sat.Lit),
+		bestCost:   make(map[string]*smt.NatVar),
+		bestLP:     make(map[string]*smt.IntVar),
+		controlFwd: make(map[string]sat.Lit),
+		selPeer:    make(map[string]map[string]sat.Lit),
+		reach:      make(map[string]sat.Lit),
+		vis:        make(map[string]sat.Lit),
 	}
 	e.envs[failed] = v
 	e.encodeControlPlane(v)
@@ -355,7 +350,7 @@ func procLabel(router string, p config.Proto) string {
 // candidate is one source a process can select its best route from.
 type candidate struct {
 	name  string // tie-break order key
-	valid *smt.Formula
+	valid sat.Lit
 	// cost of the route if selected: base NatVar + offset, or a
 	// constant (constNat >= 0 with nat == nil).
 	nat      *smt.NatVar
@@ -408,11 +403,11 @@ func (e *Encoder) encodeControlPlane(v *env) {
 	}
 	for _, name := range routers {
 		for _, peer := range e.topo.Neighbors(name) {
-			fwd := v.controlFwd[name+">"+peer]
-			if fwd == nil || fwd == smt.FalseF {
+			fwd, ok := v.controlFwd[name+">"+peer]
+			if !ok || fwd == e.Ctx.False() {
 				continue
 			}
-			e.Ctx.AssertLeUnder(fwd, rank[peer], 1, rank[name], 0)
+			e.Ctx.AssertLeUnder([]sat.Lit{fwd}, rank[peer], 1, rank[name], 0)
 		}
 	}
 }
@@ -422,16 +417,22 @@ func (e *Encoder) encodeControlPlane(v *env) {
 // neighbor advertisement passed by the filters).
 func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 	key := procLabel(r.Name, p.Protocol)
-	failed := r.Name == v.failed
+	bestValid := v.bestValid[key]
 
-	var cands []candidate
+	// A failed router has no valid routes at all. Its candidates need
+	// no encoding: their deltas and filter chains are the normal
+	// environment's, which every failure environment is built after.
+	if r.Name == v.failed {
+		e.Ctx.Clause(bestValid.Neg())
+		v.selPeer[key] = map[string]sat.Lit{}
+		return
+	}
 
 	// Origination: valid iff some origination covering dst survives
 	// (¬rm), or the potential dst-origination is added.
-	orig := e.originationFormula(r, p)
-	cands = append(cands, candidate{
-		name: "", valid: orig, constNat: 0, constLP: 100,
-	})
+	cands := []candidate{{
+		name: "", valid: e.originationLit(r, p), constNat: 0, constLP: 100,
+	}}
 
 	// Redistribution from sibling processes (cost resets to 1).
 	for _, redistProto := range p.Redistribute {
@@ -457,75 +458,56 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 		cands = append(cands, e.advertisementCandidate(v, r, p, peer))
 	}
 
-	// A failed router has no valid routes at all.
-	if failed {
-		e.Ctx.Assert(smt.Not(v.bestValid[key]))
-		v.selPeer[key] = map[string]*smt.Formula{}
-		v.selLocal[key] = smt.FalseF
-		return
-	}
-
-	valid := make([]*smt.Formula, len(cands))
+	// The best record is valid exactly when some candidate is, and
+	// then one candidate is selected: sel_i ⇒ candidate valid and best
+	// fields equal its fields, each binding a clause under sel_i. The
+	// preference (assertPreference) makes the selection the most
+	// preferred valid candidate, and at most one.
+	valid := make([]sat.Lit, len(cands))
+	sels := make([]sat.Lit, len(cands))
 	for i, c := range cands {
 		valid[i] = c.valid
-	}
-	e.Ctx.Assert(smt.Iff(v.bestValid[key], smt.Or(valid...)))
-
-	// Selection: sel_i ⇒ candidate valid and best fields equal its
-	// fields; the preference below then makes the best record the most
-	// preferred valid candidate. notSel[i] is ¬sel_i, built once: every
-	// binding below is an implication from sel_i, written as a clause
-	// over it.
-	sels := make([]*smt.Formula, len(cands))
-	notSel := make([]*smt.Formula, len(cands))
-	for i := range cands {
 		sels[i] = e.Ctx.BoolVar()
-		notSel[i] = smt.Not(sels[i])
 	}
-	// Exactly one selected when valid; none otherwise.
-	e.Ctx.Assert(smt.Iff(v.bestValid[key], smt.Or(sels...)))
-	for i := range cands {
-		for j := i + 1; j < len(cands); j++ {
-			e.Ctx.Assert(smt.Or(notSel[i], notSel[j]))
-		}
-	}
+	e.Ctx.DefineOr(bestValid, valid...)
+	e.Ctx.DefineOr(bestValid, sels...)
 	var lp *lpComparer // nil outside BGP
 	if p.Protocol == config.BGP {
-		lp = &lpComparer{best: v.bestLP[key], memo: map[lpKey]*smt.Formula{}}
+		lp = &lpComparer{ctx: e.Ctx, best: v.bestLP[key], memo: map[lpKey]sat.Lit{}}
 	}
-	peerSel := make(map[string]*smt.Formula)
-	local := smt.FalseF
+	cost := v.bestCost[key]
+	peerSel := make(map[string]sat.Lit)
 	for i, c := range cands {
-		e.Ctx.Assert(smt.Or(notSel[i], c.valid))
+		sel := sels[i : i+1]
+		e.Ctx.ClauseUnder(sel, c.valid)
 		// Bind best fields.
 		if c.nat == nil {
-			e.Ctx.Assert(smt.Or(notSel[i], v.bestCost[key].EqConstNat(c.constNat)))
+			e.Ctx.ClauseUnder(sel, cost.GeConst(c.constNat))
+			e.Ctx.ClauseUnder(sel, cost.LeConst(c.constNat))
 		} else {
-			e.Ctx.AssertEqUnder(sels[i], v.bestCost[key], c.nat, c.natOff)
+			e.Ctx.AssertEqUnder(sel, cost, c.nat, c.natOff)
 		}
 		if lp != nil {
-			e.Ctx.Assert(smt.Or(notSel[i], lp.cmp(c, lpEq)))
+			lp.assertEq(sel, c)
 		}
 		switch {
 		case c.peer != "":
-			peerSel[c.peer] = smt.Or(peerSel[c.peer], sels[i])
+			peerSel[c.peer] = sels[i]
 		case c.name == "":
-			// Origination candidate.
-			local = smt.Or(local, sels[i])
+			// Origination candidate: delivered here, forwarded nowhere.
 		default:
-			// Redistribution: forward/deliver through the source
-			// process's own selection (resolved in a second pass by
+			// Redistribution: forward through the source process's own
+			// selection (resolved in a second pass by
 			// resolveRedistribution, since the source process may not
 			// be encoded yet).
 			e.pendingRedist = append(e.pendingRedist, redistLink{
-				env: v, key: key, sel: sels[i],
+				env: v, router: r.Name, key: key, sel: sels[i],
 				srcKey: procLabel(r.Name, redistProtoOf(c.name)),
 			})
 		}
 	}
-	e.assertPreference(cands, sels, v.bestCost[key], lp)
+	e.assertPreference(cands, sels, cost, lp)
 	v.selPeer[key] = peerSel
-	v.selLocal[key] = local
 }
 
 // assertPreference makes the best record (cost best, local preference
@@ -537,9 +519,9 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 // Appendix A states this pairwise: sel_i ∧ valid_o → c_i is preferred
 // over o, strictly when o precedes c_i in name order, which is O(k²)
 // constraints for k candidates. Every selection binds the best record
-// to its candidate's fields, and a valid candidate makes exactly one
-// selected, so two constraints per candidate o, stated against the best
-// record, have the same models:
+// to its candidate's fields, and a valid candidate makes one selected,
+// so two constraints per candidate o, stated against the best record,
+// have the same models:
 //
 //   - valid_o → the best record is no worse than o;
 //   - valid_o ∧ ¬(a candidate up to o in name order is selected) → the
@@ -547,44 +529,52 @@ func (e *Encoder) encodeProcess(v *env, r *config.Router, p *config.Process) {
 //
 // "A candidate up to o is selected" is the first candidate's selector,
 // then a variable per candidate defined as o's selector or the previous
-// one's, so the preference costs O(k) constraints.
-func (e *Encoder) assertPreference(cands []candidate, sels []*smt.Formula, best *smt.NatVar, lp *lpComparer) {
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
+// one's, so the preference costs O(k) constraints. The same chain
+// states that at most one candidate is selected, also in O(k): sel_o →
+// no candidate before o is selected. A candidate that can never be
+// valid is never selected and takes no part.
+func (e *Encoder) assertPreference(cands []candidate, sels []sat.Lit, best *smt.NatVar, lp *lpComparer) {
+	order := make([]int, 0, len(cands))
+	for i, c := range cands {
+		if c.valid != e.Ctx.False() {
+			order = append(order, i)
+		}
 	}
 	sort.Slice(order, func(x, y int) bool { return cands[order[x]].name < cands[order[y]].name })
-	var upTo *smt.Formula
+	var upTo sat.Lit // a candidate before o is selected
 	for n, i := range order {
 		o := cands[i]
+		if n > 0 {
+			e.Ctx.Clause(sels[i].Neg(), upTo.Neg())
+		}
 		// For BGP, "higher local preference, or equal and no costlier"
 		// is lp(best) >= lp(o), and the cost comparison unless
 		// lp(best) > lp(o); the strict preference differs in the cost
 		// comparison only.
-		costGuard := o.valid
+		guard := []sat.Lit{o.valid}
 		if lp != nil {
-			e.Ctx.Assert(smt.Implies(o.valid, lp.cmp(o, lpGe)))
-			costGuard = smt.And(o.valid, smt.Not(lp.cmp(o, lpGt)))
+			e.Ctx.Clause(o.valid.Neg(), lp.cmp(o, lpGe))
+			guard = append(guard, lp.cmp(o, lpGt).Neg())
 		}
-		e.assertCostLe(costGuard, best, 0, o)
+		e.assertCostLe(guard, best, 0, o)
 		if n == len(order)-1 {
 			break // no candidate comes after the last
 		}
-		if upTo == nil {
+		if n == 0 {
 			upTo = sels[i]
 		} else {
 			s := e.Ctx.BoolVar()
-			e.Ctx.Assert(smt.Iff(s, smt.Or(sels[i], upTo)))
+			e.Ctx.DefineOr(s, sels[i], upTo)
 			upTo = s
 		}
-		e.assertCostLe(smt.And(costGuard, smt.Not(upTo)), best, 1, o)
+		e.assertCostLe(append(guard, upTo.Neg()), best, 1, o)
 	}
 }
 
-// assertCostLe asserts g → best + d <= the cost of candidate o.
-func (e *Encoder) assertCostLe(g *smt.Formula, best *smt.NatVar, d int, o candidate) {
+// assertCostLe asserts g₁ ∧ … ∧ gₙ → best + d <= the cost of candidate o.
+func (e *Encoder) assertCostLe(g []sat.Lit, best *smt.NatVar, d int, o candidate) {
 	if o.nat == nil {
-		e.Ctx.Assert(smt.Implies(g, best.LeConst(o.constNat-d)))
+		e.Ctx.ClauseUnder(g, best.LeConst(o.constNat-d))
 		return
 	}
 	e.Ctx.AssertLeUnder(g, best, d, o.nat, o.natOff)
@@ -593,10 +583,9 @@ func (e *Encoder) assertCostLe(g *smt.Formula, best *smt.NatVar, d int, o candid
 // redistLink defers wiring a redistribution candidate's forwarding
 // behaviour until all processes of the router are encoded.
 type redistLink struct {
-	env    *env
-	key    string
-	srcKey string
-	sel    *smt.Formula
+	env                 *env
+	router, key, srcKey string
+	sel                 sat.Lit
 }
 
 // redistProtoOf recovers the protocol from a redistribution candidate
@@ -614,17 +603,23 @@ func redistProtoOf(name string) config.Proto {
 }
 
 // resolveRedistribution folds deferred redistribution selections into
-// selPeer/selLocal: selecting a redistributed route forwards wherever
-// the source process's best points (or delivers locally).
+// selPeer: selecting a redistributed route forwards wherever the
+// source process's best points.
 func (e *Encoder) resolveRedistribution() {
 	for _, rl := range e.pendingRedist {
 		src := rl.env.selPeer[rl.srcKey]
 		dst := rl.env.selPeer[rl.key]
-		for peer, f := range src {
-			dst[peer] = smt.Or(dst[peer], smt.And(rl.sel, f))
+		for _, peer := range e.topo.Neighbors(rl.router) {
+			f, ok := src[peer]
+			if !ok {
+				continue
+			}
+			via := e.Ctx.And(rl.sel, f)
+			if cur, ok := dst[peer]; ok {
+				via = e.Ctx.Or(cur, via)
+			}
+			dst[peer] = via
 		}
-		rl.env.selLocal[rl.key] = smt.Or(rl.env.selLocal[rl.key],
-			smt.And(rl.sel, rl.env.selLocal[rl.srcKey]))
 	}
 	e.pendingRedist = nil
 }
@@ -642,14 +637,14 @@ func (e *Encoder) advertisementCandidate(v *env, r *config.Router, p *config.Pro
 	backSide := e.adjacencySide(peerR, peerProc, r.Name)
 	peerValid := v.bestValid[peerKey]
 	if peer == v.failed {
-		peerValid = smt.FalseF
+		peerValid = e.Ctx.False()
 	}
 
 	// Filters: the peer's out-filter toward us, then our in-filter.
 	outAllow := e.routeFilterAllow(peerR, peerProc.Adjacency(r.Name), peer, r.Name, false)
 	inAllow, lpVar := e.routeFilterInbound(r, p, peer)
 
-	valid := smt.And(side, backSide, peerValid, outAllow, inAllow)
+	valid := e.Ctx.And(side, backSide, peerValid, outAllow, inAllow)
 
 	linkCost := 1
 	if adj := p.Adjacency(peer); adj != nil {
@@ -679,8 +674,7 @@ func (c candidate) lpConst() int {
 type lpRel int8
 
 const (
-	lpEq lpRel = iota // equal
-	lpGe              // at least
+	lpGe lpRel = iota // at least
 	lpGt              // greater
 )
 
@@ -696,51 +690,54 @@ type lpKey struct {
 // variable is built once and kept in memo: a named inbound filter hands
 // the same variable to every peer it filters. A comparison with a
 // constant, and the inner Ors of a comparison with a variable, are the
-// IntVars' shared threshold nodes.
+// IntVars' shared thresholds.
 type lpComparer struct {
+	ctx  *smt.Context
 	best *smt.IntVar
-	memo map[lpKey]*smt.Formula
+	memo map[lpKey]sat.Lit
 }
 
-// cmp returns lp(best) rel lp(o) over the one-hot local preferences.
-func (l *lpComparer) cmp(o candidate, rel lpRel) *smt.Formula {
+// cmp returns the literal lp(best) rel lp(o) over the one-hot local
+// preferences.
+func (l *lpComparer) cmp(o candidate, rel lpRel) sat.Lit {
 	if o.lp == nil {
-		switch c := o.lpConst(); rel {
-		case lpEq:
-			return l.best.EqConst(c)
-		case lpGe:
-			return l.best.GeConst(c)
-		default:
-			return l.best.GtConst(c)
+		if rel == lpGe {
+			return l.best.GeConst(o.lpConst())
 		}
+		return l.best.GtConst(o.lpConst())
 	}
 	k := lpKey{o.lp, rel}
 	if f, ok := l.memo[k]; ok {
 		return f
 	}
-	var f *smt.Formula
-	switch rel {
-	case lpEq:
-		f = smt.IntEq(l.best, o.lp, 0, 0)
-	case lpGe:
-		f = smt.IntGe(l.best, o.lp, 0, 0)
-	default:
-		f = smt.IntGt(l.best, o.lp, 0, 0)
+	f := smt.IntGt(l.best, o.lp)
+	if rel == lpGe {
+		f = smt.IntGe(l.best, o.lp)
 	}
 	l.memo[k] = f
 	return f
 }
 
-// encodeRouterSelection builds bestOverall and controlFwd for one
-// router: the process (or static route) with the lowest administrative
-// distance wins (statics 1, BGP 20, OSPF 110 — constants in our
-// dialect, so the cross-protocol choice is a fixed priority chain).
+// assertEq asserts, under the guard g, that the best local preference
+// equals candidate o's: its constant's indicator, or o's lp variable
+// value by value (smt.Context.AssertIntEqUnder).
+func (l *lpComparer) assertEq(g []sat.Lit, o candidate) {
+	if o.lp == nil {
+		l.ctx.ClauseUnder(g, l.best.EqConst(o.lpConst()))
+		return
+	}
+	l.ctx.AssertIntEqUnder(g, l.best, o.lp)
+}
+
+// encodeRouterSelection builds controlFwd for one router: the process
+// (or static route) with the lowest administrative distance wins
+// (statics 1, BGP 20, OSPF 110 — constants in our dialect, so the
+// cross-protocol choice is a fixed priority chain).
 func (e *Encoder) encodeRouterSelection(v *env, r *config.Router) {
 	if r.Name == v.failed {
 		for _, peer := range e.topo.Neighbors(r.Name) {
-			v.controlFwd[r.Name+">"+peer] = smt.FalseF
+			v.controlFwd[r.Name+">"+peer] = e.Ctx.False()
 		}
-		v.localDeliver[r.Name] = smt.FalseF
 		return
 	}
 
@@ -749,7 +746,7 @@ func (e *Encoder) encodeRouterSelection(v *env, r *config.Router) {
 	// order). The first valid static wins among statics.
 	type staticCand struct {
 		peer  string
-		valid *smt.Formula
+		valid sat.Lit
 	}
 	var statics []staticCand
 	for _, s := range r.StaticRoutes {
@@ -759,11 +756,11 @@ func (e *Encoder) encodeRouterSelection(v *env, r *config.Router) {
 		if !e.topo.HasLink(r.Name, s.NextHop) {
 			continue
 		}
-		var valid *smt.Formula
+		var valid sat.Lit
 		if !e.opts.Joint && e.coversOtherSubnet(s.Prefix) {
 			// A covering static also steers other destinations: fixed
 			// in split mode.
-			valid = smt.TrueF
+			valid = e.Ctx.True()
 		} else {
 			d := e.reg.get(
 				fmt.Sprintf("rm_%s_Static_%s_%s", r.Name, s.Prefix, s.NextHop),
@@ -771,10 +768,10 @@ func (e *Encoder) encodeRouterSelection(v *env, r *config.Router) {
 				fmt.Sprintf("%s/StaticRoute[%s]", r.Name, s.Prefix),
 				Edit{Kind: RemoveStaticRoute, Router: r.Name, Prefix: s.Prefix, Peer: s.NextHop},
 			)
-			valid = smt.Not(d.Bool)
+			valid = d.Bool.Neg()
 		}
 		if s.NextHop == v.failed {
-			valid = smt.FalseF
+			valid = e.Ctx.False()
 		}
 		statics = append(statics, staticCand{peer: s.NextHop, valid: valid})
 	}
@@ -790,63 +787,70 @@ func (e *Encoder) encodeRouterSelection(v *env, r *config.Router) {
 		)
 		valid := d.Bool
 		if peer == v.failed {
-			valid = smt.FalseF
+			valid = e.Ctx.False()
 		}
 		statics = append(statics, staticCand{peer: peer, valid: valid})
 	}
 
-	anyStatic := smt.FalseF
-	staticSel := make([]*smt.Formula, len(statics))
-	prior := smt.FalseF
+	// staticSel[i]: static i is valid and no earlier one is; prior
+	// chains "an earlier static is valid".
+	staticSel := make([]sat.Lit, len(statics))
+	prior := e.Ctx.False()
 	for i, sc := range statics {
-		staticSel[i] = smt.And(sc.valid, smt.Not(prior))
-		prior = smt.Or(prior, sc.valid)
-		anyStatic = smt.Or(anyStatic, sc.valid)
+		if i > 0 {
+			prior = e.Ctx.Or(prior, statics[i-1].valid)
+		}
+		staticSel[i] = e.Ctx.And(sc.valid, prior.Neg())
 	}
 
-	// Protocol priority by AD: BGP (20) before OSPF (110).
+	// Protocol priority by AD: BGP (20) before OSPF (110). A process
+	// wins when it is valid and no static and no earlier process is;
+	// winner builds that literal on first use.
 	type protoCand struct {
-		proto config.Proto
-		valid *smt.Formula
+		key    string
+		valid  sat.Lit
+		winner sat.Lit
 	}
 	var protos []protoCand
 	for _, proto := range config.Protocols {
 		if p := r.Process(proto); p != nil {
-			protos = append(protos, protoCand{proto, v.bestValid[procLabel(r.Name, proto)]})
+			key := procLabel(r.Name, proto)
+			protos = append(protos, protoCand{key: key, valid: v.bestValid[key]})
 		}
 	}
-
-	// localDeliver: the winning process selected an origination
-	// (directly or via redistribution) and no static overrides.
-	local := smt.FalseF
-	prevProtoValid := smt.FalseF
-	for _, pc := range protos {
-		key := procLabel(r.Name, pc.proto)
-		isWinner := smt.And(pc.valid, smt.Not(anyStatic), smt.Not(prevProtoValid))
-		local = smt.Or(local, smt.And(isWinner, v.selLocal[key]))
-		prevProtoValid = smt.Or(prevProtoValid, pc.valid)
+	anyStatic := sat.Lit(0)
+	winner := func(j int) sat.Lit {
+		if protos[j].winner == 0 {
+			if anyStatic == 0 {
+				anyStatic = e.Ctx.False()
+				if n := len(statics); n > 0 {
+					anyStatic = e.Ctx.Or(prior, statics[n-1].valid)
+				}
+			}
+			earlier := make([]sat.Lit, j)
+			for i := range earlier {
+				earlier[i] = protos[i].valid
+			}
+			protos[j].winner = e.Ctx.And(protos[j].valid, anyStatic.Neg(), e.Ctx.Or(earlier...).Neg())
+		}
+		return protos[j].winner
 	}
-	v.localDeliver[r.Name] = local
 
 	// controlFwd per neighbor: statics win by AD, then the winning
 	// process's selected peer.
 	for _, peer := range e.topo.Neighbors(r.Name) {
-		fwd := smt.FalseF
+		var fwd []sat.Lit
 		for i, sc := range statics {
 			if sc.peer == peer {
-				fwd = smt.Or(fwd, staticSel[i])
+				fwd = append(fwd, staticSel[i])
 			}
 		}
-		prevValid := smt.FalseF
-		for _, pc := range protos {
-			key := procLabel(r.Name, pc.proto)
-			if sel, ok := v.selPeer[key][peer]; ok && sel != nil {
-				winner := smt.And(pc.valid, smt.Not(anyStatic), smt.Not(prevValid))
-				fwd = smt.Or(fwd, smt.And(winner, sel))
+		for j, pc := range protos {
+			if sel, ok := v.selPeer[pc.key][peer]; ok {
+				fwd = append(fwd, e.Ctx.And(winner(j), sel))
 			}
-			prevValid = smt.Or(prevValid, pc.valid)
 		}
-		v.controlFwd[r.Name+">"+peer] = fwd
+		v.controlFwd[r.Name+">"+peer] = e.Ctx.Or(fwd...)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/aed-net/aed/internal/policy"
-	"github.com/aed-net/aed/internal/smt"
+	"github.com/aed-net/aed/internal/sat"
 )
 
 // ExplainConflict determines which subset of the group's policies is
@@ -17,11 +17,10 @@ import (
 //
 // Call on a fresh Encoder (it adds guarded constraints).
 func (e *Encoder) ExplainConflict(ps []policy.Policy) ([]policy.Policy, error) {
-	guards := make([]*smt.Formula, len(ps))
+	guards := make([]sat.Lit, len(ps))
 	for i, p := range ps {
-		g := e.Ctx.BoolVar()
-		guards[i] = g
-		if err := e.encodeGuarded(p, g); err != nil {
+		guards[i] = e.Ctx.BoolVar()
+		if err := e.encodeGuarded(p, guards[i:i+1]); err != nil {
 			return nil, err
 		}
 	}
@@ -37,8 +36,9 @@ func (e *Encoder) ExplainConflict(ps []policy.Policy) ([]policy.Policy, error) {
 	return out, nil
 }
 
-// encodeGuarded adds one policy's constraints implied by the guard.
-func (e *Encoder) encodeGuarded(p policy.Policy, guard *smt.Formula) error {
+// encodeGuarded adds one policy's constraints under the guard, a
+// conjunction of literals (nil for none): each is one clause.
+func (e *Encoder) encodeGuarded(p policy.Policy, guard []sat.Lit) error {
 	if e.dstRouter == "" {
 		return fmt.Errorf("encode: destination %s is not a known subnet", e.dst)
 	}
@@ -50,12 +50,12 @@ func (e *Encoder) encodeGuarded(p policy.Policy, guard *smt.Formula) error {
 		return fmt.Errorf("encode: source %s is not a known subnet", p.Src)
 	}
 	normal := e.environment("")
-	assert := func(f *smt.Formula) { e.Ctx.Assert(smt.Implies(guard, f)) }
+	assert := func(l sat.Lit) { e.Ctx.ClauseUnder(guard, l) }
 	switch p.Kind {
 	case policy.Reachability:
 		assert(e.reachable(normal, p.Src, srcRouter))
 	case policy.Blocking, policy.Isolation:
-		assert(smt.Not(e.reachable(normal, p.Src, srcRouter)))
+		assert(e.reachable(normal, p.Src, srcRouter).Neg())
 	case policy.Waypoint:
 		assert(e.reachable(normal, p.Src, srcRouter))
 		assert(e.visits(normal, p.Src, srcRouter, p.Via))

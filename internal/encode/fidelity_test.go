@@ -7,8 +7,8 @@ import (
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/configgen"
 	"github.com/aed-net/aed/internal/policy"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/simulate"
-	"github.com/aed-net/aed/internal/smt"
 	"github.com/aed-net/aed/internal/topology"
 )
 
@@ -75,7 +75,7 @@ func TestModelMatchesSimulator(t *testing.T) {
 			// Freeze the sketch: no changes allowed.
 			for _, d := range e.Deltas() {
 				if !d.Aux {
-					e.Ctx.Assert(smt.Not(d.Bool))
+					e.Ctx.Clause(d.Bool.Neg())
 				}
 			}
 			model := e.Ctx.Solve()
@@ -112,7 +112,7 @@ func TestModelMatchesSimulatorBlocking(t *testing.T) {
 		}
 		for _, d := range e.Deltas() {
 			if !d.Aux {
-				e.Ctx.Assert(smt.Not(d.Bool))
+				e.Ctx.Clause(d.Bool.Neg())
 			}
 		}
 		model := e.Ctx.Solve()
@@ -160,7 +160,7 @@ func TestFrozenForwardingMatchesSimulator(t *testing.T) {
 		v := e.environment("")
 		for _, d := range e.Deltas() {
 			if !d.Aux {
-				e.Ctx.Assert(smt.Not(d.Bool))
+				e.Ctx.Clause(d.Bool.Neg())
 			}
 		}
 		m := e.Ctx.Solve()
@@ -169,23 +169,23 @@ func TestFrozenForwardingMatchesSimulator(t *testing.T) {
 		}
 		// differ holds, per directed link, "its forwarding differs from
 		// this model's".
-		var differ []*smt.Formula
+		var differ []sat.Lit
 		for _, u := range net.RouterNames() {
 			for _, peer := range topo.Neighbors(u) {
 				fwd := v.controlFwd[u+">"+peer]
-				got, want := m.Eval(fwd), hops[u] == peer
+				got, want := m.Bool(fwd), hops[u] == peer
 				if got != want {
 					t.Errorf("iter %d (%s, %s, dst %s): %s forwards to %s: model %v, simulator next hop %q",
 						iter, topo.Name, proto, dst, u, peer, got, hops[u])
 				}
 				if got {
-					differ = append(differ, smt.Not(fwd))
+					differ = append(differ, fwd.Neg())
 				} else {
 					differ = append(differ, fwd)
 				}
 			}
 		}
-		e.Ctx.Assert(smt.Or(differ...))
+		e.Ctx.Clause(differ...)
 		if e.Ctx.Solve() != nil {
 			t.Errorf("iter %d (%s, %s, dst %s): the frozen network admits a second forwarding", iter, topo.Name, proto, dst)
 		}

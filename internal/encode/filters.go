@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"github.com/aed-net/aed/internal/config"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/smt"
 )
 
-// originationFormula encodes whether router r's process p originates a
-// route covering the instance's destination (paper Fig. 6): each
+// originationLit returns the literal "router r's process p originates
+// a route covering the instance's destination" (paper Fig. 6): each
 // existing matching origination survives unless removed, and the
 // destination router may add a new origination for exactly dst.
-func (e *Encoder) originationFormula(r *config.Router, p *config.Process) *smt.Formula {
-	out := smt.FalseF
+func (e *Encoder) originationLit(r *config.Router, p *config.Process) sat.Lit {
+	var out []sat.Lit
 	for _, o := range p.Originations {
 		if !o.Prefix.Covers(e.dst) {
 			continue
@@ -20,7 +21,7 @@ func (e *Encoder) originationFormula(r *config.Router, p *config.Process) *smt.F
 		if !e.opts.Joint && e.coversOtherSubnet(o.Prefix) {
 			// Removing a covering aggregate would strand other
 			// destinations; keep it fixed in split mode.
-			out = smt.TrueF
+			out = append(out, e.Ctx.True())
 			continue
 		}
 		d := e.reg.get(
@@ -29,7 +30,7 @@ func (e *Encoder) originationFormula(r *config.Router, p *config.Process) *smt.F
 			fmt.Sprintf("%s/RoutingProcess[%s:%d]/Origination[%s]", r.Name, p.Protocol, p.ID, o.Prefix),
 			Edit{Kind: RemoveOrigination, Router: r.Name, Proto: p.Protocol, Prefix: o.Prefix},
 		)
-		out = smt.Or(out, smt.Not(d.Bool))
+		out = append(out, d.Bool.Neg())
 	}
 	// Potential origination of exactly dst, only at the router owning
 	// the destination subnet (originating elsewhere would blackhole).
@@ -40,28 +41,28 @@ func (e *Encoder) originationFormula(r *config.Router, p *config.Process) *smt.F
 			fmt.Sprintf("%s/RoutingProcess[%s:%d]/Origination[%s]", r.Name, p.Protocol, p.ID, e.dst),
 			Edit{Kind: AddOrigination, Router: r.Name, Proto: p.Protocol, Prefix: e.dst},
 		)
-		out = smt.Or(out, d.Bool)
+		out = append(out, d.Bool)
 	}
-	return out
+	return e.Ctx.Or(out...)
 }
 
 // adjacencySide encodes whether router r's process p has its side of
 // the adjacency toward peer configured (paper §5.2 "Routing protocols
 // and adjacencies"): existing ⇒ ¬rm delta; absent ⇒ add delta.
-func (e *Encoder) adjacencySide(r *config.Router, p *config.Process, peer string) *smt.Formula {
+func (e *Encoder) adjacencySide(r *config.Router, p *config.Process, peer string) sat.Lit {
 	cacheKey := adjKey{r.Name, p.Protocol, peer}
 	if f, ok := e.adjSide[cacheKey]; ok {
 		return f
 	}
 	path := fmt.Sprintf("%s/RoutingProcess[%s:%d]/Adjacency[%s]", r.Name, p.Protocol, p.ID, peer)
-	var f *smt.Formula
+	var f sat.Lit
 	if p.Adjacency(peer) != nil {
 		if !e.opts.Joint {
 			// Removing an adjacency affects every destination, so a
 			// per-destination instance may not do it; denying the
 			// destination's route with a filter achieves the same
 			// effect prefix-specifically.
-			f = smt.TrueF
+			f = e.Ctx.True()
 			e.adjSide[cacheKey] = f
 			return f
 		}
@@ -70,7 +71,7 @@ func (e *Encoder) adjacencySide(r *config.Router, p *config.Process, peer string
 			DeltaRemove, path,
 			Edit{Kind: RemoveAdjacency, Router: r.Name, Proto: p.Protocol, Peer: peer},
 		)
-		f = smt.Not(d.Bool)
+		f = d.Bool.Neg()
 	} else {
 		d := e.reg.get(
 			fmt.Sprintf("add_%s_%s_Adj_%s", r.Name, p.Protocol, peer),
@@ -87,8 +88,8 @@ func (e *Encoder) adjacencySide(r *config.Router, p *config.Process, peer string
 // applied by router r on the adjacency (outbound direction when
 // inbound=false). It covers rule removal and action-flip deltas plus a
 // potential added dst-specific deny/permit rule (Fig. 5). Returns the
-// symbolic allow formula.
-func (e *Encoder) routeFilterAllow(r *config.Router, adj *config.Adjacency, self, other string, inbound bool) *smt.Formula {
+// symbolic allow literal.
+func (e *Encoder) routeFilterAllow(r *config.Router, adj *config.Adjacency, self, other string, inbound bool) sat.Lit {
 	var filterName string
 	dir := "out"
 	if adj != nil {
@@ -109,7 +110,7 @@ func (e *Encoder) routeFilterAllow(r *config.Router, adj *config.Adjacency, self
 // when no set action applies). Inbound filters support the full delta
 // family: rule removal, action flips, lp re-ranking, new rule
 // addition, and attaching a brand-new filter where none exists.
-func (e *Encoder) routeFilterInbound(r *config.Router, p *config.Process, peer string) (*smt.Formula, *smt.IntVar) {
+func (e *Encoder) routeFilterInbound(r *config.Router, p *config.Process, peer string) (sat.Lit, *smt.IntVar) {
 	adj := p.Adjacency(peer)
 	if adj == nil {
 		// A potential new adjacency starts unfiltered: allow all,
@@ -143,7 +144,7 @@ func (e *Encoder) routeFilterInbound(r *config.Router, p *config.Process, peer s
 		// the attach (rule without filter is meaningless).
 		addRule := e.reg.byName[e.addRuleName(r.Name, newName)]
 		if addRule != nil {
-			e.Ctx.Assert(smt.Implies(addRule.Bool, attach.Bool))
+			e.Ctx.Clause(addRule.Bool.Neg(), attach.Bool)
 		}
 	}
 	return allow, lp
@@ -161,7 +162,7 @@ func (e *Encoder) addRuleName(router, filter string) string {
 // then existing rules in order (each skippable via its rm delta, its
 // action flippable via an allow delta, its lp re-rankable), then the
 // default (permit, lp 100).
-func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir string, withLP bool) (*smt.Formula, *smt.IntVar) {
+func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir string, withLP bool) (sat.Lit, *smt.IntVar) {
 	// One symbolic object per logical filter: a named filter applied on
 	// several adjacencies shares its rule deltas AND its symbolic rule
 	// contents, or the model could assign it contradictory behaviours
@@ -182,8 +183,8 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 	}
 
 	type link struct {
-		matched *smt.Formula // this rule applies (given no earlier rule did)
-		allow   *smt.Formula
+		matched sat.Lit // this rule applies (given no earlier rule did)
+		allow   sat.Lit
 		lp      *smt.IntVar // nil = keep default
 		lpConst int         // used when lp == nil and lpConst != 0
 	}
@@ -217,7 +218,7 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 		// just rule presence. Gated on the add so they are false (and
 		// free) when no rule is added.
 		e.reg.getAux(addD.Name+"_deny", DeltaAdd, addD.Path, "deny",
-			smt.And(addD.Bool, smt.Not(allowD)))
+			addD.Bool, allowD.Neg())
 		if lpVar != nil {
 			for _, lp := range e.lpDomain {
 				if lp == 100 {
@@ -225,7 +226,7 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 				}
 				e.reg.getAux(fmt.Sprintf("%s_lp%d", addD.Name, lp), DeltaAdd,
 					addD.Path, fmt.Sprintf("lp=%d", lp),
-					smt.And(addD.Bool, allowD, lpVar.EqConst(lp)))
+					addD.Bool, allowD, lpVar.EqConst(lp))
 			}
 		}
 		chain = append(chain, link{matched: addD.Bool, allow: allowD, lp: lpVar})
@@ -243,8 +244,8 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 				// a per-destination instance must treat it as fixed;
 				// the prepended dst-specific rule can still override.
 				lnk := link{
-					matched: smt.Const(matches),
-					allow:   smt.Const(rule.Permit),
+					matched: e.boolLit(matches),
+					allow:   e.boolLit(rule.Permit),
 					lpConst: rule.LocalPref,
 				}
 				chain = append(chain, lnk)
@@ -262,14 +263,19 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 				fmt.Sprintf("%s/RouteFilter[%s]/Rule[%d]", r.Name, f.Name, i),
 				Edit{Kind: FlipRouteRuleAction, Router: r.Name, Filter: f.Name, RuleIndex: i},
 			)
-			matchedF := smt.And(smt.Const(matches), smt.Not(rmD.Bool))
+			matched := e.Ctx.False()
+			if matches {
+				matched = rmD.Bool.Neg()
+			}
 			// The rule's configured action lives in a retractable
 			// binding (rebind.go) so an external edit of the action is
 			// an assumption flip, not a re-encode:
 			// allow = bound action XOR flip.
 			bind := e.bindRule(r.Name, f.Name, i, rule)
-			allowF := smt.Not(smt.Iff(bind.actV, flipD.Bool))
-			lnk := link{matched: matchedF, allow: allowF}
+			allowF := e.Ctx.And(
+				e.Ctx.Or(bind.actV.Neg(), flipD.Bool),
+				e.Ctx.Or(bind.actV, flipD.Bool.Neg())).Neg()
+			lnk := link{matched: matched, allow: allowF}
 			if withLP {
 				bind.inLPChain = true
 			}
@@ -290,7 +296,6 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 						fmt.Sprintf("%s/RouteFilter[%s]/Rule[%d]", r.Name, f.Name, i),
 						Edit{Kind: SetRouteRuleLP, Router: r.Name, Filter: f.Name, RuleIndex: i},
 					)
-					h := e.Ctx.AssertRetractable(smt.Iff(lpD.Bool, smt.Not(lpVar.EqConst(cur))))
 					lpD.ValueOf = func(m *smt.Model, ed *Edit) { ed.LocalPref = m.Int(lpVar) }
 					// Value companions: EQUATE must match the chosen rank,
 					// not just the fact of a change.
@@ -304,7 +309,7 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 					bind.lpVar = lpVar
 					bind.lpD = lpD
 					bind.lpCur = cur
-					bind.lpHandles = map[int]smt.Handle{cur: h}
+					bind.lpHandles = map[int]smt.Handle{cur: e.anchorLP(bind, cur)}
 				}
 				lnk.lp = bind.lpVar
 			} else if rule.LocalPref != 0 {
@@ -314,36 +319,53 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 		}
 	}
 
-	// Fold the chain into (allow, lp).
-	allow := smt.TrueF // default: no matching rule permits
+	// Fold the chain into (allow, lp). A rule decides when no earlier
+	// rule matched and it does; earlier holds ¬matched of the rules so
+	// far, and fires that guard for the current rule.
 	var lpOut *smt.IntVar
 	if withLP {
 		lpOut = e.Ctx.IntVarOf(e.lpDomain)
 	}
-	// Build from the back: notMatchedPrefix tracks "no earlier rule
-	// matched".
-	notEarlier := smt.TrueF
-	defaultCase := smt.TrueF
+	cases := make([]sat.Lit, 0, len(chain))
+	earlier := make([]sat.Lit, 0, len(chain)+1)
 	for _, lnk := range chain {
-		cond := smt.And(notEarlier, lnk.matched)
-		allowCase := smt.Implies(cond, lnk.allow)
-		allow = smt.And(allow, allowCase)
+		fires := append(earlier, lnk.matched)
+		cases = append(cases, e.impliesLit(fires, lnk.allow))
 		if withLP {
 			switch {
 			case lnk.lp != nil:
-				e.Ctx.Assert(smt.Implies(cond, smt.IntEq(lpOut, lnk.lp, 0, 0)))
+				e.Ctx.AssertIntEqUnder(fires, lpOut, lnk.lp)
 			case lnk.lpConst != 0:
-				e.Ctx.Assert(smt.Implies(cond, lpOut.EqConst(lnk.lpConst)))
+				e.Ctx.ClauseUnder(fires, lpOut.EqConst(lnk.lpConst))
 			default:
-				e.Ctx.Assert(smt.Implies(cond, lpOut.EqConst(100)))
+				e.Ctx.ClauseUnder(fires, lpOut.EqConst(100))
 			}
 		}
-		defaultCase = smt.And(defaultCase, smt.Not(cond))
-		notEarlier = smt.And(notEarlier, smt.Not(lnk.matched))
+		earlier = append(earlier, lnk.matched.Neg())
 	}
 	if withLP {
-		e.Ctx.Assert(smt.Implies(defaultCase, lpOut.EqConst(100)))
+		// No rule matched: the default preference.
+		e.Ctx.ClauseUnder(earlier, lpOut.EqConst(100))
 	}
+	allow := e.Ctx.And(cases...) // default: no matching rule permits
 	e.rfChainCache[cacheKey] = rfChain{allow: allow, lp: lpOut}
 	return allow, lpOut
+}
+
+// impliesLit returns the literal g₁ ∧ … ∧ gₙ → l, an Or gate over
+// ¬g₁ … ¬gₙ and l.
+func (e *Encoder) impliesLit(g []sat.Lit, l sat.Lit) sat.Lit {
+	or := make([]sat.Lit, 0, len(g)+1)
+	for _, x := range g {
+		or = append(or, x.Neg())
+	}
+	return e.Ctx.Or(append(or, l)...)
+}
+
+// boolLit returns the context's constant literal for b.
+func (e *Encoder) boolLit(b bool) sat.Lit {
+	if b {
+		return e.Ctx.True()
+	}
+	return e.Ctx.False()
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/policy"
 	"github.com/aed-net/aed/internal/prefix"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/smt"
 	"github.com/aed-net/aed/internal/topology"
 )
@@ -60,9 +61,9 @@ func (j *Joint) AddGroup(dst prefix.Prefix, ps []policy.Policy) error {
 		dst:          dst,
 		dstRouter:    j.topo.RouterOfSubnet(dst),
 		envs:         make(map[string]*env),
-		adjSide:      make(map[adjKey]*smt.Formula),
-		pfAllowCache: make(map[hopKey]*smt.Formula),
-		pfChainCache: make(map[pfChainKey]*smt.Formula),
+		adjSide:      make(map[adjKey]sat.Lit),
+		pfAllowCache: make(map[hopKey]sat.Lit),
+		pfChainCache: make(map[pfChainKey]sat.Lit),
 		rfChainCache: make(map[rfChainKey]rfChain),
 	}
 	e.lpDomain = e.buildLPDomain()

@@ -6,7 +6,7 @@ import (
 
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/objective"
-	"github.com/aed-net/aed/internal/smt"
+	"github.com/aed-net/aed/internal/sat"
 )
 
 // AugmentTree inserts the potential (not-yet-existing) syntax-tree
@@ -34,11 +34,9 @@ func AugmentTree(tree *config.Node, deltas []*Delta) {
 //	            must be equal (and absent counterparts unchanged)
 func (e *Encoder) AddObjectives(instances []objective.Instance) {
 	for _, inst := range instances {
-		f := e.instanceFormula(inst)
-		if f == nil {
-			continue
+		if l, ok := e.instanceLit(inst); ok {
+			e.Ctx.AssertSoft(l, inst.Weight, inst.Label)
 		}
-		e.Ctx.AssertSoft(f, inst.Weight, inst.Label)
 	}
 }
 
@@ -50,59 +48,44 @@ func (e *Encoder) PenalizeDeltas(weight int) {
 		if d.Aux {
 			continue
 		}
-		e.Ctx.AssertSoft(smt.Not(d.Bool), weight, "min-lines:"+d.Name)
+		e.Ctx.AssertSoft(d.Bool.Neg(), weight, "min-lines:"+d.Name)
 	}
 }
 
-func (e *Encoder) instanceFormula(inst objective.Instance) *smt.Formula {
+// instanceLit returns the literal of an instance's restriction, and
+// false when the instance selects no delta.
+func (e *Encoder) instanceLit(inst objective.Instance) (sat.Lit, bool) {
 	rootPaths := make([]string, 0, len(inst.Roots))
 	for _, n := range inst.Roots {
 		rootPaths = append(rootPaths, n.Path())
 	}
+	if inst.Restriction == objective.Equate {
+		return e.equateLit(rootPaths), true
+	}
+	ds := e.deltasUnder(rootPaths)
+	if len(ds) == 0 {
+		return 0, false
+	}
+	lits := make([]sat.Lit, len(ds))
+	for i, d := range ds {
+		lits[i] = e.reg.lit(d)
+	}
 	switch inst.Restriction {
 	case objective.NoModify:
-		ds := e.deltasUnder(rootPaths)
-		if len(ds) == 0 {
-			return nil
-		}
-		var vars []*smt.Formula
-		for _, d := range ds {
-			vars = append(vars, d.Bool)
-		}
-		return smt.Not(smt.Or(vars...))
+		return e.Ctx.Or(lits...).Neg(), true
 	case objective.Modify:
-		ds := e.deltasUnder(rootPaths)
-		if len(ds) == 0 {
-			return nil
-		}
-		var vars []*smt.Formula
-		for _, d := range ds {
-			vars = append(vars, d.Bool)
-		}
-		return smt.Or(vars...)
+		return e.Ctx.Or(lits...), true
 	case objective.Eliminate:
-		ds := e.deltasUnder(rootPaths)
-		if len(ds) == 0 {
-			return nil
-		}
-		var parts []*smt.Formula
-		for _, d := range ds {
-			switch d.Kind {
-			case DeltaAdd:
-				parts = append(parts, smt.Not(d.Bool))
-			case DeltaRemove:
-				parts = append(parts, d.Bool)
-			case DeltaModify:
-				// Modifying an eliminated node is irrelevant; prefer
-				// not to bother.
-				parts = append(parts, smt.Not(d.Bool))
+		for i, d := range ds {
+			// Removals wanted; additions not, and modifying an
+			// eliminated node is irrelevant, so prefer not to bother.
+			if d.Kind != DeltaRemove {
+				lits[i] = lits[i].Neg()
 			}
 		}
-		return smt.And(parts...)
-	case objective.Equate:
-		return e.equateFormula(rootPaths)
+		return e.Ctx.And(lits...), true
 	}
-	return nil
+	return 0, false
 }
 
 // deltasUnder returns the deltas whose path is any root or below one.
@@ -125,19 +108,18 @@ func pathUnder(path, root string) bool {
 	return strings.HasPrefix(path, root) && (len(path) == len(root) || path[len(root)] == '/')
 }
 
-// equateFormula builds the similarity constraint across subtrees: for
+// equateLit builds the similarity constraint across subtrees: for
 // every relative path that carries a delta in any member subtree, all
 // members' deltas must agree; a member lacking the delta contributes
 // "false" (no change), so the others must be false too.
-func (e *Encoder) equateFormula(roots []string) *smt.Formula {
+func (e *Encoder) equateLit(roots []string) sat.Lit {
 	if len(roots) < 2 {
-		return smt.TrueF // nothing to equate: trivially satisfied
+		return e.Ctx.True() // nothing to equate: trivially satisfied
 	}
-	// Group member deltas by relative path.
-	type slot struct {
-		byRoot map[string]*smt.Formula
-	}
-	slots := make(map[string]*slot)
+	// Group member deltas by relative path. Multiple deltas can share
+	// (root, rel, kind) — e.g. an add rule per traffic class; their
+	// disjunction is the member's value.
+	slots := make(map[string]map[string][]sat.Lit)
 	for _, d := range e.reg.all() {
 		for _, root := range roots {
 			var rel string
@@ -152,12 +134,10 @@ func (e *Encoder) equateFormula(roots []string) *smt.Formula {
 			key := rel + "\x00" + d.Kind.String() + "\x00" + d.SlotSuffix
 			s := slots[key]
 			if s == nil {
-				s = &slot{byRoot: make(map[string]*smt.Formula)}
+				s = make(map[string][]sat.Lit)
 				slots[key] = s
 			}
-			// Multiple deltas can share (root, rel, kind) — e.g. an
-			// add rule per traffic class; OR them together.
-			s.byRoot[root] = smt.Or(s.byRoot[root], d.Bool)
+			s[root] = append(s[root], e.reg.lit(d))
 			break
 		}
 	}
@@ -166,26 +146,18 @@ func (e *Encoder) equateFormula(roots []string) *smt.Formula {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var parts []*smt.Formula
+	var parts []sat.Lit
 	for _, k := range keys {
-		s := slots[k]
-		// Build pairwise equalities; missing members are "false".
-		var prev *smt.Formula
-		first := true
-		for _, root := range roots {
-			cur := s.byRoot[root]
-			if cur == nil {
-				cur = smt.FalseF
-			}
-			if !first {
-				parts = append(parts, smt.Iff(prev, cur))
+		// Chain equalities between consecutive members; a missing
+		// member is Or() = false.
+		var prev sat.Lit
+		for i, root := range roots {
+			cur := e.Ctx.Or(slots[k][root]...)
+			if i > 0 {
+				parts = append(parts, e.Ctx.Or(prev.Neg(), cur), e.Ctx.Or(prev, cur.Neg()))
 			}
 			prev = cur
-			first = false
 		}
 	}
-	if len(parts) == 0 {
-		return smt.TrueF
-	}
-	return smt.And(parts...)
+	return e.Ctx.And(parts...)
 }

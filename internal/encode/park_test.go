@@ -11,68 +11,57 @@ import (
 	"github.com/aed-net/aed/internal/smt"
 )
 
-// watchGates sets a finalizer on every gate node (neither a variable
-// nor a constant) held by e's filter-chain cache, its environments'
-// forwarding maps, the threshold-negation memos of its best-cost
-// variables, the threshold memos of the local-preference variables its
-// BGP comparisons read (the best records' and the filter chains') and
-// its aux deltas — nodes nothing but the encoder's caches, the NatVars,
-// the IntVars and the delta list reaches once the formulas are asserted
-// — and returns how many it watches and a counter of those collected.
-// It keeps no reference to the nodes itself.
-func watchGates(e *Encoder) (int64, *atomic.Int64) {
+// watchEncodeState sets a finalizer on what only e's encoding reads
+// once the constraints are asserted — its environment copies, their
+// best-record NatVars and IntVars, the local-preference IntVars of its
+// route-filter chains and its aux deltas — and returns how many it
+// watches and a counter of those collected. It keeps no reference to
+// them itself.
+func watchEncodeState(e *Encoder) (int64, *atomic.Int64) {
 	freed := new(atomic.Int64)
 	var n int64
-	seen := map[*smt.Formula]bool{}
-	watch := func(f *smt.Formula) {
-		if f == smt.TrueF || f == smt.FalseF || f.IsVar() || seen[f] {
-			return
-		}
-		seen[f] = true
+	watch := func(obj any) {
 		n++
-		runtime.SetFinalizer(f, func(*smt.Formula) { freed.Add(1) })
-	}
-	watchLP := func(lp *smt.IntVar) {
-		for _, d := range lp.Domain() {
-			watch(lp.LeConst(d))
-			watch(lp.LtConst(d))
-			watch(lp.GeConst(d))
-			watch(lp.GtConst(d))
+		switch o := obj.(type) {
+		case *env:
+			runtime.SetFinalizer(o, func(*env) { freed.Add(1) })
+		case *smt.NatVar:
+			runtime.SetFinalizer(o, func(*smt.NatVar) { freed.Add(1) })
+		case *smt.IntVar:
+			runtime.SetFinalizer(o, func(*smt.IntVar) { freed.Add(1) })
+		case *Delta:
+			runtime.SetFinalizer(o, func(*Delta) { freed.Add(1) })
 		}
 	}
 	for _, c := range e.rfChainCache {
-		watch(c.allow)
 		if c.lp != nil {
-			watchLP(c.lp)
+			watch(c.lp)
 		}
 	}
 	for _, d := range e.Deltas() {
 		if d.Aux {
-			watch(d.Bool)
+			watch(d)
 		}
 	}
 	for _, v := range e.envs {
-		for _, f := range v.controlFwd {
-			watch(f)
-		}
+		watch(v)
 		for _, c := range v.bestCost {
-			for k := 0; k < c.Max(); k++ {
-				watch(c.LeConst(k))
-			}
+			watch(c)
 		}
 		for _, lp := range v.bestLP {
-			watchLP(lp)
+			watch(lp)
 		}
 	}
 	return n, freed
 }
 
 // TestParkFreesFormulaDAG parks a solved live encoder, under OSPF and
-// under BGP, and checks that the garbage collector then reclaims
-// formula nodes only its caches and its NatVars' and IntVars' threshold
-// memos held; the parked instance must still rebind, including to a
-// local preference it first sees after the park, and agree with a cold
-// encode.
+// under BGP, and checks that the garbage collector then reclaims what
+// only encoding read — once the formula DAG, now the environments,
+// their best records, the route-filter chains' lp variables and the
+// aux deltas (watchEncodeState); the parked instance must still
+// rebind, including to a local preference it first sees after the
+// park, and agree with a cold encode.
 func TestParkFreesFormulaDAG(t *testing.T) {
 	for _, proto := range []config.Proto{config.OSPF, config.BGP} {
 		t.Run(proto.String(), func(t *testing.T) { testParkFreesFormulaDAG(t, proto) })
@@ -82,15 +71,15 @@ func TestParkFreesFormulaDAG(t *testing.T) {
 func testParkFreesFormulaDAG(t *testing.T, proto config.Proto) {
 	net, _ := rebindNet(t, proto)
 	e, cold := solveLive(t, net)
-	watched, freed := watchGates(e)
+	watched, freed := watchEncodeState(e)
 	if watched == 0 {
-		t.Fatal("no gate nodes to watch")
+		t.Fatal("no encode-time state to watch")
 	}
 	e.Park()
 	deadline := time.Now().Add(10 * time.Second)
 	for freed.Load() < watched {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d watched formula nodes collected after Park", freed.Load(), watched)
+			t.Fatalf("%d of %d watched encode-time objects collected after Park", freed.Load(), watched)
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/aed-net/aed/internal/config"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/smt"
 )
 
@@ -30,7 +31,7 @@ type ruleBinding struct {
 	// pinned by a pair of retractable unit assertions of which exactly
 	// one is active, so flipping the configured action is one
 	// Retract + one Reassert.
-	actV     *smt.Formula
+	actV     sat.Lit
 	actTrue  smt.Handle
 	actFalse smt.Handle
 	permit   bool
@@ -38,9 +39,9 @@ type ruleBinding struct {
 	// inLPChain records that the rule was encoded in at least one
 	// local-preference-aware chain. lpVar/lpD exist only when it was
 	// additionally configured as permit there (deny rules get no lp
-	// machinery); lpHandles memoizes one retractable anchor
-	// Iff(lpD, lpVar != cur) per configured value seen so far, with
-	// lpCur naming the active one.
+	// machinery); lpHandles memoizes one retractable anchor (anchorLP)
+	// per configured value seen so far, with lpCur naming the active
+	// one.
 	inLPChain bool
 	lpVar     *smt.IntVar
 	lpD       *Delta
@@ -67,8 +68,8 @@ func (e *Encoder) bindRule(router, filter string, idx int, rule *config.RouteRul
 	actV := e.Ctx.BoolVar()
 	b := &ruleBinding{
 		actV:     actV,
-		actTrue:  e.Ctx.AssertRetractable(actV),
-		actFalse: e.Ctx.AssertRetractable(smt.Not(actV)),
+		actTrue:  e.Ctx.AssertRetractable([]sat.Lit{actV}),
+		actFalse: e.Ctx.AssertRetractable([]sat.Lit{actV.Neg()}),
 		permit:   rule.Permit,
 	}
 	if rule.Permit {
@@ -78,6 +79,14 @@ func (e *Encoder) bindRule(router, filter string, idx int, rule *config.RouteRul
 	}
 	e.ruleBind[key] = b
 	return b
+}
+
+// anchorLP asserts, retractably, that b's lp delta holds exactly when
+// its local preference differs from the configured value lp: the two
+// clauses of lpD ⇔ lpVar ≠ lp.
+func (e *Encoder) anchorLP(b *ruleBinding, lp int) smt.Handle {
+	d, eq := b.lpD.Bool, b.lpVar.EqConst(lp)
+	return e.Ctx.AssertRetractable([]sat.Lit{d.Neg(), eq.Neg()}, []sat.Lit{d, eq})
 }
 
 // normLP maps a configured LocalPref to the encoding's convention
@@ -154,8 +163,7 @@ func (e *Encoder) Rebind(newNet *config.Network) (swapped int, ok bool) {
 			if h, seen := b.lpHandles[c.lp]; seen {
 				e.Ctx.Reassert(h)
 			} else {
-				b.lpHandles[c.lp] = e.Ctx.AssertRetractable(
-					smt.Iff(b.lpD.Bool, smt.Not(b.lpVar.EqConst(c.lp))))
+				b.lpHandles[c.lp] = e.anchorLP(b, c.lp)
 			}
 			b.lpCur = c.lp
 			swapped++

@@ -3,6 +3,7 @@ package encode
 import (
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/policy"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/smt"
 )
 
@@ -43,10 +44,10 @@ func (e *Encoder) EncodeRetractable(ps []policy.Policy) error {
 			continue
 		}
 		g := e.Ctx.BoolVar()
-		if err := e.encodeGuarded(p, g); err != nil {
+		if err := e.encodeGuarded(p, []sat.Lit{g}); err != nil {
 			return err
 		}
-		e.guards[k] = &policyGuard{h: e.Ctx.AssertRetractable(g), on: true}
+		e.guards[k] = &policyGuard{h: e.Ctx.AssertRetractable([]sat.Lit{g}), on: true}
 	}
 	return nil
 }

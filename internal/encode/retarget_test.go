@@ -82,8 +82,13 @@ func TestRetargetFollowsOnlyEncodedPolicies(t *testing.T) {
 		t.Errorf("%d guards after a refused Retarget, want %d", len(e.guards), len(base))
 	}
 	for p, g := range e.guards {
-		if !g.on || e.Ctx.Retracted(g.h) {
+		if !g.on {
 			t.Errorf("%v switched off by a refused Retarget", p)
 		}
+	}
+	live, want := e.ReSolveContext(context.Background(), smt.LinearDescent), cold(base)
+	if live.Sat != want.Sat || live.ViolatedWeight != want.ViolatedWeight {
+		t.Fatalf("after a refused Retarget: live sat=%v cost %d, cold sat=%v cost %d",
+			live.Sat, live.ViolatedWeight, want.Sat, want.ViolatedWeight)
 	}
 }

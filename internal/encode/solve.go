@@ -33,7 +33,7 @@ type Result struct {
 	Duration   time.Duration
 	// Problem size, for the scalability experiments. NumClauses is the
 	// post-Tseitin CNF clause count the solver actually holds (the
-	// quantity sharing at the formula builders shrinks; see
+	// quantity sharing at the gate builders shrinks; see
 	// docs/PERFORMANCE.md §3).
 	NumVars    int
 	NumClauses int

@@ -57,7 +57,7 @@ func (c *Context) totalizerMerge(left, right []sat.Lit, width int) []sat.Lit {
 	c.Grow(n)
 	out := make([]sat.Lit, n)
 	for i := range out {
-		out[i] = sat.PosLit(c.freshSatVar())
+		out[i] = c.BoolVar()
 	}
 	// For every split a+b = k (a ones from left, b ones from right):
 	// left[a-1] ∧ right[b-1] -> out[a+b-1].
@@ -87,24 +87,8 @@ func (c *Context) totalizerMerge(left, right []sat.Lit, width int) []sat.Lit {
 	return out
 }
 
-// AtMost asserts that at most k of the formulas hold, using a
-// sequential-counter encoding. For k==0 it simply asserts all
-// negations.
-func (c *Context) AtMost(k int, fs ...*Formula) {
-	if k < 0 {
-		panic("smt: negative cardinality bound")
-	}
-	if k >= len(fs) {
-		return
-	}
-	lits := make([]sat.Lit, len(fs))
-	for i, f := range fs {
-		lits[i] = c.tseitin(f)
-	}
-	c.atMost(k, lits)
-}
-
-// atMost emits AtMost's clauses over literals and returns the counter
+// atMost asserts that at most k of lits hold, using a sequential-counter
+// encoding (for k == 0, all their negations), and returns the counter
 // variables it introduced (as positive literals). Every clause holds
 // once all inputs and counter variables are false.
 func (c *Context) atMost(k int, lits []sat.Lit) (aux []sat.Lit) {
@@ -123,7 +107,7 @@ func (c *Context) atMost(k int, lits []sat.Lit) (aux []sat.Lit) {
 	c.Grow(n * k)
 	aux = make([]sat.Lit, n*k)
 	for i := range aux {
-		aux[i] = sat.PosLit(c.freshSatVar())
+		aux[i] = c.BoolVar()
 	}
 	s := make([][]sat.Lit, n)
 	for i := range s {
@@ -144,23 +128,3 @@ func (c *Context) atMost(k int, lits []sat.Lit) (aux []sat.Lit) {
 	}
 	return aux
 }
-
-// AtLeast asserts that at least k of the formulas hold.
-func (c *Context) AtLeast(k int, fs ...*Formula) {
-	if k <= 0 {
-		return
-	}
-	if k > len(fs) {
-		c.Assert(FalseF)
-		return
-	}
-	// at-least-k(fs) == at-most-(n-k)(¬fs)
-	neg := make([]*Formula, len(fs))
-	for i, f := range fs {
-		neg[i] = Not(f)
-	}
-	c.AtMost(len(fs)-k, neg...)
-}
-
-// ExactlyOne asserts exactly one of fs holds.
-func (c *Context) ExactlyOne(fs ...*Formula) { c.assertExactlyOne(fs) }

@@ -1,61 +1,66 @@
+// Package smt layers a small satisfiability-modulo-theories facility on
+// top of the CDCL core in internal/sat. It provides:
+//
+//   - boolean gates over solver literals (And and Or; ¬ is Lit.Neg) that
+//     fold constants and add their Tseitin clauses once per call, and
+//     clause-level assertions (plain, guarded and retractable), so a
+//     caller states each constraint's top as clauses and builds gates
+//     only for what it nests,
+//   - finite-domain integer variables and terms with comparisons,
+//     equality, and constant offsets (sufficient for route metrics such
+//     as local preference, administrative distance, and path cost),
+//   - cardinality constraints (sequential counter and totalizer
+//     encodings), and
+//   - weighted MaxSAT with selectable search strategies, which is how
+//     AED's management objectives become "soft" constraints.
+//
+// This package substitutes for the Z3 MaxSMT solver used by the paper's
+// artifact (DESIGN.md §2): AED's encoding is finite — the paper itself
+// replaces integer metrics by (2n+1) boolean choices — so finite-domain
+// reasoning over a SAT core preserves the semantics.
 package smt
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/aed-net/aed/internal/obs"
 	"github.com/aed-net/aed/internal/sat"
 )
 
-// Context owns a SAT solver and the bookkeeping that maps SMT-level
-// variables and terms onto SAT variables. A Context is not safe for
-// concurrent use; AED runs one Context per destination prefix when
-// solving in parallel.
+// Context owns a SAT solver and the bookkeeping of the constraints
+// asserted over its literals. A Context is not safe for concurrent
+// use; AED runs one Context per destination prefix when solving in
+// parallel.
 type Context struct {
 	solver *sat.Solver
 
-	// Boolean variables by dense index (Formula.v): the backing SAT
-	// variable.
-	vars []sat.Var
+	// tru is the context's constant-true literal, pinned by a unit
+	// clause (see True).
+	tru sat.Lit
 
 	soft []softConstraint
 
-	// The Tseitin memo: the definitional literal of every encoded node,
-	// so shared subformulas (ubiquitous in the routing encoding, where
-	// filter and forwarding formulas feed many constraints) are encoded
-	// once. It lives on the nodes themselves, stamped with id (see
-	// Formula); foreign holds the nodes this context may not stamp — the
-	// shared constants and nodes already stamped by another context.
-	// The memo collapses physically shared nodes only: a structurally
-	// equal rebuild is encoded afresh, so the builders share the nodes
-	// they repeat (docs/PERFORMANCE.md §3). memoHits and memoMisses
-	// count tseitin calls answered from the memo and nodes encoded
-	// fresh (InternStats).
-	id         uint32
-	foreign    map[*Formula]sat.Lit
-	memoHits   int
-	memoMisses int
+	// gateHits counts gate requests answered without a new variable,
+	// gateMisses the gate variables created (InternStats).
+	gateHits, gateMisses int
 
-	// parked records that Park has run: the encoding-time tables are
+	// parked records that Park has run: the encoding-time buffers are
 	// gone. parkVars and parkClauses are the solver's variable and
 	// problem-clause counts when Park last compacted it.
 	parked                bool
 	parkVars, parkClauses int
 
 	// litBuf is a stack of clause literals under construction, shared
-	// by nested gate encodings (each works above its caller's mark).
+	// by the gates and the clause-level assertions (each works above
+	// its caller's mark).
 	litBuf []sat.Lit
 
 	// Retractable assertions (see retract.go): each entry's selector is
 	// assumed — positively while active, negatively once retracted — on
-	// every SAT call made through solveTimed. selIdx maps selector
-	// literals back to handles for RetractableCore; selAsm is the
-	// per-solve assumption scratch buffer.
+	// every SAT call made through solveTimed. selAsm is the per-solve
+	// assumption scratch buffer.
 	retract []retractEntry
-	selIdx  map[sat.Lit]Handle
 	selAsm  []sat.Lit
 
 	// totalOuts memoizes the soft-constraint relaxation and totalizer
@@ -92,45 +97,25 @@ type Context struct {
 }
 
 type softConstraint struct {
-	f      *Formula
+	lit    sat.Lit
 	weight int
 	label  string
 }
 
-// contextIDs hands out Context ids, the owner stamps of node-resident
-// Tseitin literals. 0 means "not stamped" and is skipped. Ids are 32
-// bits and wrap after 2^32 contexts; a node outliving that many
-// contexts is not a case the encoder produces (its formulas live as
-// long as their context).
-var contextIDs atomic.Uint32
-
-func nextContextID() uint32 {
-	for {
-		if id := contextIDs.Add(1); id != 0 {
-			return id
-		}
-	}
-}
-
 // NewContext returns a fresh solving context.
 func NewContext() *Context {
-	return &Context{
-		solver: sat.New(),
-		id:     nextContextID(),
-		totalN: -1,
-	}
+	c := &Context{solver: sat.New(), totalN: -1}
+	c.tru = c.BoolVar()
+	c.solver.AddClause(c.tru)
+	return c
 }
 
 // Park readies a context that stays alive between searches — a live
 // per-destination instance waiting for its next re-solve — by
-// releasing what only encoding reads: the foreign-node memo, which
-// reaches every formula node the context encoded but could not stamp,
-// and the clause-literal stack. A formula asserted after Park (a
-// retractable anchor for a value first seen by a rebind) is still
-// encoded correctly: a node Park forgot gets a fresh Tseitin literal
-// whose definition is equivalent to the old one, so the instance stays
-// equisatisfiable. Nodes the context stamped keep their literal on the
-// node.
+// releasing the clause-literal stack, which only encoding reads. A
+// constraint asserted after Park (a retractable anchor for a value
+// first seen by a rebind) is still encoded correctly: the stack is
+// rebuilt on demand.
 //
 // Park also compacts the SAT solver (sat.Solver.Compact), trimming
 // the spare capacity encoding left behind. A later Park — one per
@@ -147,182 +132,30 @@ func (c *Context) Park() {
 		return
 	}
 	c.parked = true
-	c.foreign = nil
 	c.litBuf = nil
 	c.solver.Compact()
 	c.parkVars, c.parkClauses = vars, clauses
 }
 
-// InternStats reports the Tseitin node memo's reuse: hits are tseitin
-// calls answered by a literal the context already holds for the node,
-// misses are nodes it encoded fresh. The name is that of the structural
-// intern table it once reported on: perfbench (coldfleet.go,
-// editstream.go) reads it as its smt.intern_hit_ratio.
+// InternStats reports how often the gates were spared a variable: hits
+// are gate requests (And, Or and the IntVar threshold comparisons)
+// answered without a new variable — folded to a constant or to their
+// one remaining input, or served from an IntVar's threshold memo — and
+// misses are the gate variables created. The name is that of the
+// structural intern table it once reported on: perfbench
+// (coldfleet.go, editstream.go) reads it as its smt.intern_hit_ratio.
 func (c *Context) InternStats() (hits, misses int) {
-	return c.memoHits, c.memoMisses
+	return c.gateHits, c.gateMisses
 }
 
-// BoolVar allocates a fresh boolean variable and returns it as a
-// formula.
-func (c *Context) BoolVar() *Formula {
-	idx := len(c.vars)
-	c.vars = append(c.vars, c.solver.NewVar())
-	return &Formula{op: opVar, v: int32(idx)}
-}
-
-// satVar returns the SAT variable backing a formula variable.
-func (c *Context) satVar(f *Formula) sat.Var {
-	if f.v < 0 || int(f.v) >= len(c.vars) {
-		panic(fmt.Sprintf("smt: unknown variable b%d", f.v))
-	}
-	return c.vars[f.v]
-}
-
-// freshSatVar allocates an anonymous SAT variable for Tseitin
-// definitions.
-func (c *Context) freshSatVar() sat.Var { return c.solver.NewVar() }
-
-// Assert adds f as a hard constraint, lowered straight to clauses (see
-// lower).
-func (c *Context) Assert(f *Formula) { c.lower(len(c.litBuf), f) }
-
-// lower adds the clauses of f, each prefixed by the guard literals
-// litBuf[gmark:] — none for Assert, ¬sel for AssertRetractable — and
-// leaves litBuf as it found it. It is the one clausal path of the
-// package: only the top of f is lowered, nested subformulas get the
-// full Tseitin encoding (tseitin).
-//
-// A top-level conjunction is lowered conjunct by conjunct, and a
-// top-level disjunction (or any other formula, a one-kid disjunction)
-// becomes clauses without gate variables for its kids where their
-// shape allows:
-//
-//   - a negated conjunction ¬(k₁ ∧ … ∧ kₙ) is spliced in as the
-//     literals ¬k₁ … ¬kₙ (De Morgan);
-//   - one conjunction kid D — an And, or a negated Or; the one with the
-//     most conjuncts, the first of those — is distributed: with g the
-//     literals of the other kids, each conjunct dᵢ of D yields the
-//     clause [guard…, g…, lits(dᵢ)], where a conjunct that is itself a
-//     disjunction (an Or, or a negated And) contributes its kids'
-//     literals. Any other conjunction kid gets a gate: distributing two
-//     would multiply their clauses.
-//
-// A kid that already has a literal in this context (the node memo) is
-// taken as that one literal instead: the clauses it would cost were
-// emitted with its definition.
-func (c *Context) lower(gmark int, f *Formula) {
-	switch f.op {
-	case opConst:
-		if !f.b {
-			// The guard alone: the empty clause under Assert.
-			c.addClause(gmark)
-		}
-		return
-	case opAnd:
-		for _, k := range f.kids {
-			c.lower(gmark, k)
-		}
-		return
-	}
-	kids := f.kids
-	if f.op != opOr {
-		kids = []*Formula{f}
-	}
-	mark := len(c.litBuf)
-	var conj *Formula
-	for _, k := range kids {
-		if isConjunction(k) {
-			if l, ok := c.knownLit(k); ok {
-				c.litBuf = append(c.litBuf, l)
-				continue
-			}
-			if conj == nil {
-				conj = k
-				continue
-			}
-			if conjuncts(k) > conjuncts(conj) {
-				conj, k = k, conj
-			}
-		}
-		c.pushDisjunct(k, false)
-	}
-	if conj == nil {
-		c.addClause(gmark)
-	} else {
-		// conj is d₁ ∧ … ∧ dₙ, or ¬(d₁ ∨ … ∨ dₙ): one clause per dᵢ,
-		// or per ¬dᵢ.
-		ds, neg := conj.kids, false
-		if conj.op == opNot {
-			ds, neg = conj.kids[0].kids, true
-		}
-		for _, d := range ds {
-			top := len(c.litBuf)
-			c.pushDisjunct(d, neg)
-			c.addClause(gmark)
-			c.litBuf = c.litBuf[:top]
-		}
-	}
-	c.litBuf = c.litBuf[:mark]
-}
-
-// isConjunction reports whether f is an And or a negated Or, the
-// shapes lower distributes.
-func isConjunction(f *Formula) bool {
-	return f.op == opAnd || f.op == opNot && f.kids[0].op == opOr
-}
-
-// conjuncts returns the number of conjuncts of a conjunction.
-func conjuncts(f *Formula) int {
-	if f.op == opNot {
-		return len(f.kids[0].kids)
-	}
-	return len(f.kids)
-}
-
-// pushDisjunct pushes onto litBuf literals whose disjunction is
-// equivalent to f, or to ¬f when neg is set: the kids' literals of a
-// disjunction, the negated kids' literals of a negated conjunction (De
-// Morgan), and one literal otherwise or when the disjunction already
-// has a literal in this context.
-func (c *Context) pushDisjunct(f *Formula, neg bool) {
-	if f.op == opNot {
-		f, neg = f.kids[0], !neg
-	}
-	if f.op == opOr && !neg || f.op == opAnd && neg {
-		if _, ok := c.cachedLit(f); !ok {
-			for _, k := range f.kids {
-				c.pushLit(c.tseitin(k), neg)
-			}
-			return
-		}
-	}
-	c.pushLit(c.tseitin(f), neg)
-}
-
-// pushLit pushes l, negated when neg is set, onto litBuf.
-func (c *Context) pushLit(l sat.Lit, neg bool) {
-	if neg {
-		l = l.Neg()
-	}
-	c.litBuf = append(c.litBuf, l)
-}
-
-// addClause adds the clause litBuf[gmark:] as a hard constraint.
-func (c *Context) addClause(gmark int) {
-	c.solver.AddClause(c.litBuf[gmark:]...)
-}
-
-// AssertSoft registers f as a soft constraint with the given positive
+// AssertSoft registers l as a soft constraint with the given positive
 // weight. Soft constraints are maximized by Maximize.
-func (c *Context) AssertSoft(f *Formula, weight int, label string) {
+func (c *Context) AssertSoft(l sat.Lit, weight int, label string) {
 	if weight <= 0 {
 		panic("smt: soft constraint weight must be positive")
 	}
-	c.soft = append(c.soft, softConstraint{f: f, weight: weight, label: label})
+	c.soft = append(c.soft, softConstraint{lit: l, weight: weight, label: label})
 }
-
-// NumSoft returns the number of registered soft constraints.
-func (c *Context) NumSoft() int { return len(c.soft) }
 
 // NumSATVars exposes the size of the underlying SAT problem.
 func (c *Context) NumSATVars() int { return c.solver.NumVars() }
@@ -333,7 +166,7 @@ func (c *Context) NumSATVars() int { return c.solver.NumVars() }
 func (c *Context) NumSATClauses() int { return c.solver.NumClauses() }
 
 // Grow preallocates solver storage for n upcoming variables; the
-// domain materializers (IntVarOf, NatVarOf, totalizer, AtMost) use it
+// domain materializers (IntVarOf, NatVarOf, totalizer, atMost) use it
 // so their variable bursts extend the solver's per-variable slices in
 // one step.
 func (c *Context) Grow(n int) { c.solver.Grow(n) }
@@ -481,155 +314,16 @@ func (c *Context) solveTimed(assumptions ...sat.Lit) sat.Status {
 	return st
 }
 
-// tseitin returns a literal equisatisfiably representing f, memoized
-// per formula node: a node encoded before reuses its definitional
-// literal and emits no new clauses.
-func (c *Context) tseitin(f *Formula) sat.Lit {
-	if f.op == opVar { // a variable is its own literal, never memoized
-		return sat.PosLit(c.satVar(f))
-	}
-	if l, ok := c.cachedLit(f); ok {
-		c.memoHits++
-		return l
-	}
-	c.memoMisses++
-	l := c.tseitinUncached(f)
-	c.remember(f, l)
-	return l
-}
-
-// cachedLit returns the literal f already has in this context — from
-// the node memo or the foreign map — without encoding anything. f is
-// not a variable.
-func (c *Context) cachedLit(f *Formula) (sat.Lit, bool) {
-	m := f.memo.Load()
-	if uint32(m>>32) == c.id {
-		return sat.Lit(uint32(m)), true
-	}
-	if m != 0 || f.op == opConst {
-		if l, ok := c.foreign[f]; ok {
-			return l, true
-		}
-	}
-	return 0, false
-}
-
-// knownLit returns the literal a conjunction lower would distribute
-// already has in this context, if any: a negated disjunction's is its
-// kid's, negated.
-func (c *Context) knownLit(f *Formula) (sat.Lit, bool) {
-	if f.op == opNot {
-		l, ok := c.cachedLit(f.kids[0])
-		return l.Neg(), ok
-	}
-	return c.cachedLit(f)
-}
-
-// remember records l as f's literal in this context: on the node when
-// this context wins its stamp, in the foreign map otherwise.
-func (c *Context) remember(f *Formula, l sat.Lit) {
-	if f.op != opConst && f.memo.CompareAndSwap(0, uint64(c.id)<<32|uint64(uint32(l))) {
-		return
-	}
-	if c.foreign == nil {
-		c.foreign = make(map[*Formula]sat.Lit)
-	}
-	c.foreign[f] = l
-}
-
-func (c *Context) tseitinUncached(f *Formula) sat.Lit {
-	switch f.op {
-	case opConst:
-		// Encode a constant as a fixed fresh variable.
-		v := c.freshSatVar()
-		if f.b {
-			c.solver.AddClause(sat.PosLit(v))
-		} else {
-			c.solver.AddClause(sat.NegLit(v))
-		}
-		return sat.PosLit(v)
-	case opNot:
-		return c.tseitin(f.kids[0]).Neg()
-	case opAnd, opOr:
-		out := sat.PosLit(c.freshSatVar())
-		// The kids' literals are stacked on litBuf above the caller's
-		// mark: nested encodings push and pop above them.
-		mark := len(c.litBuf)
-		for _, k := range f.kids {
-			l := c.tseitin(k)
-			c.litBuf = append(c.litBuf, l)
-		}
-		kids := c.litBuf[mark:]
-		if f.op == opAnd {
-			// out -> each kid; all kids -> out
-			for i, kl := range kids {
-				c.solver.AddClause(out.Neg(), kl)
-				kids[i] = kl.Neg()
-			}
-			c.litBuf = append(c.litBuf, out)
-		} else {
-			// each kid -> out; out -> some kid
-			for _, kl := range kids {
-				c.solver.AddClause(kl.Neg(), out)
-			}
-			c.litBuf = append(c.litBuf, out.Neg())
-		}
-		c.solver.AddClause(c.litBuf[mark:]...)
-		c.litBuf = c.litBuf[:mark]
-		return out
-	}
-	panic("smt: unknown formula op")
-}
-
-// Model is a satisfying assignment for the SMT-level variables.
+// Model is a satisfying assignment of the context's variables.
 type Model struct {
-	ctx    *Context
 	assign []sat.Tribool
 }
 
-// Bool returns the model value of a boolean variable formula.
-func (m *Model) Bool(f *Formula) bool {
-	if f.op == opConst {
-		return f.b
-	}
-	if f.op == opNot {
-		return !m.Bool(f.kids[0])
-	}
-	if f.op != opVar {
-		return m.Eval(f)
-	}
-	if int(f.v) >= len(m.ctx.vars) {
-		return false
-	}
-	v := m.ctx.vars[f.v]
-	return int(v) < len(m.assign) && m.assign[v] == sat.True
-}
-
-// Eval evaluates an arbitrary formula under the model.
-func (m *Model) Eval(f *Formula) bool {
-	switch f.op {
-	case opConst:
-		return f.b
-	case opVar:
-		return m.Bool(f)
-	case opNot:
-		return !m.Eval(f.kids[0])
-	case opAnd:
-		for _, k := range f.kids {
-			if !m.Eval(k) {
-				return false
-			}
-		}
-		return true
-	case opOr:
-		for _, k := range f.kids {
-			if m.Eval(k) {
-				return true
-			}
-		}
-		return false
-	}
-	panic("smt: unknown formula op")
+// Bool returns l's value in the model; a variable created after the
+// solve reads false.
+func (m *Model) Bool(l sat.Lit) bool {
+	v := l.Var()
+	return (int(v) < len(m.assign) && m.assign[v] == sat.True) != l.Sign()
 }
 
 // Int returns the model value of an integer variable.
@@ -645,38 +339,26 @@ func (m *Model) Int(iv *IntVar) int {
 
 // Solve checks satisfiability of the hard constraints. It returns the
 // model if satisfiable, nil otherwise.
-func (c *Context) Solve() *Model {
-	if c.solveTimed() != sat.Sat {
+func (c *Context) Solve() *Model { return c.SolveAssuming() }
+
+// SolveAssuming checks satisfiability under extra assumption literals.
+func (c *Context) SolveAssuming(assumptions ...sat.Lit) *Model {
+	if c.solveTimed(assumptions...) != sat.Sat {
 		return nil
 	}
-	return &Model{ctx: c, assign: c.solver.Model()}
+	return &Model{assign: c.solver.Model()}
 }
 
-// SolveAssuming checks satisfiability under extra assumption formulas
-// (each must be a variable or negated variable).
-func (c *Context) SolveAssuming(assumptions ...*Formula) *Model {
-	lits := make([]sat.Lit, len(assumptions))
-	for i, a := range assumptions {
-		lits[i] = c.mustLit(a)
-	}
-	if c.solveTimed(lits...) != sat.Sat {
-		return nil
-	}
-	return &Model{ctx: c, assign: c.solver.Model()}
-}
-
-// UnsatCore checks satisfiability under the assumption formulas and,
+// UnsatCore checks satisfiability under the assumption literals and,
 // when unsatisfiable, returns the indices of a responsible subset of
 // the assumptions (not necessarily minimal). It returns (nil, true)
 // when satisfiable.
-func (c *Context) UnsatCore(assumptions []*Formula) (core []int, sat_ bool) {
-	lits := make([]sat.Lit, len(assumptions))
+func (c *Context) UnsatCore(assumptions []sat.Lit) (core []int, sat_ bool) {
 	byLit := make(map[sat.Lit]int, len(assumptions))
 	for i, a := range assumptions {
-		lits[i] = c.mustLit(a)
-		byLit[lits[i]] = i
+		byLit[a] = i
 	}
-	if c.solveTimed(lits...) == sat.Sat {
+	if c.solveTimed(assumptions...) == sat.Sat {
 		return nil, true
 	}
 	// FinalCore holds the responsible assumption subset directly;
@@ -691,10 +373,10 @@ func (c *Context) UnsatCore(assumptions []*Formula) (core []int, sat_ bool) {
 
 // MinimizeCore shrinks an unsat core by deletion: repeatedly drop an
 // assumption and keep the removal if the rest remains unsatisfiable.
-func (c *Context) MinimizeCore(assumptions []*Formula, core []int) []int {
+func (c *Context) MinimizeCore(assumptions []sat.Lit, core []int) []int {
 	cur := append([]int(nil), core...)
 	for i := 0; i < len(cur); {
-		trial := make([]*Formula, 0, len(cur)-1)
+		trial := make([]sat.Lit, 0, len(cur)-1)
 		for j, idx := range cur {
 			if j != i {
 				trial = append(trial, assumptions[idx])
@@ -707,16 +389,4 @@ func (c *Context) MinimizeCore(assumptions []*Formula, core []int) []int {
 		i++
 	}
 	return cur
-}
-
-func (c *Context) mustLit(f *Formula) sat.Lit {
-	switch f.op {
-	case opVar:
-		return sat.PosLit(c.satVar(f))
-	case opNot:
-		if f.kids[0].op == opVar {
-			return sat.NegLit(c.satVar(f.kids[0]))
-		}
-	}
-	return c.tseitin(f)
 }

@@ -1,6 +1,10 @@
 package smt
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/aed-net/aed/internal/sat"
+)
 
 // fuzzInstance decodes a small MaxSAT instance: data[0] picks 2–6
 // variables; each later clause starts with a header byte whose bits 0–1
@@ -11,16 +15,16 @@ import "testing"
 // byte picks the edit between the two searches.
 type fuzzInstance struct {
 	n       int
-	hard    []*Formula
-	soft    []*Formula
+	hard    [][]sat.Lit
+	soft    [][]sat.Lit
 	weights []int
-	retract *Formula // nil when the input names none
-	flip    bool     // edit: assert ¬retract instead of dropping it
+	retract []sat.Lit // nil when the input names none
+	flip    bool      // edit: assert ¬retract instead of dropping it
 }
 
-func decodeFuzzInstance(c *Context, data []byte) (fuzzInstance, []*Formula) {
+func decodeFuzzInstance(c *Context, data []byte) (fuzzInstance, []sat.Lit) {
 	in := fuzzInstance{n: 2 + int(data[0])%5}
-	vars := make([]*Formula, in.n)
+	vars := make([]sat.Lit, in.n)
 	for i := range vars {
 		vars[i] = c.BoolVar()
 	}
@@ -29,20 +33,19 @@ func decodeFuzzInstance(c *Context, data []byte) (fuzzInstance, []*Formula) {
 		h := data[p]
 		p++
 		width := 1 + int(h>>2&3)%3
-		var lits []*Formula
+		var clause []sat.Lit
 		for ; width > 0 && p < len(data); width-- {
 			b := data[p]
 			p++
 			l := vars[int(b>>1)%in.n]
 			if b&1 == 1 {
-				l = Not(l)
+				l = l.Neg()
 			}
-			lits = append(lits, l)
+			clause = append(clause, l)
 		}
-		if len(lits) == 0 {
+		if len(clause) == 0 {
 			break
 		}
-		clause := Or(lits...)
 		switch {
 		case h&3 == 2:
 			in.soft = append(in.soft, clause)
@@ -56,14 +59,37 @@ func decodeFuzzInstance(c *Context, data []byte) (fuzzInstance, []*Formula) {
 	return in, vars
 }
 
+// holds reports whether the clause holds with vars[i] bound to bit i of
+// assignment.
+func holds(clause, vars []sat.Lit, assignment uint) bool {
+	for _, l := range clause {
+		i := uint(l.Var() - vars[0].Var())
+		if (assignment>>i&1 == 1) != l.Sign() {
+			return true
+		}
+	}
+	return false
+}
+
+// modelHolds reports whether the clause holds in m.
+func modelHolds(clause []sat.Lit, m *Model) bool {
+	for _, l := range clause {
+		if m.Bool(l) {
+			return true
+		}
+	}
+	return false
+}
+
 // bruteOptimum returns the minimum violated soft weight over all
-// assignments satisfying hard plus extra, or -1 when there is none.
-func (in fuzzInstance) bruteOptimum(vars []*Formula, extra ...*Formula) int {
+// assignments satisfying hard plus the extra clauses, or -1 when there
+// is none.
+func (in fuzzInstance) bruteOptimum(vars []sat.Lit, extra ...[]sat.Lit) int {
 	best := -1
 	for m := uint(0); m < 1<<uint(in.n); m++ {
 		ok := true
-		for _, f := range append(append([]*Formula(nil), in.hard...), extra...) {
-			if !evalUnder(f, vars, m) {
+		for _, cl := range append(append([][]sat.Lit(nil), in.hard...), extra...) {
+			if !holds(cl, vars, m) {
 				ok = false
 				break
 			}
@@ -72,8 +98,8 @@ func (in fuzzInstance) bruteOptimum(vars []*Formula, extra ...*Formula) int {
 			continue
 		}
 		cost := 0
-		for i, f := range in.soft {
-			if !evalUnder(f, vars, m) {
+		for i, cl := range in.soft {
+			if !holds(cl, vars, m) {
 				cost += in.weights[i]
 			}
 		}
@@ -107,12 +133,12 @@ func FuzzMaxSAT(f *testing.F) {
 			t.Skip()
 		}
 		for _, h := range in.hard {
-			c.Assert(h)
+			c.Clause(h...)
 		}
 		for i, s := range in.soft {
-			c.AssertSoft(s, in.weights[i], "s")
+			c.AssertSoft(c.Or(s...), in.weights[i], "s")
 		}
-		check := func(step string, want Strategy, active ...*Formula) {
+		check := func(step string, want Strategy, active ...[]sat.Lit) {
 			t.Helper()
 			r := c.Maximize(Auto)
 			if r.Err != nil {
@@ -136,12 +162,12 @@ func FuzzMaxSAT(f *testing.F) {
 			}
 			cost := 0
 			for i, s := range in.soft {
-				if !r.Model.Eval(s) {
+				if !modelHolds(s, r.Model) {
 					cost += in.weights[i]
 				}
 			}
-			for _, h := range append(append([]*Formula(nil), in.hard...), active...) {
-				if !r.Model.Eval(h) {
+			for _, h := range append(append([][]sat.Lit(nil), in.hard...), active...) {
+				if !modelHolds(h, r.Model) {
 					t.Fatalf("%s: model violates a hard constraint", step)
 				}
 			}
@@ -155,8 +181,13 @@ func FuzzMaxSAT(f *testing.F) {
 
 		c.Retract(h)
 		if in.flip {
-			flipped := c.AssertRetractable(Not(in.retract))
-			check("after flip", LinearDescent, Not(in.retract))
+			// ¬retract: every literal of the clause false.
+			negated := make([][]sat.Lit, len(in.retract))
+			for i, l := range in.retract {
+				negated[i] = []sat.Lit{l.Neg()}
+			}
+			flipped := c.AssertRetractable(negated...)
+			check("after flip", LinearDescent, negated...)
 			c.Retract(flipped)
 		} else {
 			check("after retract", LinearDescent)
@@ -172,12 +203,12 @@ func FuzzMaxSAT(f *testing.F) {
 // integer arithmetic for every value tuple. data[0] picks the variable
 // count and data[1..3] their bounds (0–4); each later 4-byte group is
 // one call: the comparison, its operands, two offsets in −3..4 and a
-// constant in −2..5. Each call is checked twice: as a formula, defined
-// by a fresh variable through Iff, and asserted under a fresh guard —
-// through AssertLeUnder or AssertEqUnder for a comparison of two
-// NatVars, as an implication otherwise. Under its guard the comparison
-// must hold exactly; with every guard false the guarded assertions
-// must constrain nothing.
+// constant in −2..5. Each call is asserted under a fresh guard: through
+// AssertLeUnder or AssertEqUnder for a comparison of two NatVars, as a
+// guarded clause over the LeConst or EqConstNat literal otherwise.
+// Under its guard the comparison must hold exactly; with every guard
+// false the guarded assertions must constrain nothing, and a literal
+// comparison must read in the model as the values compare.
 func FuzzNatCompare(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 0, 0x10, 0x43, 0, 0, 0x10, 0x54, 0, 1, 0x01, 0x33, 0})
 	f.Add([]byte{1, 4, 2, 3, 2, 0x21, 0x31, 2, 3, 0x10, 0x70, 5, 4, 0x02, 0, 3})
@@ -193,9 +224,8 @@ func FuzzNatCompare(f *testing.F) {
 			vars[i] = c.NatVarOf(int(data[1+i]) % 5)
 		}
 		type call struct {
-			f     *Formula
-			sel   *Formula // sel ⇔ f, read from the solver's model
-			guard *Formula // guard → the comparison, asserted as clauses
+			lit   sat.Lit // the comparison's literal; 0 for two NatVars
+			guard sat.Lit // guard → the comparison, asserted as clauses
 			want  func(vals []int) bool
 		}
 		var calls []call
@@ -205,30 +235,27 @@ func FuzzNatCompare(f *testing.F) {
 			k := int(data[p+3]%8) - 2
 			a, b := vars[ai], vars[bi]
 			cl := call{guard: c.BoolVar()}
+			g := []sat.Lit{cl.guard}
 			switch data[p] % 5 {
 			case 0:
-				cl.f = NatLeOffset(a, da, b, db)
-				c.AssertLeUnder(cl.guard, a, da, b, db)
+				c.AssertLeUnder(g, a, da, b, db)
 				cl.want = func(v []int) bool { return v[ai]+da <= v[bi]+db }
 			case 1:
-				cl.f = NatLtOffset(a, da, b, db)
-				c.AssertLeUnder(cl.guard, a, da+1, b, db)
+				c.AssertLeUnder(g, a, da+1, b, db)
 				cl.want = func(v []int) bool { return v[ai]+da < v[bi]+db }
 			case 2:
-				cl.f = NatEqOffset(a, b, da)
-				c.AssertEqUnder(cl.guard, a, b, da)
+				c.AssertEqUnder(g, a, b, da)
 				cl.want = func(v []int) bool { return v[ai] == v[bi]+da }
 			case 3:
-				cl.f = a.LeConst(k)
-				c.Assert(Implies(cl.guard, cl.f))
+				cl.lit = a.LeConst(k)
 				cl.want = func(v []int) bool { return v[ai] <= k }
 			case 4:
-				cl.f = a.EqConstNat(k)
-				c.Assert(Implies(cl.guard, cl.f))
+				cl.lit = a.EqConstNat(k)
 				cl.want = func(v []int) bool { return v[ai] == k }
 			}
-			cl.sel = c.BoolVar()
-			c.Assert(Iff(cl.sel, cl.f))
+			if cl.lit != 0 {
+				c.ClauseUnder(g, cl.lit)
+			}
 			calls = append(calls, cl)
 		}
 		if len(calls) == 0 {
@@ -240,26 +267,26 @@ func FuzzNatCompare(f *testing.F) {
 		var visit func(i int)
 		visit = func(i int) {
 			if i < n {
-				for v := 0; v <= vars[i].Max(); v++ {
+				for v := 0; v <= vars[i].max; v++ {
 					vals[i] = v
 					visit(i + 1)
 				}
 				return
 			}
-			var asm []*Formula
+			var asm []sat.Lit
 			for j, x := range vars {
-				for k := 1; k <= x.Max(); k++ {
+				for k := 1; k <= x.max; k++ {
 					if k <= vals[j] {
 						asm = append(asm, x.GeConst(k))
 					} else {
-						asm = append(asm, Not(x.GeConst(k)))
+						asm = append(asm, x.GeConst(k).Neg())
 					}
 				}
 			}
 			// Every guard false: the guarded assertions constrain nothing.
 			off := len(asm)
 			for _, cl := range calls {
-				asm = append(asm, Not(cl.guard))
+				asm = append(asm, cl.guard.Neg())
 			}
 			m := c.SolveAssuming(asm...)
 			if m == nil {
@@ -269,18 +296,14 @@ func FuzzNatCompare(f *testing.F) {
 			for ci, cl := range calls {
 				asm[off+ci] = cl.guard
 				sat := c.SolveAssuming(asm...) != nil
-				asm[off+ci] = Not(cl.guard)
+				asm[off+ci] = cl.guard.Neg()
 				if want := cl.want(vals); sat != want {
 					t.Fatalf("values %v, call %d: guarded clauses sat=%v, want %v", vals, ci, sat, want)
 				}
 			}
 			for ci, cl := range calls {
-				want := cl.want(vals)
-				if got := m.Eval(cl.f); got != want {
-					t.Fatalf("values %v, call %d: formula evaluates to %v, want %v", vals, ci, got, want)
-				}
-				if got := m.Bool(cl.sel); got != want {
-					t.Fatalf("values %v, call %d: CNF gives %v, want %v", vals, ci, got, want)
+				if got, want := m.Bool(cl.lit), cl.want(vals); cl.lit != 0 && got != want {
+					t.Fatalf("values %v, call %d: the literal reads %v, want %v", vals, ci, got, want)
 				}
 			}
 		}

@@ -10,7 +10,7 @@ import (
 func interruptContext() *Context {
 	c := NewContext()
 	a, b, x := c.BoolVar(), c.BoolVar(), c.BoolVar()
-	c.Assert(Or(Not(a), Not(b)))
+	c.Clause(a.Neg(), b.Neg())
 	c.AssertSoft(a, 1, "a")
 	c.AssertSoft(b, 1, "b")
 	c.AssertSoft(x, 1, "x")

@@ -1,25 +1,31 @@
 package smt
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/aed-net/aed/internal/sat"
+)
 
 // IntVar is a finite-domain integer variable encoded with one indicator
 // boolean per domain value plus an exactly-one constraint. This is the
 // generalization of the paper's §8 optimization that replaces a 32-bit
 // metric with (2n+1) boolean "rank" choices: the domain carries the
-// candidate values, and comparisons compile to small boolean formulas
-// over the indicators.
+// candidate values, and comparisons compile to small gates over the
+// indicators.
 //
 // An IntVar builds each threshold comparison with a constant — the Or
-// over a prefix or a suffix of its indicators — once and hands the same
-// node to every later caller, as NatVar does its threshold negations:
-// v ≥ domain[k] and v > domain[k-1] are one node.
+// over a proper prefix or suffix of its indicators — once and hands the
+// same literal to every later caller: v ≥ domain[k] and v > domain[k-1]
+// are one gate. The full prefix (and suffix) is True, since exactly one
+// indicator holds.
 type IntVar struct {
-	domain     []int      // sorted ascending, unique
-	indicators []*Formula // indicators[i] ⇔ value == domain[i]
-	// thresholds[n-1] is the Or over indicators[:n] (0 < n <=
-	// len(domain)), thresholds[len(domain)+n-1] the Or over
-	// indicators[n:] (0 < n < len(domain)); each is built on first use.
-	thresholds []*Formula
+	c          *Context
+	domain     []int     // sorted ascending, unique
+	indicators []sat.Lit // indicators[i] ⇔ value == domain[i]
+	// thresholds[n-1] is the Or over indicators[:n], and
+	// thresholds[len(domain)+n-2] the Or over indicators[n:], for
+	// 0 < n < len(domain); each is built on first use (0 until then).
+	thresholds []sat.Lit
 }
 
 // IntVarOf allocates an integer variable ranging over the given domain
@@ -39,9 +45,9 @@ func (c *Context) IntVarOf(domain []int) *IntVar {
 		}
 	}
 	d = d[:w]
-	iv := &IntVar{domain: d}
+	iv := &IntVar{c: c, domain: d}
 	c.Grow(len(d)) // one indicator variable per domain value
-	iv.indicators = make([]*Formula, len(d))
+	iv.indicators = make([]sat.Lit, len(d))
 	for i := range d {
 		iv.indicators[i] = c.BoolVar()
 	}
@@ -49,138 +55,99 @@ func (c *Context) IntVarOf(domain []int) *IntVar {
 	return iv
 }
 
-// IntConst wraps a constant as a degenerate IntVar (no SAT variables).
-func IntConst(v int) *IntVar {
-	return &IntVar{domain: []int{v}, indicators: []*Formula{TrueF}}
-}
-
-// Domain returns the candidate values of iv.
-func (iv *IntVar) Domain() []int { return append([]int(nil), iv.domain...) }
-
-// EqConst returns the formula iv == v.
-func (iv *IntVar) EqConst(v int) *Formula {
+// EqConst returns the literal iv == v.
+func (iv *IntVar) EqConst(v int) sat.Lit {
 	for i, dv := range iv.domain {
 		if dv == v {
 			return iv.indicators[i]
 		}
 	}
-	return FalseF
+	return iv.c.False()
 }
 
-// LeConst returns the formula iv <= v.
-func (iv *IntVar) LeConst(v int) *Formula { return iv.prefix(sort.SearchInts(iv.domain, v+1)) }
+// LeConst returns the literal iv <= v.
+func (iv *IntVar) LeConst(v int) sat.Lit { return iv.prefix(sort.SearchInts(iv.domain, v+1)) }
 
-// LtConst returns the formula iv < v.
-func (iv *IntVar) LtConst(v int) *Formula { return iv.prefix(sort.SearchInts(iv.domain, v)) }
+// LtConst returns the literal iv < v.
+func (iv *IntVar) LtConst(v int) sat.Lit { return iv.prefix(sort.SearchInts(iv.domain, v)) }
 
-// GeConst returns the formula iv >= v.
-func (iv *IntVar) GeConst(v int) *Formula { return iv.suffix(sort.SearchInts(iv.domain, v)) }
+// GeConst returns the literal iv >= v.
+func (iv *IntVar) GeConst(v int) sat.Lit { return iv.suffix(sort.SearchInts(iv.domain, v)) }
 
-// GtConst returns the formula iv > v.
-func (iv *IntVar) GtConst(v int) *Formula { return iv.suffix(sort.SearchInts(iv.domain, v+1)) }
+// GtConst returns the literal iv > v.
+func (iv *IntVar) GtConst(v int) sat.Lit { return iv.suffix(sort.SearchInts(iv.domain, v+1)) }
 
-// prefix returns the Or over the first n indicators, the same node on
-// every call.
-func (iv *IntVar) prefix(n int) *Formula {
-	if n == 0 {
-		return FalseF
+// prefix returns the Or over the first n indicators, the same literal
+// on every call.
+func (iv *IntVar) prefix(n int) sat.Lit {
+	switch n {
+	case 0:
+		return iv.c.False()
+	case len(iv.domain):
+		return iv.c.True()
 	}
 	return iv.threshold(n-1, iv.indicators[:n])
 }
 
-// suffix returns the Or over the indicators from n on, the same node on
-// every call; suffix(0) is prefix(len(domain)).
-func (iv *IntVar) suffix(n int) *Formula {
+// suffix returns the Or over the indicators from n on, the same literal
+// on every call.
+func (iv *IntVar) suffix(n int) sat.Lit {
 	switch n {
 	case 0:
-		return iv.prefix(len(iv.domain))
+		return iv.c.True()
 	case len(iv.domain):
-		return FalseF
+		return iv.c.False()
 	}
-	return iv.threshold(len(iv.domain)+n-1, iv.indicators[n:])
+	return iv.threshold(len(iv.domain)+n-2, iv.indicators[n:])
 }
 
 // threshold returns thresholds[i], building it as the Or over inds on
 // first use.
-func (iv *IntVar) threshold(i int, inds []*Formula) *Formula {
+func (iv *IntVar) threshold(i int, inds []sat.Lit) sat.Lit {
 	if iv.thresholds == nil {
-		iv.thresholds = make([]*Formula, 2*len(iv.domain)-1)
+		iv.thresholds = make([]sat.Lit, 2*len(iv.domain)-2)
 	}
-	if iv.thresholds[i] == nil {
-		iv.thresholds[i] = Or(inds...)
+	if iv.thresholds[i] == 0 {
+		iv.thresholds[i] = iv.c.Or(inds...)
+	} else {
+		iv.c.gateHits++
 	}
 	return iv.thresholds[i]
 }
 
-// assertExactlyOne asserts that exactly one of fs is true using
+// assertExactlyOne asserts that exactly one of ls is true using
 // pairwise at-most-one (domains here are small) plus an at-least-one
 // clause.
-func (c *Context) assertExactlyOne(fs []*Formula) {
-	c.Assert(Or(fs...))
-	for i := range fs {
-		for j := i + 1; j < len(fs); j++ {
-			c.Assert(Or(Not(fs[i]), Not(fs[j])))
+func (c *Context) assertExactlyOne(ls []sat.Lit) {
+	c.Clause(ls...)
+	for i := range ls {
+		for j := i + 1; j < len(ls); j++ {
+			c.Clause(ls[i].Neg(), ls[j].Neg())
 		}
 	}
 }
 
-// IntEq returns a+da == b+db.
-func IntEq(a, b *IntVar, da, db int) *Formula {
-	var terms []*Formula
+// AssertIntEqUnder asserts g₁ ∧ … ∧ gₘ → a == b straight to clauses:
+// one clause per value v of b, b == v → a == v under the guard. A value
+// of b outside a's domain is excluded under the guard.
+func (c *Context) AssertIntEqUnder(g []sat.Lit, a, b *IntVar) {
+	for j, v := range b.domain {
+		c.ClauseUnder(g, b.indicators[j].Neg(), a.EqConst(v))
+	}
+}
+
+// IntGe returns the literal a >= b.
+func IntGe(a, b *IntVar) sat.Lit { return byValue(a, b.LeConst) }
+
+// IntGt returns the literal a > b.
+func IntGt(a, b *IntVar) sat.Lit { return byValue(a, b.LtConst) }
+
+// byValue returns the Or, over the values va of a, of a == va ∧
+// bound(va); bound is one of b's shared thresholds.
+func byValue(a *IntVar, bound func(va int) sat.Lit) sat.Lit {
+	terms := make([]sat.Lit, 0, len(a.domain))
 	for i, va := range a.domain {
-		switch eq := b.EqConst(va + da - db); {
-		case eq == FalseF:
-		case len(b.domain) == 1: // b can only take this value
-			terms = append(terms, a.indicators[i])
-		default:
-			terms = append(terms, And(a.indicators[i], eq))
-		}
+		terms = append(terms, a.c.And(a.indicators[i], bound(va)))
 	}
-	return Or(terms...)
-}
-
-// IntLt returns a+da < b+db.
-func IntLt(a, b *IntVar, da, db int) *Formula {
-	return byValue(a, func(va int) *Formula { return b.GtConst(va + da - db) })
-}
-
-// IntLe returns a+da <= b+db.
-func IntLe(a, b *IntVar, da, db int) *Formula {
-	return byValue(a, func(va int) *Formula { return b.GeConst(va + da - db) })
-}
-
-// IntGt returns a+da > b+db.
-func IntGt(a, b *IntVar, da, db int) *Formula {
-	return byValue(a, func(va int) *Formula { return b.LtConst(va + da - db) })
-}
-
-// IntGe returns a+da >= b+db.
-func IntGe(a, b *IntVar, da, db int) *Formula {
-	return byValue(a, func(va int) *Formula { return b.LeConst(va + da - db) })
-}
-
-// byValue returns the Or, over the values va of a whose bound(va) is
-// not false, of a == va ∧ bound(va); bound is one of b's shared
-// threshold nodes.
-func byValue(a *IntVar, bound func(va int) *Formula) *Formula {
-	var terms []*Formula
-	for i, va := range a.domain {
-		if t := bound(va); t != FalseF {
-			terms = append(terms, And(a.indicators[i], t))
-		}
-	}
-	return Or(terms...)
-}
-
-// AssertIntITE asserts: if cond then out == thenVar+dthen else
-// out == elseVar+delse. This is the workhorse for the paper's
-// if-then-else route filter and advertisement constraints (Fig. 5, 15).
-func (c *Context) AssertIntITE(cond *Formula, out, thenVar *IntVar, dthen int, elseVar *IntVar, delse int) {
-	c.Assert(Implies(cond, IntEq(out, thenVar, 0, dthen)))
-	c.Assert(Implies(Not(cond), IntEq(out, elseVar, 0, delse)))
-}
-
-// AssertIntEqConst asserts iv == v under cond.
-func (c *Context) AssertIntEqConst(cond *Formula, iv *IntVar, v int) {
-	c.Assert(Implies(cond, iv.EqConst(v)))
+	return a.c.Or(terms...)
 }

@@ -97,10 +97,9 @@ func (c *Context) relaxSoft() (relax []sat.Lit, weights []int) {
 	weights = make([]int, 0, len(c.soft))
 	for i := range c.soft {
 		s := &c.soft[i]
-		r := sat.PosLit(c.freshSatVar())
-		fl := c.tseitin(s.f)
-		// ¬f -> r   (if the soft constraint fails, pay the cost)
-		c.solver.AddClause(fl, r)
+		r := c.BoolVar()
+		// ¬l -> r   (if the soft constraint fails, pay the cost)
+		c.solver.AddClause(s.lit, r)
 		relax = append(relax, r)
 		weights = append(weights, s.weight)
 	}
@@ -144,7 +143,7 @@ func (c *Context) maximizeLinear() *MaxResult {
 			res.Err = c.Err()
 			return res
 		}
-		res.Model = &Model{ctx: c, assign: c.solver.Model()}
+		res.Model = &Model{assign: c.solver.Model()}
 		return res
 	}
 	// A context no search has run on builds the full totalizer before
@@ -194,10 +193,10 @@ func (c *Context) maximizeLinear() *MaxResult {
 
 // costOf computes the violated soft weight under a raw SAT model.
 func (c *Context) costOf(model []sat.Tribool) int {
-	m := &Model{ctx: c, assign: model}
+	m := &Model{assign: model}
 	cost := 0
 	for i := range c.soft {
-		if !m.Eval(c.soft[i].f) {
+		if !m.Bool(c.soft[i].lit) {
 			cost += c.soft[i].weight
 		}
 	}
@@ -205,9 +204,9 @@ func (c *Context) costOf(model []sat.Tribool) int {
 }
 
 func (c *Context) finishResult(res *MaxResult, model []sat.Tribool) {
-	res.Model = &Model{ctx: c, assign: model}
+	res.Model = &Model{assign: model}
 	for i := range c.soft {
-		if res.Model.Eval(c.soft[i].f) {
+		if res.Model.Bool(c.soft[i].lit) {
 			res.SatisfiedWeight += c.soft[i].weight
 		} else {
 			res.ViolatedWeight += c.soft[i].weight
@@ -246,10 +245,9 @@ func (c *Context) maximizeCoreGuided() *MaxResult {
 	c.Grow(len(c.soft))
 	for i := range c.soft {
 		s := &c.soft[i]
-		a := sat.PosLit(c.freshSatVar())
-		fl := c.tseitin(s.f)
-		// a -> f ; assuming a enforces the soft constraint.
-		c.solver.AddClause(a.Neg(), fl)
+		a := c.BoolVar()
+		// a -> l ; assuming a enforces the soft constraint.
+		c.solver.AddClause(a.Neg(), s.lit)
 		asms = append(asms, softAsm{weight: s.weight, asm: a})
 		scaffold = append(scaffold, a)
 	}
@@ -300,8 +298,8 @@ func (c *Context) maximizeCoreGuided() *MaxResult {
 		rs := make([]sat.Lit, 0, len(idxs))
 		for _, i := range idxs {
 			old := asms[i]
-			r := sat.PosLit(c.freshSatVar())
-			na := sat.PosLit(c.freshSatVar())
+			r := c.BoolVar()
+			na := c.BoolVar()
 			// na -> (old constraint holds OR r): re-enforce through
 			// the old assumption literal's definition.
 			c.solver.AddClause(na.Neg(), old.asm, r)

@@ -5,10 +5,10 @@ import "testing"
 func TestNatVarBasics(t *testing.T) {
 	c := NewContext()
 	x := c.NatVarOf(5)
-	if x.Max() != 5 {
+	if len(x.ge) != 5 {
 		t.Fatal("metadata wrong")
 	}
-	c.Assert(x.EqConstNat(3))
+	c.Clause(x.EqConstNat(3))
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -21,13 +21,13 @@ func TestNatVarBasics(t *testing.T) {
 func TestNatVarBounds(t *testing.T) {
 	c := NewContext()
 	x := c.NatVarOf(4)
-	if x.GeConst(0) != TrueF || x.GeConst(5) != FalseF {
+	if x.GeConst(0) != c.True() || x.GeConst(5) != c.False() {
 		t.Error("constant bounds wrong")
 	}
-	if x.EqConstNat(9) != FalseF || x.EqConstNat(-1) != FalseF {
+	if x.EqConstNat(9) != c.False() || x.EqConstNat(-1) != c.False() {
 		t.Error("out-of-range equality must be false")
 	}
-	c.Assert(x.LeConst(0))
+	c.Clause(x.LeConst(0))
 	m := c.Solve()
 	if m == nil || m.NatValue(x) != 0 {
 		t.Fatal("x <= 0 forces 0")
@@ -38,8 +38,8 @@ func TestNatEqOffset(t *testing.T) {
 	c := NewContext()
 	a := c.NatVarOf(10)
 	b := c.NatVarOf(10)
-	c.Assert(NatEqOffset(a, b, 2)) // a = b + 2
-	c.Assert(b.EqConstNat(3))
+	c.AssertEqUnder(nil, a, b, 2) // a = b + 2
+	c.Clause(b.EqConstNat(3))
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -50,12 +50,12 @@ func TestNatEqOffset(t *testing.T) {
 }
 
 func TestNatEqOffsetRangeClipping(t *testing.T) {
-	// a in [0,3], b = 5 fixed, a = b + 0 impossible... a max is 3.
+	// a in [0,3], b = 5 fixed: a == b is outside a's range.
 	c := NewContext()
 	a := c.NatVarOf(3)
 	b := c.NatVarOf(10)
-	c.Assert(b.EqConstNat(5))
-	c.Assert(NatEq(a, b))
+	c.Clause(b.EqConstNat(5))
+	c.AssertEqUnder(nil, a, b, 0)
 	if c.Solve() != nil {
 		t.Fatal("a == 5 is outside a's range: want unsat")
 	}
@@ -65,8 +65,8 @@ func TestNatEqOffsetNegative(t *testing.T) {
 	c := NewContext()
 	a := c.NatVarOf(10)
 	b := c.NatVarOf(10)
-	c.Assert(NatEqOffset(a, b, -2)) // a = b - 2
-	c.Assert(b.EqConstNat(7))
+	c.AssertEqUnder(nil, a, b, -2) // a = b - 2
+	c.Clause(b.EqConstNat(7))
 	m := c.Solve()
 	if m == nil || m.NatValue(a) != 5 {
 		t.Fatal("a should be 5")
@@ -75,8 +75,8 @@ func TestNatEqOffsetNegative(t *testing.T) {
 	c2 := NewContext()
 	a2 := c2.NatVarOf(10)
 	b2 := c2.NatVarOf(10)
-	c2.Assert(NatEqOffset(a2, b2, -2))
-	c2.Assert(b2.EqConstNat(1))
+	c2.AssertEqUnder(nil, a2, b2, -2)
+	c2.Clause(b2.EqConstNat(1))
 	if c2.Solve() != nil {
 		t.Fatal("negative result must be unsat")
 	}
@@ -86,9 +86,9 @@ func TestNatLeLtOffsets(t *testing.T) {
 	c := NewContext()
 	a := c.NatVarOf(8)
 	b := c.NatVarOf(8)
-	c.Assert(a.EqConstNat(4))
-	c.Assert(NatLtOffset(a, 0, b, 0)) // 4 < b
-	c.Assert(NatLeOffset(b, 0, a, 1)) // b <= 5
+	c.Clause(a.EqConstNat(4))
+	c.AssertLeUnder(nil, a, 1, b, 0) // 4 < b
+	c.AssertLeUnder(nil, b, 0, a, 1) // b <= 5
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -99,7 +99,7 @@ func TestNatLeLtOffsets(t *testing.T) {
 }
 
 func TestNatExhaustiveComparisons(t *testing.T) {
-	// For every (va, vb, da, db) in a small range, NatLeOffset must
+	// For every (va, vb, da, db) in a small range, AssertLeUnder must
 	// agree with integer arithmetic.
 	for va := 0; va <= 3; va++ {
 		for vb := 0; vb <= 3; vb++ {
@@ -108,9 +108,9 @@ func TestNatExhaustiveComparisons(t *testing.T) {
 					c := NewContext()
 					a := c.NatVarOf(3)
 					b := c.NatVarOf(3)
-					c.Assert(a.EqConstNat(va))
-					c.Assert(b.EqConstNat(vb))
-					c.Assert(NatLeOffset(a, da, b, db))
+					c.Clause(a.EqConstNat(va))
+					c.Clause(b.EqConstNat(vb))
+					c.AssertLeUnder(nil, a, da, b, db)
 					sat := c.Solve() != nil
 					want := va+da <= vb+db
 					if sat != want {
@@ -125,7 +125,7 @@ func TestNatExhaustiveComparisons(t *testing.T) {
 func TestNatLadderMonotone(t *testing.T) {
 	c := NewContext()
 	x := c.NatVarOf(6)
-	c.Assert(x.GeConst(4))
+	c.Clause(x.GeConst(4))
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -151,54 +151,61 @@ func TestNatZeroMax(t *testing.T) {
 	}
 }
 
-// TestNatNegationShared checks the threshold-negation memo: LeConst,
-// EqConstNat and NatEqOffset hand out one ¬(n >= k) node per threshold.
+// TestNatNegationShared: a threshold negation is the ladder literal
+// negated, with no gate of its own, so LeConst, EqConstNat and the
+// guarded comparisons share one variable per threshold.
 func TestNatNegationShared(t *testing.T) {
 	c := NewContext()
-	a, b := c.NatVarOf(4), c.NatVarOf(4)
+	a := c.NatVarOf(4)
+	vars := c.NumSATVars()
 	neg := a.LeConst(0) // ¬(a >= 1)
-	if a.LeConst(0) != neg {
-		t.Error("LeConst must return the identical negation node")
+	if neg != a.GeConst(1).Neg() || a.LeConst(0) != neg {
+		t.Error("LeConst must be the negated ladder literal")
 	}
 	if eq := a.EqConstNat(0); eq != neg {
 		t.Errorf("a == 0 is ¬(a >= 1): got %v", eq)
 	}
-	if eq := NatEqOffset(b, a, 0); eq.kids[0].kids[0] != b.LeConst(0) || eq.kids[1].kids[1] != neg {
-		t.Error("NatEqOffset must use the shared negation nodes")
-	}
-	if a.LeConst(-1) != FalseF || a.LeConst(4) != TrueF {
+	if a.LeConst(-1) != c.False() || a.LeConst(4) != c.True() {
 		t.Error("negations of constant thresholds must fold")
+	}
+	if c.NumSATVars() != vars {
+		t.Errorf("threshold negations allocated %d variables", c.NumSATVars()-vars)
 	}
 }
 
 // TestIntThresholdShared checks the threshold memo of IntVar: repeated
 // prefix and suffix comparisons with a constant return the identical
-// node, ≥ d[k] and > d[k-1] share one node (as do ≤ d[k] and < d[k+1]),
-// and the full prefix is the full suffix.
+// literal, ≥ d[k] and > d[k-1] share one gate (as do ≤ d[k] and
+// < d[k+1]), and the full prefix and suffix are True.
 func TestIntThresholdShared(t *testing.T) {
 	c := NewContext()
 	iv := c.IntVarOf([]int{50, 100, 150, 200})
 	ge := iv.GeConst(150)
+	vars := c.NumSATVars()
 	if iv.GeConst(150) != ge || iv.GeConst(101) != ge {
-		t.Error("GeConst must return the identical suffix node")
+		t.Error("GeConst must return the identical suffix literal")
 	}
 	if iv.GtConst(100) != ge || iv.GtConst(149) != ge {
-		t.Error("> 100 must share the node of >= 150")
+		t.Error("> 100 must share the literal of >= 150")
 	}
-	if len(ge.kids) != 2 || ge.kids[0] != iv.indicators[2] || ge.kids[1] != iv.indicators[3] {
-		t.Errorf(">= 150 is %v, want the Or of the last two indicators", ge)
+	m := c.SolveAssuming(iv.EqConst(150))
+	if m == nil || !m.Bool(ge) || c.SolveAssuming(ge, iv.EqConst(100)) != nil {
+		t.Error(">= 150 must be the Or of the last two indicators")
 	}
 	le := iv.LeConst(100)
 	if iv.LeConst(100) != le || iv.LtConst(150) != le || iv.LtConst(101) != le {
-		t.Error("<= 100 and < 150 must share one prefix node")
+		t.Error("<= 100 and < 150 must share one prefix literal")
 	}
-	if iv.LeConst(200) != iv.GeConst(50) || iv.GeConst(0) != iv.LeConst(999) {
-		t.Error("the full prefix and the full suffix must be one node")
+	if iv.LeConst(200) != c.True() || iv.GeConst(0) != c.True() {
+		t.Error("the full prefix and the full suffix must be True")
 	}
 	if iv.LeConst(50) != iv.EqConst(50) || iv.GeConst(200) != iv.EqConst(200) {
 		t.Error("a one-value threshold is that value's indicator")
 	}
-	if iv.LtConst(50) != FalseF || iv.GtConst(200) != FalseF {
+	if iv.LtConst(50) != c.False() || iv.GtConst(200) != c.False() {
 		t.Error("empty thresholds must fold to false")
+	}
+	if c.NumSATVars() != vars+1 {
+		t.Errorf("the thresholds above built %d gates, want 1 (<= 100)", c.NumSATVars()-vars)
 	}
 }

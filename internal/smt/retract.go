@@ -13,27 +13,21 @@ type retractEntry struct {
 	active bool
 }
 
-// AssertRetractable adds f as a hard constraint that can later be
-// switched off (Retract) and on again (Reassert) without touching the
-// clause database. The implementation is the MiniSat selector-literal
-// pattern: a fresh selector s guards every clause of f as (¬s ∨ …),
-// and each subsequent Solve call assumes s while the assertion is
-// active and ¬s while it is retracted — so retraction is an assumption
-// flip, and every learned clause derived meanwhile stays valid.
-//
-// The clauses are Assert's (see lower), each prefixed by ¬s.
-func (c *Context) AssertRetractable(f *Formula) Handle {
+// AssertRetractable adds the clauses as a hard constraint that can
+// later be switched off (Retract) and on again (Reassert) without
+// touching the clause database. The implementation is the MiniSat
+// selector-literal pattern: a fresh selector s guards every clause as
+// (¬s ∨ …), and each subsequent Solve call assumes s while the
+// assertion is active and ¬s while it is retracted — so retraction is
+// an assumption flip, and every learned clause derived meanwhile stays
+// valid.
+func (c *Context) AssertRetractable(clauses ...[]sat.Lit) Handle {
 	h := Handle(len(c.retract))
-	sel := sat.PosLit(c.freshSatVar())
-	mark := len(c.litBuf)
-	c.litBuf = append(c.litBuf, sel.Neg())
-	c.lower(mark, f)
-	c.litBuf = c.litBuf[:mark]
-	c.retract = append(c.retract, retractEntry{sel: sel, active: true})
-	if c.selIdx == nil {
-		c.selIdx = make(map[sat.Lit]Handle)
+	sel := [1]sat.Lit{c.BoolVar()}
+	for _, cl := range clauses {
+		c.ClauseUnder(sel[:], cl...)
 	}
-	c.selIdx[sel] = h
+	c.retract = append(c.retract, retractEntry{sel: sel[0], active: true})
 	return h
 }
 
@@ -44,13 +38,6 @@ func (c *Context) Retract(h Handle) { c.retract[h].active = false }
 
 // Reassert re-activates a previously retracted assertion.
 func (c *Context) Reassert(h Handle) { c.retract[h].active = true }
-
-// Retracted reports whether h is currently retracted.
-func (c *Context) Retracted(h Handle) bool { return !c.retract[h].active }
-
-// NumRetractable returns the number of retractable assertions ever
-// made on this context (each costs one standing assumption per solve).
-func (c *Context) NumRetractable() int { return len(c.retract) }
 
 // withSelectors prepends the selector assumptions — s for each active
 // retractable assertion, ¬s for each retracted one — to the caller's
@@ -72,22 +59,5 @@ func (c *Context) withSelectors(assumptions []sat.Lit) []sat.Lit {
 	}
 	out = append(out, assumptions...)
 	c.selAsm = out
-	return out
-}
-
-// RetractableCore maps the final conflict core of the last
-// unsatisfiable Solve back to the retractable assertions involved: the
-// subset of active handles whose selector assumptions the solver found
-// responsible. Assertions made with plain Assert are permanent and
-// never appear (nor do the caller's own assumption formulas — use
-// UnsatCore for those). Empty when the last solve was satisfiable or
-// the conflict does not involve any retractable assertion.
-func (c *Context) RetractableCore() []Handle {
-	var out []Handle
-	for _, l := range c.solver.FinalCore() {
-		if h, ok := c.selIdx[l]; ok {
-			out = append(out, h)
-		}
-	}
 	return out
 }

@@ -1,6 +1,10 @@
 package smt
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/aed-net/aed/internal/sat"
+)
 
 // TestRetractableFlip exercises the core lifecycle: an assertion
 // constrains the instance while active, stops constraining after
@@ -10,57 +14,59 @@ func TestRetractableFlip(t *testing.T) {
 	c := NewContext()
 	x := c.BoolVar()
 
-	h := c.AssertRetractable(x)
+	h := c.AssertRetractable([]sat.Lit{x})
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("solve with active assertion: unsat")
 	}
-	if !m.Eval(x) {
+	if !m.Bool(x) {
 		t.Fatal("active assertion x not enforced")
 	}
 
 	// Retract and pin x false via an assumption: now satisfiable.
 	c.Retract(h)
-	if !c.Retracted(h) {
-		t.Fatal("Retracted(h) = false after Retract")
-	}
-	if m2 := c.SolveAssuming(Not(x)); m2 == nil || m2.Eval(x) {
+	if m2 := c.SolveAssuming(x.Neg()); m2 == nil || m2.Bool(x) {
 		t.Fatal("retracted assertion still enforced")
 	}
 
 	// Reassert: ¬x is contradictory again.
 	c.Reassert(h)
-	if m3 := c.SolveAssuming(Not(x)); m3 != nil {
+	if m3 := c.SolveAssuming(x.Neg()); m3 != nil {
 		t.Fatal("reasserted constraint not enforced")
 	}
-	if c.NumRetractable() != 1 {
-		t.Fatalf("NumRetractable = %d, want 1", c.NumRetractable())
+	if len(c.retract) != 1 {
+		t.Fatalf("%d retractable assertions, want 1", len(c.retract))
 	}
 }
 
 // TestRetractableConjunctionAndClause checks the structural cases of
-// the guarded lowering: a top-level conjunction shares one selector across all
-// conjuncts, a disjunction becomes a single guarded clause, and a
-// constant-false retractable only bites while active.
+// a retractable assertion: its clauses share one selector, a clause of
+// several literals stays one guarded clause, and a clause of False only
+// bites while active.
 func TestRetractableConjunctionAndClause(t *testing.T) {
 	c := NewContext()
 	a, b, d := c.BoolVar(), c.BoolVar(), c.BoolVar()
 
-	h := c.AssertRetractable(And(a, Or(b, d)))
-	m := c.SolveAssuming(Not(b))
+	vars, clauses := c.NumSATVars(), c.NumSATClauses()
+	h := c.AssertRetractable([]sat.Lit{a}, []sat.Lit{b, d})
+	if c.NumSATVars() != vars+1 || c.NumSATClauses() != clauses+2 {
+		t.Fatalf("two clauses asserted as %d variables and %d clauses, want one selector and two clauses",
+			c.NumSATVars()-vars, c.NumSATClauses()-clauses)
+	}
+	m := c.SolveAssuming(b.Neg())
 	if m == nil {
 		t.Fatal("unsat with active conjunction")
 	}
-	if !m.Eval(a) || !m.Eval(d) {
-		t.Fatalf("conjunction not enforced: a=%v d=%v", m.Eval(a), m.Eval(d))
+	if !m.Bool(a) || !m.Bool(d) {
+		t.Fatalf("conjunction not enforced: a=%v d=%v", m.Bool(a), m.Bool(d))
 	}
 	c.Retract(h)
-	if m = c.SolveAssuming(Not(a)); m == nil || m.Eval(a) {
+	if m = c.SolveAssuming(a.Neg()); m == nil || m.Bool(a) {
 		t.Fatal("retracted conjunction still enforces a")
 	}
 
 	// Constant false: unsat while active, harmless once retracted.
-	hf := c.AssertRetractable(Const(false))
+	hf := c.AssertRetractable([]sat.Lit{c.False()})
 	if c.Solve() != nil {
 		t.Fatal("active false retractable: expected unsat")
 	}
@@ -70,70 +76,38 @@ func TestRetractableConjunctionAndClause(t *testing.T) {
 	}
 }
 
-// TestRetractableCore checks that an unsat caused by retractable
-// assertions maps back to exactly the responsible handles.
-func TestRetractableCore(t *testing.T) {
-	c := NewContext()
-	x := c.BoolVar()
-	y := c.BoolVar()
-
-	hx := c.AssertRetractable(x)
-	hnx := c.AssertRetractable(Not(x))
-	hy := c.AssertRetractable(y) // irrelevant to the conflict
-
-	if c.Solve() != nil {
-		t.Fatal("x ∧ ¬x: expected unsat")
-	}
-	core := c.RetractableCore()
-	in := func(h Handle) bool {
-		for _, g := range core {
-			if g == h {
-				return true
-			}
-		}
-		return false
-	}
-	if !in(hx) || !in(hnx) {
-		t.Fatalf("core %v must contain both conflicting handles %v %v", core, hx, hnx)
-	}
-	if in(hy) {
-		t.Fatalf("core %v contains irrelevant handle %v", core, hy)
-	}
-
-	// Retracting one core member restores satisfiability.
-	c.Retract(hnx)
-	if c.Solve() == nil {
-		t.Fatal("retracting a core member did not restore sat")
-	}
-}
-
 // TestRetractableLearnedClausesSurvive makes sure flipping selectors
 // between solves does not corrupt state: a sequence of flips on the
 // same context always agrees with a fresh context encoding only the
 // active assertions.
 func TestRetractableLearnedClausesSurvive(t *testing.T) {
+	// Three assertions over three variables: v0 ∨ v1; ¬v0 ∨ v2;
+	// ¬v1 ∧ ¬v2.
+	forms := func(v []sat.Lit) [][][]sat.Lit {
+		return [][][]sat.Lit{
+			{{v[0], v[1]}},
+			{{v[0].Neg(), v[2]}},
+			{{v[1].Neg()}, {v[2].Neg()}},
+		}
+	}
 	build := func(active []bool) *Context {
 		c := NewContext()
-		vars := []*Formula{c.BoolVar(), c.BoolVar(), c.BoolVar()}
-		forms := []*Formula{
-			Or(vars[0], vars[1]),
-			Or(Not(vars[0]), vars[2]),
-			And(Not(vars[1]), Not(vars[2])),
-		}
-		for i, f := range forms {
+		v := []sat.Lit{c.BoolVar(), c.BoolVar(), c.BoolVar()}
+		for i, cls := range forms(v) {
 			if active[i] {
-				c.Assert(f)
+				for _, cl := range cls {
+					c.Clause(cl...)
+				}
 			}
 		}
 		return c
 	}
 
 	live := NewContext()
-	vars := []*Formula{live.BoolVar(), live.BoolVar(), live.BoolVar()}
-	hs := []Handle{
-		live.AssertRetractable(Or(vars[0], vars[1])),
-		live.AssertRetractable(Or(Not(vars[0]), vars[2])),
-		live.AssertRetractable(And(Not(vars[1]), Not(vars[2]))),
+	v := []sat.Lit{live.BoolVar(), live.BoolVar(), live.BoolVar()}
+	var hs []Handle
+	for _, cls := range forms(v) {
+		hs = append(hs, live.AssertRetractable(cls...))
 	}
 
 	// All 8 activity patterns, visited in an order that flips state.
@@ -168,7 +142,7 @@ func TestRetractableWithMaximize(t *testing.T) {
 		c.AssertSoft(x, 2, "want-x")
 		c.AssertSoft(y, 1, "want-y")
 
-		h := c.AssertRetractable(Not(x))
+		h := c.AssertRetractable([]sat.Lit{x.Neg()})
 		res := c.Maximize(strat)
 		if res.Model == nil {
 			t.Fatalf("strategy %v: nil model", strat)
@@ -185,7 +159,7 @@ func TestRetractableWithMaximize(t *testing.T) {
 		if strat == Auto && (res.Search != CoreGuided || res2.Search != LinearDescent) {
 			t.Fatalf("Auto ran %v then %v, want core then linear", res.Search, res2.Search)
 		}
-		if !res2.Model.Eval(x) || !res2.Model.Eval(y) {
+		if !res2.Model.Bool(x) || !res2.Model.Bool(y) {
 			t.Fatalf("strategy %v after retract: optimum should satisfy both softs", strat)
 		}
 	}

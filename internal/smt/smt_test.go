@@ -4,13 +4,15 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"github.com/aed-net/aed/internal/sat"
 )
 
 func TestBasicBooleanSolve(t *testing.T) {
 	c := NewContext()
 	a := c.BoolVar()
 	b := c.BoolVar()
-	c.Assert(And(a, Not(b)))
+	c.Clause(c.And(a, b.Neg()))
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -23,21 +25,24 @@ func TestBasicBooleanSolve(t *testing.T) {
 func TestUnsatConjunction(t *testing.T) {
 	c := NewContext()
 	a := c.BoolVar()
-	c.Assert(a)
-	c.Assert(Not(a))
+	c.Clause(a)
+	c.Clause(a.Neg())
 	if c.Solve() != nil {
 		t.Fatal("want unsat")
 	}
 }
 
+// TestImpliesIffITE: implication and equivalence built from the gates
+// (a → b as ¬a ∨ b, b ⇔ d as two implications) propagate as they
+// should.
 func TestImpliesIffITE(t *testing.T) {
 	c := NewContext()
 	a := c.BoolVar()
 	b := c.BoolVar()
 	d := c.BoolVar()
-	c.Assert(Implies(a, b))
-	c.Assert(Iff(b, d))
-	c.Assert(a)
+	c.Clause(c.Or(a.Neg(), b))
+	c.Clause(c.And(c.Or(b.Neg(), d), c.Or(b, d.Neg())))
+	c.Clause(a)
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -47,54 +52,78 @@ func TestImpliesIffITE(t *testing.T) {
 	}
 }
 
+// TestITESemantics exhaustively checks if-then-else built from the
+// gates, (c ∧ t) ∨ (¬c ∧ e), against its truth table.
 func TestITESemantics(t *testing.T) {
-	// Exhaustively check ITE against its truth table via solving.
 	for _, condVal := range []bool{true, false} {
 		for _, tVal := range []bool{true, false} {
 			for _, eVal := range []bool{true, false} {
 				c := NewContext()
-				cond := c.BoolVar()
-				th := c.BoolVar()
-				el := c.BoolVar()
-				c.Assert(Iff(cond, Const(condVal)))
-				c.Assert(Iff(th, Const(tVal)))
-				c.Assert(Iff(el, Const(eVal)))
+				cond, th, el := c.BoolVar(), c.BoolVar(), c.BoolVar()
+				fix := func(l sat.Lit, v bool) sat.Lit {
+					if v {
+						return l
+					}
+					return l.Neg()
+				}
+				ite := c.Or(c.And(cond, th), c.And(cond.Neg(), el))
 				want := eVal
 				if condVal {
 					want = tVal
 				}
-				c.Assert(Iff(ITE(cond, th, el), Const(want)))
-				if c.Solve() == nil {
+				m := c.SolveAssuming(fix(cond, condVal), fix(th, tVal), fix(el, eVal))
+				if m == nil || m.Bool(ite) != want {
 					t.Fatalf("ITE(%v,%v,%v) != %v", condVal, tVal, eVal, want)
+				}
+				if c.SolveAssuming(fix(cond, condVal), fix(th, tVal), fix(el, eVal), fix(ite, !want)) != nil {
+					t.Fatalf("ITE(%v,%v,%v) can be %v", condVal, tVal, eVal, !want)
 				}
 			}
 		}
 	}
 }
 
+// TestConstantSimplification: the gates fold constants and single
+// inputs without a new variable, and each call that builds a gate
+// allocates one.
 func TestConstantSimplification(t *testing.T) {
-	if And() != TrueF || Or() != FalseF {
+	c := NewContext()
+	a, b := c.BoolVar(), c.BoolVar()
+	vars := c.NumSATVars()
+	tru, fls := c.True(), c.False()
+	if fls != tru.Neg() {
+		t.Error("False must be True negated")
+	}
+	if c.And() != tru || c.Or() != fls {
 		t.Error("empty And/Or wrong")
 	}
-	a := &Formula{op: opVar, v: 0}
-	if Not(Not(a)) != a {
-		t.Error("double negation should cancel")
-	}
-	if And(a, FalseF) != FalseF || Or(a, TrueF) != TrueF {
+	if c.And(a, fls) != fls || c.Or(a, tru) != tru {
 		t.Error("constant short-circuit broken")
 	}
-	if ITE(TrueF, a, FalseF) != a {
-		t.Error("ITE with constant condition should simplify")
+	if c.And(a, tru) != a || c.Or(fls, a.Neg(), fls) != a.Neg() {
+		t.Error("a gate with one input left must return it")
+	}
+	if c.NumSATVars() != vars {
+		t.Errorf("folded gates allocated %d variables", c.NumSATVars()-vars)
+	}
+	if hits, misses := c.InternStats(); hits != 6 || misses != 0 {
+		t.Errorf("InternStats = %d, %d; want 6 folded requests, no gate", hits, misses)
+	}
+	if g := c.And(a, b); g == c.And(a, b) || c.NumSATVars() != vars+2 {
+		t.Error("each And over two inputs must allocate its own gate")
+	}
+	if m := c.Solve(); m == nil || !m.Bool(tru) || m.Bool(fls) {
+		t.Error("True must read true in a model")
 	}
 }
 
 func TestIntVarDomainAndEq(t *testing.T) {
 	c := NewContext()
 	x := c.IntVarOf([]int{50, 100, 150, 100})
-	if d := x.Domain(); len(d) != 3 || d[0] != 50 || d[2] != 150 {
-		t.Fatalf("domain = %v", d)
+	if len(x.indicators) != 3 {
+		t.Fatalf("%d indicators for the domain {50, 100, 150}", len(x.indicators))
 	}
-	c.Assert(x.EqConst(100))
+	c.Clause(x.EqConst(100))
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -102,7 +131,7 @@ func TestIntVarDomainAndEq(t *testing.T) {
 	if m.Int(x) != 100 {
 		t.Errorf("x = %d, want 100", m.Int(x))
 	}
-	if x.EqConst(42) != FalseF {
+	if x.EqConst(42) != c.False() {
 		t.Error("EqConst outside domain must be false")
 	}
 }
@@ -111,8 +140,8 @@ func TestIntComparisons(t *testing.T) {
 	c := NewContext()
 	x := c.IntVarOf([]int{1, 2, 3})
 	y := c.IntVarOf([]int{1, 2, 3})
-	c.Assert(IntLt(x, y, 0, 0))
-	c.Assert(y.EqConst(2))
+	c.Clause(IntGt(y, x))
+	c.Clause(y.EqConst(2))
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -122,26 +151,11 @@ func TestIntComparisons(t *testing.T) {
 	}
 }
 
-func TestIntOffsets(t *testing.T) {
-	// x + 1 == y with x in {1,2}, y in {2}: x must be 1.
-	c := NewContext()
-	x := c.IntVarOf([]int{1, 2})
-	y := c.IntVarOf([]int{2})
-	c.Assert(IntEq(x, y, 1, 0))
-	m := c.Solve()
-	if m == nil {
-		t.Fatal("want sat")
-	}
-	if m.Int(x) != 1 {
-		t.Errorf("x=%d, want 1", m.Int(x))
-	}
-}
-
 func TestIntGeGt(t *testing.T) {
 	c := NewContext()
 	x := c.IntVarOf([]int{5, 10})
 	y := c.IntVarOf([]int{7})
-	c.Assert(IntGt(x, y, 0, 0))
+	c.Clause(IntGt(x, y))
 	m := c.Solve()
 	if m == nil || m.Int(x) != 10 {
 		t.Fatal("x > 7 forces x=10")
@@ -149,74 +163,40 @@ func TestIntGeGt(t *testing.T) {
 	c2 := NewContext()
 	z := c2.IntVarOf([]int{5, 7})
 	w := c2.IntVarOf([]int{7})
-	c2.Assert(IntGe(z, w, 0, 0))
+	c2.Clause(IntGe(z, w))
 	m2 := c2.Solve()
 	if m2 == nil || m2.Int(z) != 7 {
 		t.Fatal("z >= 7 forces z=7")
 	}
 }
 
-func TestIntITE(t *testing.T) {
-	c := NewContext()
-	cond := c.BoolVar()
-	out := c.IntVarOf([]int{10, 20, 21})
-	a := c.IntVarOf([]int{20})
-	b := c.IntVarOf([]int{10})
-	c.AssertIntITE(cond, out, a, 1, b, 0)
-	c.Assert(cond)
-	m := c.Solve()
-	if m == nil || m.Int(out) != 21 {
-		t.Fatalf("then-branch: out=%v", m.Int(out))
-	}
-	c2 := NewContext()
-	cond2 := c2.BoolVar()
-	out2 := c2.IntVarOf([]int{10, 21})
-	a2 := c2.IntVarOf([]int{20})
-	b2 := c2.IntVarOf([]int{10})
-	c2.AssertIntITE(cond2, out2, a2, 1, b2, 0)
-	c2.Assert(Not(cond2))
-	m2 := c2.Solve()
-	if m2 == nil || m2.Int(out2) != 10 {
-		t.Fatal("else-branch failed")
-	}
-}
-
+// TestAtMostAtLeast: forcing k+1 of four inputs true under atMost(k) is
+// unsat, and at least three of five — at most two of the negations —
+// keeps three true.
 func TestAtMostAtLeast(t *testing.T) {
-	for k := 0; k <= 4; k++ {
+	for k := 0; k < 4; k++ {
 		c := NewContext()
-		vs := make([]*Formula, 4)
+		vs := make([]sat.Lit, 4)
 		for i := range vs {
 			vs[i] = c.BoolVar()
 		}
-		c.AtMost(k, vs...)
-		// Force k+1 true if possible: should be unsat for k<4.
-		for i := 0; i <= k && i < 4; i++ {
-			c.Assert(vs[i])
+		c.atMost(k, vs)
+		if c.SolveAssuming(vs[:k]...) == nil {
+			t.Errorf("k=%d: forcing k true must be sat", k)
 		}
-		m := c.Solve()
-		if k < 4 && m != nil {
-			// forcing k+1 of them true must violate at-most-k
-			count := 0
-			for _, v := range vs {
-				if m.Bool(v) {
-					count++
-				}
-			}
-			if count > k {
-				t.Errorf("k=%d: %d true violates AtMost", k, count)
-			}
-			if k+1 <= 4 {
-				t.Errorf("k=%d: expected unsat when forcing k+1 true", k)
-			}
+		if c.SolveAssuming(vs[:k+1]...) != nil {
+			t.Errorf("k=%d: forcing k+1 true must be unsat", k)
 		}
 	}
 	c := NewContext()
-	vs := make([]*Formula, 5)
+	vs := make([]sat.Lit, 5)
+	neg := make([]sat.Lit, 5)
 	for i := range vs {
 		vs[i] = c.BoolVar()
+		neg[i] = vs[i].Neg()
 	}
-	c.AtLeast(3, vs...)
-	m := c.Solve()
+	c.atMost(2, neg)
+	m := c.SolveAssuming(neg[:2]...)
 	if m == nil {
 		t.Fatal("at-least-3 of 5 should be sat")
 	}
@@ -229,15 +209,18 @@ func TestAtMostAtLeast(t *testing.T) {
 	if count < 3 {
 		t.Errorf("only %d true, want >= 3", count)
 	}
+	if c.SolveAssuming(neg[:3]...) != nil {
+		t.Error("three of five false must be unsat")
+	}
 }
 
 func TestExactlyOne(t *testing.T) {
 	c := NewContext()
-	vs := make([]*Formula, 4)
+	vs := make([]sat.Lit, 4)
 	for i := range vs {
 		vs[i] = c.BoolVar()
 	}
-	c.ExactlyOne(vs...)
+	c.assertExactlyOne(vs)
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
@@ -250,6 +233,9 @@ func TestExactlyOne(t *testing.T) {
 	}
 	if count != 1 {
 		t.Errorf("%d true, want exactly 1", count)
+	}
+	if c.SolveAssuming(vs[0], vs[3]) != nil {
+		t.Error("two true must be unsat")
 	}
 }
 
@@ -269,8 +255,8 @@ func TestMaxSATSimple(t *testing.T) {
 	results := maximizeAll(t, func(c *Context) {
 		a := c.BoolVar()
 		b := c.BoolVar()
-		c.Assert(Or(a, b))
-		c.Assert(Or(Not(a), Not(b)))
+		c.Clause(a, b)
+		c.Clause(a.Neg(), b.Neg())
 		c.AssertSoft(a, 2, "want-a")
 		c.AssertSoft(b, 1, "want-b")
 	})
@@ -304,8 +290,8 @@ func TestMaxSATAllSatisfiable(t *testing.T) {
 func TestMaxSATHardUnsat(t *testing.T) {
 	results := maximizeAll(t, func(c *Context) {
 		a := c.BoolVar()
-		c.Assert(a)
-		c.Assert(Not(a))
+		c.Clause(a)
+		c.Clause(a.Neg())
 		c.AssertSoft(a, 1, "a")
 	})
 	for s, r := range results {
@@ -318,7 +304,7 @@ func TestMaxSATHardUnsat(t *testing.T) {
 func TestMaxSATNoSoft(t *testing.T) {
 	c := NewContext()
 	a := c.BoolVar()
-	c.Assert(a)
+	c.Clause(a)
 	r := c.Maximize(LinearDescent)
 	if r.Model == nil || !r.Model.Bool(a) {
 		t.Fatal("maximize with no soft constraints should just solve")
@@ -387,26 +373,26 @@ func TestMaxSATRandomAgreement(t *testing.T) {
 			}
 		}
 		build := func(c *Context) {
-			vs := make([]*Formula, n)
+			vs := make([]sat.Lit, n)
 			for i := range vs {
 				vs[i] = c.BoolVar()
 			}
-			toF := func(clause [][2]int) *Formula {
-				var ds []*Formula
+			toLits := func(clause [][2]int) []sat.Lit {
+				var ds []sat.Lit
 				for _, l := range clause {
 					f := vs[l[0]]
 					if l[1] == 0 {
-						f = Not(f)
+						f = f.Neg()
 					}
 					ds = append(ds, f)
 				}
-				return Or(ds...)
+				return ds
 			}
 			for _, h := range hard {
-				c.Assert(toF(h))
+				c.Clause(toLits(h)...)
 			}
 			for i, sc := range soft {
-				c.AssertSoft(toF(sc), weights[i], "s")
+				c.AssertSoft(c.Or(toLits(sc)...), weights[i], "s")
 			}
 		}
 		check := func(strat Strategy, r *MaxResult) {
@@ -442,18 +428,18 @@ func TestSolveAssuming(t *testing.T) {
 	c := NewContext()
 	a := c.BoolVar()
 	b := c.BoolVar()
-	c.Assert(Implies(a, b))
-	if m := c.SolveAssuming(a, Not(b)); m != nil {
+	c.Clause(a.Neg(), b)
+	if m := c.SolveAssuming(a, b.Neg()); m != nil {
 		t.Fatal("assuming a ∧ ¬b with a→b must be unsat")
 	}
 	if m := c.SolveAssuming(a); m == nil || !m.Bool(b) {
 		t.Fatal("assuming a must give b")
 	}
-	core, satisfiable := c.UnsatCore([]*Formula{a, Not(b)})
+	core, satisfiable := c.UnsatCore([]sat.Lit{a, b.Neg()})
 	if satisfiable || len(core) == 0 {
 		t.Fatalf("UnsatCore(a, ¬b) = %v, sat=%v; want a non-empty core", core, satisfiable)
 	}
-	if core, satisfiable := c.UnsatCore([]*Formula{a}); !satisfiable || core != nil {
+	if core, satisfiable := c.UnsatCore([]sat.Lit{a}); !satisfiable || core != nil {
 		t.Fatalf("UnsatCore(a) = %v, sat=%v; want satisfiable", core, satisfiable)
 	}
 	if m := c.SolveAssuming(a); m == nil || !m.Bool(b) {
@@ -461,31 +447,24 @@ func TestSolveAssuming(t *testing.T) {
 	}
 }
 
+// TestModelEval: in a model, a gate's literal reads as its function of
+// the inputs evaluates, and a negated literal as the negation.
 func TestModelEval(t *testing.T) {
 	c := NewContext()
 	a := c.BoolVar()
 	b := c.BoolVar()
-	c.Assert(a)
-	c.Assert(Not(b))
+	and, or := c.And(a, b.Neg()), c.Or(b, a.Neg())
+	c.Clause(a)
+	c.Clause(b.Neg())
 	m := c.Solve()
 	if m == nil {
 		t.Fatal("want sat")
 	}
-	if !m.Eval(And(a, Not(b))) || m.Eval(Or(b, Not(a))) {
-		t.Error("Eval disagrees with model")
+	if !m.Bool(and) || m.Bool(or) || m.Bool(and.Neg()) || !m.Bool(or.Neg()) {
+		t.Error("a gate literal disagrees with the model of its inputs")
 	}
-}
-
-func TestFormulaString(t *testing.T) {
-	c := NewContext()
-	a := c.BoolVar()
-	b := c.BoolVar()
-	s := And(a, Or(Not(b), TrueF)).String()
-	if s == "" {
-		t.Error("String should render something")
-	}
-	if TrueF.String() != "⊤" || FalseF.String() != "⊥" {
-		t.Error("constant rendering wrong")
+	if late := c.BoolVar(); m.Bool(late) || !m.Bool(late.Neg()) {
+		t.Error("a variable created after the solve must read false")
 	}
 }
 
@@ -495,13 +474,13 @@ func TestFormulaString(t *testing.T) {
 // learned clauses, leaves it a no-op.
 func TestParkRecompactsOnlyAfterGrowth(t *testing.T) {
 	c := NewContext()
-	vs := make([]*Formula, 12)
+	vs := make([]sat.Lit, 12)
 	for i := range vs {
 		vs[i] = c.BoolVar()
 	}
 	for i := range vs {
-		c.Assert(Or(vs[i], Not(vs[(i+1)%len(vs)]), vs[(i+5)%len(vs)]))
-		c.Assert(Implies(And(vs[i], vs[(i+3)%len(vs)]), Not(vs[(i+7)%len(vs)])))
+		c.Clause(vs[i], vs[(i+1)%len(vs)].Neg(), vs[(i+5)%len(vs)])
+		c.Clause(c.And(vs[i], vs[(i+3)%len(vs)]).Neg(), vs[(i+7)%len(vs)].Neg())
 	}
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -523,7 +502,7 @@ func TestParkRecompactsOnlyAfterGrowth(t *testing.T) {
 		t.Fatalf("Park after a search alone allocated %d objects", n)
 	}
 	x := c.BoolVar()
-	c.Assert(Or(x, vs[0], vs[1]))
+	c.Clause(x, vs[0], vs[1])
 	if n := mallocs(c.Park); n == 0 {
 		t.Fatal("Park after the solver grew did not compact")
 	}
@@ -534,7 +513,7 @@ func TestParkRecompactsOnlyAfterGrowth(t *testing.T) {
 	// regrows the watch lists, so it counts too.
 	_, words, _ := c.Size()
 	clauses := c.NumSATClauses()
-	c.Assert(Or(x, Not(vs[2])))
+	c.Clause(x, vs[2].Neg())
 	if _, w, _ := c.Size(); w != words || c.NumSATClauses() != clauses+1 {
 		t.Fatalf("binary assert: arena %d -> %d words, %d -> %d clauses", words, w, clauses, c.NumSATClauses())
 	}
