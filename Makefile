@@ -43,10 +43,13 @@ bench:
 
 # The allocation-guarded microbenchmarks only: the nil tracer, CDCL
 # propagation and conflict analysis (BenchmarkPropagate must report 0
-# allocs/op), and the AEDT codec (BenchmarkReaderNext must report 0
-# allocs/op).
+# allocs/op), the AEDT codec (BenchmarkReaderNext must report 0
+# allocs/op), and a session step's bookkeeping on the 12x3 fabric: the
+# post-solve diff and simulator check (TestPostSolveAllocs bounds
+# them) and one call's fingerprint pass (TestSessionFingerprintAllocs).
 bench-quick:
 	$(GO) test -run '^$$' -bench='NilTracer|SolveProgressOverhead|Propagate|ConflictAnalysis|ReaderNext|WriterAppend|RecorderEventsAppend' -benchmem ./internal/sat/ ./internal/obs/...
+	$(GO) test -run '^$$' -bench='^Benchmark(Diff|CheckAll|SessionFingerprint)$$' -benchmem ./internal/bench/ ./internal/core/
 
 # Short fuzz passes on every gate: ten seconds of differential CDCL
 # fuzzing against brute-force enumeration (assumptions, solver reuse,

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strconv"
@@ -35,53 +36,73 @@ func (d *DiffStats) LinesChanged() int { return d.LinesAdded + d.LinesRemoved }
 // groups each router's sections by their path key (interface name,
 // protocol:id, filter name, static prefix), compares the groups as
 // typed values and renders, on both sides, only the groups whose
-// contents differ. A router present on one side only, or with no
-// sections on one side (an empty router is itself a leaf line), is
-// rendered whole. If any router is stored under a key other than its
-// name, or its name contains '/', leaf paths could cross routers, and
-// Diff falls back to rendering both networks whole.
+// contents differ, as sorted path -> line lists compared by a merge. A
+// router present on one side only, or with no sections on one side
+// (an empty router is itself a leaf line), is rendered whole. If any
+// router is stored under a key other than its name, or its name
+// contains '/', leaf paths could cross routers, and Diff falls back to
+// rendering both networks whole.
 func Diff(before, after *Network) *DiffStats {
-	stats := &DiffStats{PerDevice: make(map[string]int)}
+	d := &differ{stats: &DiffStats{PerDevice: make(map[string]int)}}
 	if !sectionDiffable(before) || !sectionDiffable(after) {
-		stats.addLeaves(leafSet(before), leafSet(after))
+		d.b.network(before)
+		d.a.network(after)
+		d.compare()
 	} else {
 		for name, b := range before.Routers {
-			diffRouter(stats, b, after.Routers[name])
+			d.router(b, after.Routers[name])
 		}
 		for name, a := range after.Routers {
 			if _, ok := before.Routers[name]; !ok {
-				diffRouter(stats, nil, a)
+				d.router(nil, a)
 			}
 		}
 	}
+	stats := d.stats
 	stats.DevicesChanged = len(stats.PerDevice)
 	sort.Strings(stats.AddedPaths)
 	sort.Strings(stats.RemovedPaths)
 	return stats
 }
 
-// addLeaves accumulates the difference between two path -> line maps.
-func (d *DiffStats) addLeaves(bLeaves, aLeaves map[string]string) {
-	for path, bline := range bLeaves {
-		if aline, ok := aLeaves[path]; !ok {
-			d.LinesRemoved++
-			d.RemovedPaths = append(d.RemovedPaths, path)
-			d.PerDevice[routerOfPath(path)]++
-		} else if aline != bline {
-			d.LinesRemoved++
-			d.LinesAdded++
-			d.RemovedPaths = append(d.RemovedPaths, path)
-			d.AddedPaths = append(d.AddedPaths, path)
-			d.PerDevice[routerOfPath(path)] += 2
+// differ holds one Diff call's result and the scratch its renderings
+// reuse: b and a render the before and after side of one comparison.
+type differ struct {
+	stats        *DiffStats
+	b, a         lineBuf
+	bKeys, aKeys []keyed
+}
+
+// compare adds the difference between the leaves rendered into d.b and
+// d.a, and empties both.
+func (d *differ) compare() {
+	b, a := d.b.sorted(), d.a.sorted()
+	s := d.stats
+	for len(b) > 0 || len(a) > 0 {
+		switch {
+		case len(a) == 0 || len(b) > 0 && b[0].path < a[0].path:
+			s.LinesRemoved++
+			s.RemovedPaths = append(s.RemovedPaths, b[0].path)
+			s.PerDevice[routerOfPath(b[0].path)]++
+			b = b[1:]
+		case len(b) == 0 || a[0].path < b[0].path:
+			s.LinesAdded++
+			s.AddedPaths = append(s.AddedPaths, a[0].path)
+			s.PerDevice[routerOfPath(a[0].path)]++
+			a = a[1:]
+		default:
+			if b[0].line != a[0].line {
+				s.LinesRemoved++
+				s.LinesAdded++
+				s.RemovedPaths = append(s.RemovedPaths, b[0].path)
+				s.AddedPaths = append(s.AddedPaths, a[0].path)
+				s.PerDevice[routerOfPath(b[0].path)] += 2
+			}
+			b, a = b[1:], a[1:]
 		}
 	}
-	for path := range aLeaves {
-		if _, ok := bLeaves[path]; !ok {
-			d.LinesAdded++
-			d.AddedPaths = append(d.AddedPaths, path)
-			d.PerDevice[routerOfPath(path)]++
-		}
-	}
+	d.b.reset()
+	d.a.reset()
 }
 
 // sectionDiffable reports whether every router's leaf paths stay
@@ -95,45 +116,37 @@ func sectionDiffable(n *Network) bool {
 	return true
 }
 
-// diffRouter adds the difference between two versions of one router;
+// router adds the difference between two versions of one router;
 // either may be nil (the router was added or removed).
-func diffRouter(d *DiffStats, b, a *Router) {
+func (d *differ) router(b, a *Router) {
 	if b == nil || a == nil || b.sectionless() || a.sectionless() {
-		d.addLeaves(routerLeaves(b), routerLeaves(a))
+		d.b.router(b)
+		d.a.router(a)
+		d.compare()
 		return
 	}
 	diffSections(d, b.Name, b.Interfaces, a.Interfaces,
 		func(i *Interface) sectionKey { return sectionKey{name: i.Name} },
-		func(x, y *Interface) bool { return *x == *y }, buildInterface)
+		func(x, y *Interface) bool { return *x == *y }, (*lineBuf).iface)
 	diffSections(d, b.Name, b.Processes, a.Processes,
 		func(p *Process) sectionKey { return sectionKey{name: p.Protocol.String(), num: p.ID} },
-		processEqual, buildProcess)
+		processEqual, (*lineBuf).process)
 	diffSections(d, b.Name, b.RouteFilters, a.RouteFilters,
 		func(f *RouteFilter) sectionKey { return sectionKey{name: f.Name} },
 		func(x, y *RouteFilter) bool { return x.Name == y.Name && ptrsEqual(x.Rules, y.Rules) },
-		buildRouteFilter)
+		(*lineBuf).routeFilter)
 	diffSections(d, b.Name, b.PacketFilters, a.PacketFilters,
 		func(f *PacketFilter) sectionKey { return sectionKey{name: f.Name} },
 		func(x, y *PacketFilter) bool { return x.Name == y.Name && ptrsEqual(x.Rules, y.Rules) },
-		buildPacketFilter)
+		(*lineBuf).packetFilter)
 	diffSections(d, b.Name, b.StaticRoutes, a.StaticRoutes,
 		func(s *StaticRoute) sectionKey { return sectionKey{num: s.Prefix.Len, addr: s.Prefix.First()} },
-		func(x, y *StaticRoute) bool { return *x == *y }, buildStatic)
+		func(x, y *StaticRoute) bool { return *x == *y }, (*lineBuf).static)
 }
 
 func (r *Router) sectionless() bool {
 	return len(r.Interfaces) == 0 && len(r.Processes) == 0 && len(r.RouteFilters) == 0 &&
 		len(r.PacketFilters) == 0 && len(r.StaticRoutes) == 0
-}
-
-// routerLeaves renders one whole router (nil renders nothing).
-func routerLeaves(r *Router) map[string]string {
-	if r == nil {
-		return nil
-	}
-	root := &Node{Type: "Network", Attrs: map[string]string{}}
-	buildRouterTree(root, r)
-	return leafLines(root)
 }
 
 // sectionKey identifies the path segment a section renders under
@@ -145,48 +158,88 @@ type sectionKey struct {
 	addr uint32
 }
 
+// keyed is one section's key and its index in the router's list.
+type keyed struct {
+	key sectionKey
+	i   int
+}
+
+func compareKeyed(x, y keyed) int {
+	if c := strings.Compare(x.key.name, y.key.name); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.key.num, y.key.num); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.key.addr, y.key.addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.i, y.i)
+}
+
 // diffSections diffs one kind of section of a router. Sections with
 // the same key render to overlapping paths, so they are compared and
 // rendered together, in model order, which keeps duplicate keys and
-// rule-occurrence counting exactly as in the whole-tree rendering.
-func diffSections[T any](d *DiffStats, router string, b, a []T,
-	key func(T) sectionKey, equal func(x, y T) bool, build func(*Node, T)) {
+// rule-occurrence counting exactly as in the whole-tree rendering. The
+// groups are found by sorting both sides' keys and merging them.
+func diffSections[T any](d *differ, router string, b, a []T,
+	key func(T) sectionKey, equal func(x, y T) bool, render func(*lineBuf, string, T)) {
 	if sectionsEqual(b, a, equal) {
 		return
 	}
-	type group struct{ b, a []T }
-	groups := make(map[sectionKey]*group)
-	var order []sectionKey
-	lookup := func(x T) *group {
-		k := key(x)
-		g := groups[k]
-		if g == nil {
-			g = &group{}
-			groups[k] = g
-			order = append(order, k)
+	sortKeys := func(ks []keyed, xs []T) []keyed {
+		ks = ks[:0]
+		for i, x := range xs {
+			ks = append(ks, keyed{key(x), i})
 		}
-		return g
+		slices.SortFunc(ks, compareKeyed)
+		return ks
 	}
-	for _, x := range b {
-		g := lookup(x)
-		g.b = append(g.b, x)
-	}
-	for _, x := range a {
-		g := lookup(x)
-		g.a = append(g.a, x)
-	}
-	render := func(xs []T) map[string]string {
-		rn := &Node{Type: NodeRouter, path: router}
-		for _, x := range xs {
-			build(rn, x)
+	d.bKeys, d.aKeys = sortKeys(d.bKeys, b), sortKeys(d.aKeys, a)
+	bk, ak := d.bKeys, d.aKeys
+	for len(bk) > 0 || len(ak) > 0 {
+		var k sectionKey
+		switch {
+		case len(ak) == 0:
+			k = bk[0].key
+		case len(bk) == 0 || compareKeyed(ak[0], bk[0]) < 0:
+			k = ak[0].key
+		default:
+			k = bk[0].key
 		}
-		return leafLines(rn)
+		nb, na := run(bk, k), run(ak, k)
+		if !runsEqual(b, a, bk[:nb], ak[:na], equal) {
+			for _, x := range bk[:nb] {
+				render(&d.b, router, b[x.i])
+			}
+			for _, x := range ak[:na] {
+				render(&d.a, router, a[x.i])
+			}
+			d.compare()
+		}
+		bk, ak = bk[nb:], ak[na:]
 	}
-	for _, k := range order {
-		if g := groups[k]; !sectionsEqual(g.b, g.a, equal) {
-			d.addLeaves(render(g.b), render(g.a))
+}
+
+// run returns how many leading entries of ks carry key k.
+func run(ks []keyed, k sectionKey) int {
+	n := 0
+	for n < len(ks) && ks[n].key == k {
+		n++
+	}
+	return n
+}
+
+func runsEqual[T any](b, a []T, bk, ak []keyed, equal func(x, y T) bool) bool {
+	if len(bk) != len(ak) {
+		return false
+	}
+	for i := range bk {
+		if !equal(b[bk[i].i], a[ak[i].i]) {
+			return false
 		}
 	}
+	return true
 }
 
 func sectionsEqual[T any](b, a []T, equal func(x, y T) bool) bool {
@@ -221,49 +274,184 @@ func processEqual(x, y *Process) bool {
 		slices.Equal(x.Redistribute, y.Redistribute)
 }
 
-// leafSet flattens a network's syntax tree into path -> rendered line.
-func leafSet(n *Network) map[string]string { return leafLines(Tree(n)) }
+// leaf is one configuration line of a rendering: its syntax-tree path
+// and its text. A filter rule is identified by its parent path and
+// content and by its occurrence among equal rules
+// (".../Rule{line}#k"), not by its index, so inserting a rule counts
+// as one added line instead of rewriting every rule it shifts
+// (matching textual diff semantics); its line is the path without
+// "#k".
+type leaf struct {
+	path, line string
+	seq        int  // emission order
+	rule       bool // path is ".../Rule{line}" until sorted numbers it
+}
 
-// leafLines flattens the leaves under root into path -> rendered line.
-// Filter rules are identified by content and occurrence count rather
-// than by positional index, so inserting a rule counts as one added
-// line instead of rewriting every rule it shifts (matching textual
-// diff semantics).
-func leafLines(root *Node) map[string]string {
-	out := make(map[string]string)
-	var occ map[string]int
-	for _, leaf := range root.Leaves() {
-		path := leaf.Path()
-		if leaf.Type == NodeRule {
-			base := leaf.Parent().Path() + "/Rule{" + leaf.Attr("line") + "}"
-			if occ == nil {
-				occ = make(map[string]int)
+// lineBuf renders the leaves of one side of a comparison straight from
+// the model, in the order the syntax tree lists them.
+type lineBuf struct {
+	leaves []leaf
+	rules  bool
+	path   []byte // the path of the node being rendered
+	w      attrWriter
+}
+
+func (lb *lineBuf) reset() {
+	clear(lb.leaves)
+	lb.leaves = lb.leaves[:0]
+	lb.rules = false
+}
+
+// sorted returns the rendered leaves sorted by path: each rule's
+// occurrence number counts the equal rules before it under the same
+// parent, and of leaves sharing a path the last rendered stands, as
+// in a path -> line map of the whole tree.
+func (lb *lineBuf) sorted() []leaf {
+	ls := lb.leaves
+	byPath := func(x, y leaf) int {
+		if c := strings.Compare(x.path, y.path); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.seq, y.seq)
+	}
+	if lb.rules {
+		slices.SortFunc(ls, byPath)
+		for i := 0; i < len(ls); {
+			j, k := i+1, 0
+			for j < len(ls) && ls[j].path == ls[i].path {
+				j++
 			}
-			occ[base]++
-			out[base+"#"+strconv.Itoa(occ[base])] = base
+			for m := i; m < j; m++ {
+				if l := &ls[m]; l.rule {
+					k++
+					base := l.path
+					l.path = base + "#" + strconv.Itoa(k)
+					l.line = l.path[:len(base)]
+				}
+			}
+			i = j
+		}
+	}
+	slices.SortFunc(ls, byPath)
+	out := ls[:0]
+	for i, l := range ls {
+		if i+1 < len(ls) && ls[i+1].path == l.path {
 			continue
 		}
-		out[path] = leafLine(leaf)
+		out = append(out, l)
 	}
 	return out
 }
 
-// leafLine renders a leaf's identity+attributes deterministically.
-func leafLine(n *Node) string {
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
+// addLeaf records a leaf at lb.path whose line is typ and x's
+// attributes.
+func addLeaf[T any](lb *lineBuf, typ string, attrs func(*attrWriter, T), x T) {
+	n := len(lb.path)
+	lb.w.line = append(append(lb.w.line[:0], lb.path...), typ...)
+	attrs(&lb.w, x)
+	s := string(lb.w.line)
+	lb.leaves = append(lb.leaves, leaf{path: s[:n], line: s[n:], seq: len(lb.leaves)})
+}
+
+// addRule records the rule leaf whose base path is lb.path.
+func (lb *lineBuf) addRule() {
+	lb.rules = true
+	lb.leaves = append(lb.leaves, leaf{path: string(lb.path), seq: len(lb.leaves), rule: true})
+}
+
+// under starts lb.path at a section of router.
+func (lb *lineBuf) under(router string) []byte {
+	return append(append(lb.path[:0], router...), '/')
+}
+
+// network renders every router, in name order, as Tree does.
+func (lb *lineBuf) network(n *Network) {
+	for _, name := range n.RouterNames() {
+		lb.router(n.Routers[name])
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(n.Type)
-	for _, k := range keys {
-		b.WriteString(" ")
-		b.WriteString(k)
-		b.WriteString("=")
-		b.WriteString(n.Attrs[k])
+}
+
+// router renders one whole router; nil renders nothing.
+func (lb *lineBuf) router(r *Router) {
+	switch {
+	case r == nil:
+	case r.sectionless():
+		lb.path = append(lb.path[:0], r.Name...)
+		addLeaf(lb, NodeRouter, routerAttrs, r)
+	default:
+		for _, x := range r.Interfaces {
+			lb.iface(r.Name, x)
+		}
+		for _, x := range r.Processes {
+			lb.process(r.Name, x)
+		}
+		for _, x := range r.RouteFilters {
+			lb.routeFilter(r.Name, x)
+		}
+		for _, x := range r.PacketFilters {
+			lb.packetFilter(r.Name, x)
+		}
+		for _, x := range r.StaticRoutes {
+			lb.static(r.Name, x)
+		}
 	}
-	return b.String()
+}
+
+func (lb *lineBuf) iface(router string, i *Interface) {
+	lb.path = appendInterfaceSeg(lb.under(router), i)
+	addLeaf(lb, NodeInterface, interfaceAttrs, i)
+}
+
+func (lb *lineBuf) process(router string, p *Process) {
+	lb.path = appendProcessSeg(lb.under(router), p)
+	if len(p.Adjacencies) == 0 && len(p.Originations) == 0 && len(p.Redistribute) == 0 {
+		addLeaf(lb, NodeProcess, processAttrs, p)
+		return
+	}
+	parent := len(lb.path)
+	for _, a := range p.Adjacencies {
+		lb.path = appendAdjacencySeg(append(lb.path[:parent], '/'), a)
+		addLeaf(lb, NodeAdjacency, adjacencyAttrs, a)
+	}
+	for _, o := range p.Originations {
+		lb.path = appendOriginationSeg(append(lb.path[:parent], '/'), o)
+		addLeaf(lb, NodeOrigination, originationAttrs, o)
+	}
+	for _, rd := range p.Redistribute {
+		lb.path = appendRedistributionSeg(append(lb.path[:parent], '/'), rd)
+		addLeaf(lb, NodeRedistribution, redistributionAttrs, rd)
+	}
+}
+
+func (lb *lineBuf) routeFilter(router string, f *RouteFilter) {
+	lb.path = appendSeg(lb.under(router), NodeRouteFilter, f.Name)
+	if len(f.Rules) == 0 {
+		addLeaf(lb, NodeRouteFilter, filterAttrs, f.Name)
+		return
+	}
+	parent := len(lb.path)
+	for _, r := range f.Rules {
+		lb.path = append(appendRouteRule(append(lb.path[:parent], "/Rule{"...), r), '}')
+		lb.addRule()
+	}
+}
+
+func (lb *lineBuf) packetFilter(router string, f *PacketFilter) {
+	lb.path = appendSeg(lb.under(router), NodePacketFilter, f.Name)
+	if len(f.Rules) == 0 {
+		addLeaf(lb, NodePacketFilter, filterAttrs, f.Name)
+		return
+	}
+	parent := len(lb.path)
+	for _, r := range f.Rules {
+		lb.path = append(appendPacketRule(append(lb.path[:parent], "/Rule{"...), r), '}')
+		lb.addRule()
+	}
+}
+
+func (lb *lineBuf) static(router string, s *StaticRoute) {
+	lb.path = appendStaticSeg(lb.under(router), s)
+	addLeaf(lb, NodeStaticRoute, staticAttrs, s)
 }
 
 func routerOfPath(path string) string {

@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // ReferenceDiff is the whole-network diff that Diff's section walk
@@ -57,6 +58,24 @@ func referenceLeafSet(n *Network) map[string]string {
 		out[path] = leafLine(leaf)
 	}
 	return out
+}
+
+// leafLine renders a leaf's identity+attributes deterministically.
+func leafLine(n *Node) string {
+	keys := make([]string, 0, len(n.Attrs))
+	for k := range n.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString(n.Type)
+	for _, k := range keys {
+		b.WriteString(" ")
+		b.WriteString(k)
+		b.WriteString("=")
+		b.WriteString(n.Attrs[k])
+	}
+	return b.String()
 }
 
 // Rendering hooks for the fmt-comparison tests.

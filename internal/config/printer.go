@@ -72,8 +72,10 @@ func Print(r *Router) string {
 	return b.String()
 }
 
-func routeRuleString(r *RouteRule) string {
-	b := make([]byte, 0, 64)
+func routeRuleString(r *RouteRule) string { return string(appendRouteRule(make([]byte, 0, 64), r)) }
+
+// appendRouteRule appends a route-filter rule's line, as printed.
+func appendRouteRule(b []byte, r *RouteRule) []byte {
 	b = append(b, permitString(r.Permit)...)
 	b = append(b, ' ')
 	b = appendPrefixOrAny(b, r.Prefix)
@@ -85,17 +87,18 @@ func routeRuleString(r *RouteRule) string {
 		b = append(b, " set metric "...)
 		b = strconv.AppendInt(b, int64(r.Metric), 10)
 	}
-	return string(b)
+	return b
 }
 
-func packetRuleString(r *PacketRule) string {
-	b := make([]byte, 0, 64)
+func packetRuleString(r *PacketRule) string { return string(appendPacketRule(make([]byte, 0, 64), r)) }
+
+// appendPacketRule appends a packet-filter rule's line, as printed.
+func appendPacketRule(b []byte, r *PacketRule) []byte {
 	b = append(b, permitString(r.Permit)...)
 	b = append(b, " ip "...)
 	b = appendPrefixOrAny(b, r.Src)
 	b = append(b, ' ')
-	b = appendPrefixOrAny(b, r.Dst)
-	return string(b)
+	return appendPrefixOrAny(b, r.Dst)
 }
 
 // appendPrefixOrAny appends p, or "any" for the default route.

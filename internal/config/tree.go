@@ -3,6 +3,8 @@ package config
 import (
 	"strconv"
 	"strings"
+
+	"github.com/aed-net/aed/internal/prefix"
 )
 
 // Node is a vertex of the generic configuration syntax tree (paper
@@ -97,9 +99,9 @@ func Tree(n *Network) *Node {
 }
 
 func buildRouterTree(root *Node, r *Router) *Node {
-	rn := child(root, NodeRouter, r.Name, map[string]string{"name": r.Name})
+	rn := child(root, NodeRouter, r.Name, nodeAttrs(routerAttrs, r))
 	for _, i := range r.Interfaces {
-		buildInterface(rn, i)
+		child(rn, NodeInterface, string(appendInterfaceSeg(nil, i)), nodeAttrs(interfaceAttrs, i))
 	}
 	for _, p := range r.Processes {
 		buildProcess(rn, p)
@@ -111,59 +113,160 @@ func buildRouterTree(root *Node, r *Router) *Node {
 		buildPacketFilter(rn, f)
 	}
 	for _, s := range r.StaticRoutes {
-		buildStatic(rn, s)
+		child(rn, NodeStaticRoute, string(appendStaticSeg(nil, s)), nodeAttrs(staticAttrs, s))
 	}
 	return rn
 }
 
-// The section builders below each add one top-level section of a
-// router under rn. Tree and Diff share them, so the syntax tree has a
-// single renderer.
+// The helpers below name each node of a router's subtree (its path
+// segment) and list its attributes. Tree builds Nodes from them and
+// Diff renders leaf lines from them, so the two renderings share one
+// definition of every segment and attribute.
 
-func buildInterface(rn *Node, i *Interface) {
-	attrs := map[string]string{"name": i.Name, "address": i.Addr.String()}
+// attrWriter receives a node's attributes, in key order. Tree collects
+// them into the node's Attrs; Diff (attrs nil) appends them to line,
+// which holds the leaf's rendering so far ("Type k=v k=v", as leaf
+// lines sort their attributes).
+type attrWriter struct {
+	attrs map[string]string
+	line  []byte
+}
+
+func (w *attrWriter) str(key, val string) {
+	if w.attrs != nil {
+		w.attrs[key] = val
+		return
+	}
+	w.line = append(w.line, ' ')
+	w.line = append(w.line, key...)
+	w.line = append(w.line, '=')
+	w.line = append(w.line, val...)
+}
+
+func (w *attrWriter) num(key string, v int) {
+	if w.attrs != nil {
+		w.attrs[key] = strconv.Itoa(v)
+		return
+	}
+	w.line = append(w.line, ' ')
+	w.line = append(w.line, key...)
+	w.line = append(w.line, '=')
+	w.line = strconv.AppendInt(w.line, int64(v), 10)
+}
+
+func (w *attrWriter) pfx(key string, p prefix.Prefix) {
+	if w.attrs != nil {
+		w.attrs[key] = p.String()
+		return
+	}
+	w.line = append(w.line, ' ')
+	w.line = append(w.line, key...)
+	w.line = append(w.line, '=')
+	w.line = p.AppendTo(w.line)
+}
+
+// nodeAttrs collects x's attributes into a map for a Tree node.
+func nodeAttrs[T any](attrs func(*attrWriter, T), x T) map[string]string {
+	w := attrWriter{attrs: map[string]string{}}
+	attrs(&w, x)
+	return w.attrs
+}
+
+func routerAttrs(w *attrWriter, r *Router) { w.str("name", r.Name) }
+
+func interfaceAttrs(w *attrWriter, i *Interface) {
+	w.pfx("address", i.Addr)
 	if i.FilterIn != "" {
-		attrs["filterIn"] = i.FilterIn
+		w.str("filterIn", i.FilterIn)
 	}
 	if i.FilterOut != "" {
-		attrs["filterOut"] = i.FilterOut
+		w.str("filterOut", i.FilterOut)
 	}
-	child(rn, NodeInterface, "Interface["+i.Name+"]", attrs)
+	w.str("name", i.Name)
+}
+
+func processAttrs(w *attrWriter, p *Process) {
+	w.num("id", p.ID)
+	w.str("type", p.Protocol.String())
+}
+
+func adjacencyAttrs(w *attrWriter, a *Adjacency) {
+	if a.Cost > 0 {
+		w.num("cost", a.Cost)
+	}
+	if a.InFilter != "" {
+		w.str("inFilter", a.InFilter)
+	}
+	if a.OutFilter != "" {
+		w.str("outFilter", a.OutFilter)
+	}
+	w.str("peer", a.Peer)
+}
+
+func originationAttrs(w *attrWriter, o *Origination) { w.pfx("prefix", o.Prefix) }
+
+func redistributionAttrs(w *attrWriter, p Proto) { w.str("protocol", p.String()) }
+
+func filterAttrs(w *attrWriter, name string) { w.str("name", name) }
+
+func staticAttrs(w *attrWriter, s *StaticRoute) {
+	w.str("nexthop", s.NextHop)
+	w.pfx("prefix", s.Prefix)
+}
+
+func appendSeg(b []byte, typ, arg string) []byte {
+	b = append(b, typ...)
+	b = append(b, '[')
+	b = append(b, arg...)
+	return append(b, ']')
+}
+
+func appendPrefixSeg(b []byte, typ string, p prefix.Prefix) []byte {
+	b = append(b, typ...)
+	b = append(b, '[')
+	b = p.AppendTo(b)
+	return append(b, ']')
+}
+
+func appendInterfaceSeg(b []byte, i *Interface) []byte { return appendSeg(b, NodeInterface, i.Name) }
+
+func appendProcessSeg(b []byte, p *Process) []byte {
+	b = append(b, NodeProcess+"["...)
+	b = append(b, p.Protocol.String()...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(p.ID), 10)
+	return append(b, ']')
+}
+
+func appendAdjacencySeg(b []byte, a *Adjacency) []byte { return appendSeg(b, NodeAdjacency, a.Peer) }
+
+func appendOriginationSeg(b []byte, o *Origination) []byte {
+	return appendPrefixSeg(b, NodeOrigination, o.Prefix)
+}
+
+func appendRedistributionSeg(b []byte, p Proto) []byte {
+	return appendSeg(b, NodeRedistribution, p.String())
+}
+
+func appendStaticSeg(b []byte, s *StaticRoute) []byte {
+	return appendPrefixSeg(b, NodeStaticRoute, s.Prefix)
 }
 
 func buildProcess(rn *Node, p *Process) {
-	id := strconv.Itoa(p.ID)
-	pn := child(rn, NodeProcess, "RoutingProcess["+p.Protocol.String()+":"+id+"]", map[string]string{
-		"type": p.Protocol.String(),
-		"id":   id,
-	})
+	pn := child(rn, NodeProcess, string(appendProcessSeg(nil, p)), nodeAttrs(processAttrs, p))
 	for _, a := range p.Adjacencies {
-		attrs := map[string]string{"peer": a.Peer}
-		if a.InFilter != "" {
-			attrs["inFilter"] = a.InFilter
-		}
-		if a.OutFilter != "" {
-			attrs["outFilter"] = a.OutFilter
-		}
-		if a.Cost > 0 {
-			attrs["cost"] = strconv.Itoa(a.Cost)
-		}
-		child(pn, NodeAdjacency, "Adjacency["+a.Peer+"]", attrs)
+		child(pn, NodeAdjacency, string(appendAdjacencySeg(nil, a)), nodeAttrs(adjacencyAttrs, a))
 	}
 	for _, o := range p.Originations {
-		pfx := o.Prefix.String()
-		child(pn, NodeOrigination, "Origination["+pfx+"]",
-			map[string]string{"prefix": pfx})
+		child(pn, NodeOrigination, string(appendOriginationSeg(nil, o)), nodeAttrs(originationAttrs, o))
 	}
 	for _, rd := range p.Redistribute {
-		child(pn, NodeRedistribution, "Redistribution["+rd.String()+"]",
-			map[string]string{"protocol": rd.String()})
+		child(pn, NodeRedistribution, string(appendRedistributionSeg(nil, rd)), nodeAttrs(redistributionAttrs, rd))
 	}
 }
 
 func buildRouteFilter(rn *Node, f *RouteFilter) {
-	fn := child(rn, NodeRouteFilter, "RouteFilter["+f.Name+"]",
-		map[string]string{"name": f.Name})
+	fn := child(rn, NodeRouteFilter, string(appendSeg(nil, NodeRouteFilter, f.Name)), nodeAttrs(filterAttrs, f.Name))
 	for idx, rule := range f.Rules {
 		i := strconv.Itoa(idx)
 		child(fn, NodeRule, "Rule["+i+"]", map[string]string{
@@ -176,8 +279,7 @@ func buildRouteFilter(rn *Node, f *RouteFilter) {
 }
 
 func buildPacketFilter(rn *Node, f *PacketFilter) {
-	fn := child(rn, NodePacketFilter, "PacketFilter["+f.Name+"]",
-		map[string]string{"name": f.Name})
+	fn := child(rn, NodePacketFilter, string(appendSeg(nil, NodePacketFilter, f.Name)), nodeAttrs(filterAttrs, f.Name))
 	for idx, rule := range f.Rules {
 		i := strconv.Itoa(idx)
 		child(fn, NodeRule, "Rule["+i+"]", map[string]string{
@@ -188,14 +290,6 @@ func buildPacketFilter(rn *Node, f *PacketFilter) {
 			"action": permitString(rule.Permit),
 		})
 	}
-}
-
-func buildStatic(rn *Node, s *StaticRoute) {
-	pfx := s.Prefix.String()
-	child(rn, NodeStaticRoute, "StaticRoute["+pfx+"]", map[string]string{
-		"prefix":  pfx,
-		"nexthop": s.NextHop,
-	})
 }
 
 func permitString(p bool) string {

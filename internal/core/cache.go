@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/policy"
@@ -21,15 +23,24 @@ import (
 //     encoder would actually encode for this destination (all rules
 //     when pruning is disabled). Rule positions are hashed alongside
 //     rule contents because delta names and extracted edits are keyed
-//     by rule index. The destination-independent part — interfaces,
-//     processes, adjacencies, static routes — is hashed once per Solve
-//     call into a per-router digest (routerDigests);
+//     by rule index;
 //   - shared network-wide inputs: the topology graph, the distinct
 //     local-preference value set (the rank domain is built by scanning
 //     every route filter in the network), and the objective
 //     instantiation (objectives select roots over the full network
 //     tree, so their source text and selected node sets are hashed);
 //   - every Options field that shapes the encoding or the search.
+//
+// fingerprints does the network-wide work once per Solve call: the
+// shared inputs (sharedFingerprint, the topology hashed from its sorted
+// neighbour index) and, per router in name order, a digest of the
+// destination-independent part — interfaces, processes, adjacencies,
+// static routes (routerDigests). Once per destination it hashes only
+// what depends on the destination: the policy group, covering
+// originations and the relevant filter rules (destFingerprint). Every
+// call hashes the network and topology it is given; nothing is kept
+// across calls, so an edit made in place still dirties its
+// destinations.
 //
 // The hash is a conservative over-approximation of the instance's
 // input: any change that could alter the instance changes its
@@ -95,6 +106,20 @@ func (f *fp) policy(p policy.Policy) {
 
 func (f *fp) sum() uint64 { return f.h }
 
+// fingerprints hashes the shared inputs and every destination unit of
+// one Solve call: shared is the sharedFingerprint part, fps[i] the
+// fingerprint of dests[i].
+func fingerprints(net *config.Network, topo *topology.Topology, dests []prefix.Prefix,
+	groups map[prefix.Prefix][]policy.Policy, opts Options) (shared uint64, fps []uint64) {
+	shared = sharedFingerprint(net, topo, opts)
+	routers := routerDigests(net)
+	fps = make([]uint64, len(dests))
+	for i, d := range dests {
+		fps[i] = destFingerprint(shared, routers, d, groups[d], opts)
+	}
+	return shared, fps
+}
+
 // sharedFingerprint hashes the inputs every per-destination instance
 // depends on: topology, the network-wide local-preference domain,
 // objective instantiation, and the encoding/search options. It is
@@ -102,31 +127,48 @@ func (f *fp) sum() uint64 { return f.h }
 func sharedFingerprint(net *config.Network, topo *topology.Topology, opts Options) uint64 {
 	f := newFP()
 
-	// Topology: routers, links, subnets, roles.
-	routers := append([]string(nil), topo.Routers...)
-	sort.Strings(routers)
-	for _, r := range routers {
+	// Topology: routers in name order, each with its role and sorted
+	// neighbours, so the hash does not depend on the order the routers
+	// and links were added in. A link with an endpoint missing from
+	// Routers leaves the neighbour lists short of twice the link count;
+	// then the whole link list is hashed too.
+	routers := slices.Clone(topo.Routers)
+	slices.Sort(routers)
+	degrees := 0
+	for i, r := range routers {
 		f.str(r)
 		f.str(topo.Role[r])
+		if i > 0 && routers[i-1] == r {
+			continue // a repeated name has the same neighbours
+		}
+		for _, nb := range topo.Neighbors(r) {
+			f.str(nb)
+			degrees++
+		}
+		f.sep()
 	}
 	f.sep()
-	links := topo.Links()
-	keys := make([]string, len(links))
-	for i, l := range links {
-		keys[i] = l[0] + ">" + l[1]
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		f.str(k)
+	if degrees != 2*topo.NumLinks() {
+		for _, l := range topo.Links() {
+			f.str(l[0])
+			f.str(l[1])
+		}
 	}
 	f.sep()
-	subs := make([]string, len(topo.Subnets))
-	for i, s := range topo.Subnets {
-		subs[i] = s.Router + ">" + s.Prefix.String()
-	}
-	sort.Strings(subs)
+	// Subnets as (router, prefix) pairs, sorted.
+	subs := slices.Clone(topo.Subnets)
+	slices.SortFunc(subs, func(x, y topology.Subnet) int {
+		if c := strings.Compare(x.Router, y.Router); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Prefix.Addr, y.Prefix.Addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Prefix.Len, y.Prefix.Len)
+	})
 	for _, s := range subs {
-		f.str(s)
+		f.str(s.Router)
+		f.pfx(s.Prefix)
 	}
 	f.sep()
 
@@ -135,22 +177,18 @@ func sharedFingerprint(net *config.Network, topo *topology.Topology, opts Option
 	// route filter in the network.
 	f.int(len(net.Routers))
 	if !opts.Encode.WideIntegers {
-		lps := map[int]bool{}
+		var lps []int
 		for _, r := range net.Routers {
 			for _, rf := range r.RouteFilters {
 				for _, rule := range rf.Rules {
 					if rule.LocalPref != 0 {
-						lps[rule.LocalPref] = true
+						lps = append(lps, rule.LocalPref)
 					}
 				}
 			}
 		}
-		vals := make([]int, 0, len(lps))
-		for v := range lps {
-			vals = append(vals, v)
-		}
-		sort.Ints(vals)
-		for _, v := range vals {
+		slices.Sort(lps)
+		for _, v := range slices.Compact(lps) {
 			f.int(v)
 		}
 	}
@@ -189,11 +227,34 @@ func sharedFingerprint(net *config.Network, topo *topology.Topology, opts Option
 	return f.sum()
 }
 
+// routerDigest is one router with the digest of its destination-
+// independent configuration (hashRouter).
+type routerDigest struct {
+	name   string
+	router *config.Router
+	sum    uint64
+}
+
+// routerDigests hashes, once per Solve call, the part of each router's
+// configuration that every destination's instance reads, and returns
+// the routers in name order.
+func routerDigests(net *config.Network) []routerDigest {
+	out := make([]routerDigest, 0, len(net.Routers))
+	for name, r := range net.Routers {
+		f := newFP()
+		hashRouter(f, r)
+		out = append(out, routerDigest{name: name, router: r, sum: f.sum()})
+	}
+	slices.SortFunc(out, func(x, y routerDigest) int { return strings.Compare(x.name, y.name) })
+	return out
+}
+
 // destFingerprint hashes one destination unit: the policy group plus
 // each router's relevant configuration subtree. routers holds each
-// router's destination-independent digest (routerDigests).
-func destFingerprint(shared uint64, net *config.Network, routers map[string]uint64,
-	d prefix.Prefix, group []policy.Policy, opts Options) uint64 {
+// router's destination-independent digest, in name order
+// (routerDigests).
+func destFingerprint(shared uint64, routers []routerDigest, d prefix.Prefix,
+	group []policy.Policy, opts Options) uint64 {
 
 	f := newFP()
 	f.u64(shared)
@@ -206,30 +267,12 @@ func destFingerprint(shared uint64, net *config.Network, routers map[string]uint
 	}
 	f.sep()
 
-	// Traffic-class sources decide packet-filter rule relevance.
-	srcs := make([]prefix.Prefix, 0, len(group))
-	for _, p := range group {
-		srcs = append(srcs, p.Src)
-	}
-
-	for _, name := range net.RouterNames() {
-		f.str(name)
-		f.u64(routers[name])
-		hashRouterDest(f, net.Routers[name], d, srcs, opts)
+	for _, r := range routers {
+		f.str(r.name)
+		f.u64(r.sum)
+		hashRouterDest(f, r.router, d, group, opts)
 	}
 	return f.sum()
-}
-
-// routerDigests hashes, once per Solve call, the part of each router's
-// configuration that every destination's instance reads (hashRouter).
-func routerDigests(net *config.Network) map[string]uint64 {
-	out := make(map[string]uint64, len(net.Routers))
-	for name, r := range net.Routers {
-		f := newFP()
-		hashRouter(f, r)
-		out[name] = f.sum()
-	}
-	return out
 }
 
 // hashRouter hashes the destination-independent slice of one router's
@@ -277,7 +320,7 @@ func hashRouter(f *fp, r *config.Router) {
 // hashRouterDest hashes the slice of one router's configuration that
 // depends on the destination: per process, the originations covering
 // it, and the filter rules the encoder would encode for it.
-func hashRouterDest(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Prefix, opts Options) {
+func hashRouterDest(f *fp, r *config.Router, d prefix.Prefix, group []policy.Policy, opts Options) {
 	for _, p := range r.Processes {
 		for _, o := range p.Originations {
 			if o.Prefix.Covers(d) {
@@ -313,7 +356,7 @@ func hashRouterDest(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Pref
 	for _, pf := range r.PacketFilters {
 		f.str(pf.Name)
 		for i, rule := range pf.Rules {
-			if !opts.Encode.NoPrune && !packetRuleRelevant(rule, d, srcs) {
+			if !opts.Encode.NoPrune && !packetRuleRelevant(rule, d, group) {
 				continue
 			}
 			f.int(i)
@@ -328,12 +371,12 @@ func hashRouterDest(f *fp, r *config.Router, d prefix.Prefix, srcs []prefix.Pref
 
 // packetRuleRelevant mirrors the encoder's pruning test: a rule is
 // encoded when it can match some traffic class (src, d) of the group.
-func packetRuleRelevant(rule *config.PacketRule, d prefix.Prefix, srcs []prefix.Prefix) bool {
+func packetRuleRelevant(rule *config.PacketRule, d prefix.Prefix, group []policy.Policy) bool {
 	if !rule.Dst.Overlaps(d) {
 		return false
 	}
-	for _, src := range srcs {
-		if rule.Src.Overlaps(src) {
+	for _, p := range group {
+		if rule.Src.Overlaps(p.Src) {
 			return true
 		}
 	}

@@ -60,8 +60,11 @@ type Engine struct {
 
 // cacheEntry is one destination's cached solve, including — when the
 // session can rebind (see keepsLive) — the live encoder whose SMT
-// context is kept warm for tier-2 re-solves, parked (Encoder.Park) so it
-// holds the solver and bindings but not the formula DAG.
+// context is kept warm for tier-2 re-solves. It is parked
+// (Encoder.Park): it keeps the compacted solver with its learned
+// clauses, the rule bindings, the policy guards and the structural
+// deltas, and drops what only encoding reads (environments, filter-chain
+// and adjacency caches, the delta name index, aux deltas).
 type cacheEntry struct {
 	fp       uint64
 	shared   uint64 // sharedFingerprint component of fp
@@ -144,9 +147,7 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	// a live /recorder drain shows which destinations stayed warm.
 	fsp := root.Child("fingerprint")
 	rec := tr.Recorder()
-	shared := sharedFingerprint(s.net, s.topo, s.opts)
-	routers := routerDigests(s.net)
-	fps := make([]uint64, len(dests))
+	shared, fps := fingerprints(s.net, s.topo, dests, groups, s.opts)
 	results := make([]*encode.Result, len(dests))
 	cached := make([]bool, len(dests))
 	conflicts := make([][]policy.Policy, len(dests))
@@ -158,7 +159,6 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	var dirty []int
 	hits, invalidations := 0, 0
 	for i, d := range dests {
-		fps[i] = destFingerprint(shared, s.net, routers, d, groups[d], s.opts)
 		if e, ok := s.cache[d]; ok {
 			if e.fp == fps[i] {
 				results[i] = e.res
