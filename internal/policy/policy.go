@@ -237,17 +237,45 @@ func SubdividePolicies(ps []Policy) []Policy {
 }
 
 // Dedup removes exact duplicate policies, preserving first-seen order.
+// Two policies are duplicates when their String forms are equal.
 func Dedup(ps []Policy) []Policy {
-	seen := make(map[string]bool, len(ps))
+	seen := make(map[dedupKey]bool, len(ps))
 	var out []Policy
 	for _, p := range ps {
-		k := p.String()
+		k := p.dedupKey()
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// dedupKey holds exactly the fields String renders: the kind (every
+// unknown kind renders alike), both prefixes with their host bits
+// cleared, and Via, Avoid and MaxLen only for the kinds that print
+// them. Equal keys are equal String forms, without formatting either.
+type dedupKey struct {
+	kind       Kind
+	src, dst   prefix.Prefix
+	via, avoid string
+	maxLen     int
+}
+
+func (p Policy) dedupKey() dedupKey {
+	k := dedupKey{kind: p.Kind, src: p.Src.Canonical(), dst: p.Dst.Canonical()}
+	switch p.Kind {
+	case Waypoint:
+		k.via = p.Via
+	case PathPreference:
+		k.via, k.avoid = p.Via, p.Avoid
+	case PathLength:
+		k.maxLen = p.MaxLen
+	case Reachability, Blocking, Isolation:
+	default:
+		k.kind = -1
+	}
+	return k
 }
 
 // Sort orders policies deterministically (by kind, then src, then dst).

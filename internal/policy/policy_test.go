@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,6 +144,39 @@ block 10.0.0.0/24 -> 10.1.0.0/24
 	Sort(out)
 	if out[0].Kind != Reachability {
 		t.Error("reach sorts before block")
+	}
+}
+
+// TestDedupMatchesStringKeys checks Dedup against deduplication keyed
+// on String, on random policies drawn from a small space so duplicates
+// are common: prefixes with and without host bits, every kind and one
+// unknown one, and Via, Avoid and MaxLen set on kinds that do not
+// print them.
+func TestDedupMatchesStringKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	pfx := func() prefix.Prefix {
+		return prefix.Prefix{Addr: 10<<24 | uint32(rng.Intn(2))<<16 | uint32(rng.Intn(3)), Len: []int{16, 24, 30}[rng.Intn(3)]}
+	}
+	names := []string{"", "r1", "r2"}
+	for iter := range 300 {
+		ps := make([]Policy, 1+rng.Intn(40))
+		for i := range ps {
+			ps[i] = Policy{
+				Kind: Kind(rng.Intn(8)), Src: pfx(), Dst: pfx(),
+				Via: names[rng.Intn(3)], Avoid: names[rng.Intn(3)], MaxLen: rng.Intn(3),
+			}
+		}
+		var want []Policy
+		seen := map[string]bool{}
+		for _, p := range ps {
+			if k := p.String(); !seen[k] {
+				seen[k] = true
+				want = append(want, p)
+			}
+		}
+		if got := Dedup(ps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: Dedup kept %v, String keys keep %v", iter, got, want)
+		}
 	}
 }
 

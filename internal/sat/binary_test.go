@@ -163,6 +163,15 @@ func TestBinaryClausesAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
+		// The arena collector runs mid-search: the decision order's
+		// bookkeeping must hold there as after every solve.
+		s.OnEvent = func(ev SolverEvent, _, _ int64) {
+			if ev == EventArenaGC {
+				if err := orderInvariant(s); err != nil {
+					t.Fatalf("iter %d, at an arena collection: %v", iter, err)
+				}
+			}
+		}
 		s.debugChain = func(cl []Lit, pivot Lit) {
 			switch {
 			case len(cl) != 2:
@@ -189,6 +198,9 @@ func TestBinaryClausesAgainstBruteForce(t *testing.T) {
 					assume[i] = NewLit(Var(1+rng.Intn(n)), matching || rng.Intn(2) == 0)
 				}
 				checkSolve(t, s, cnf, models, assume)
+				if err := orderInvariant(s); err != nil {
+					t.Fatalf("iter %d round %d: %v", iter, round, err)
+				}
 			}
 			if unsound != nil {
 				t.Fatalf("iter %d round %d: learned %v, not implied by cnf=%v", iter, round, unsound, cnf)

@@ -1,6 +1,9 @@
 package sat
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // fuzzCNF derives a small CNF and assumption list deterministically from
 // fuzz bytes: byte 0 picks the variable count (3..10), byte 1 the number
@@ -65,6 +68,8 @@ func satisfies(s *Solver, cnf [][]Lit) bool {
 // arena rewrite touches most: assumption solving (final-conflict
 // analysis), solver reuse after a Solve call (trail/watch state reset),
 // and determinism against a freshly built solver on the same input.
+// The decision order's bookkeeping (orderInvariant) is checked after
+// every solve and around every compaction.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{5, 2, 3, 1, 4, 2, 3, 6, 0xff, 7, 8, 9, 12, 13})
 	f.Add([]byte{3, 0, 3, 2, 3, 4, 5, 0xff, 1, 1, 6})
@@ -73,6 +78,12 @@ func FuzzSolver(f *testing.F) {
 	f.Add([]byte{6, 1, 2, 3, 0, 2, 5, 4, 7, 6, 9, 8, 11, 1, 10, 3, 5})
 	f.Add([]byte{9, 2, 2, 4, 17, 0, 3, 1, 4, 5, 8, 9, 12, 13, 16, 2, 6, 10, 14, 7, 11, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkOrder := func(s *Solver, at string) {
+			t.Helper()
+			if err := orderInvariant(s); err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+		}
 		n, cnf, assume := fuzzCNF(data)
 		if n == 0 || len(cnf) == 0 {
 			t.Skip()
@@ -93,6 +104,7 @@ func FuzzSolver(f *testing.F) {
 
 		s := build()
 		got := s.Solve(assume...)
+		checkOrder(s, "assumption solve")
 		withUnits := make([][]Lit, 0, len(cnf)+len(assume))
 		withUnits = append(withUnits, cnf...)
 		for _, a := range assume {
@@ -108,6 +120,7 @@ func FuzzSolver(f *testing.F) {
 		// Reuse: the same solver, re-solved without assumptions, must
 		// agree with brute force on the bare CNF.
 		got2 := s.Solve()
+		checkOrder(s, "reuse solve")
 		if want2 := brute(n, cnf); (got2 == Sat) != want2 {
 			t.Fatalf("reuse solve: solver=%v brute=%v cnf=%v", got2, want2, cnf)
 		}
@@ -136,7 +149,9 @@ func FuzzSolver(f *testing.F) {
 		incOK := true
 		for upto := 1; upto <= len(cnf); upto++ {
 			if data[upto%len(data)]&0x40 != 0 {
+				checkOrder(inc, "before Compact")
 				inc.Compact()
+				checkOrder(inc, "after Compact")
 			}
 			if incOK {
 				incOK = inc.AddClause(cnf[upto-1]...)
@@ -148,6 +163,7 @@ func FuzzSolver(f *testing.F) {
 				asm = assume[upto%(len(assume)+1):]
 			}
 			st := inc.Solve(asm...)
+			checkOrder(inc, fmt.Sprintf("incremental step %d", upto))
 
 			fresh := New()
 			fresh.Grow(n)
@@ -194,6 +210,7 @@ func FuzzSolver(f *testing.F) {
 				if stc := inc.Solve(core...); stc != Unsat {
 					t.Fatalf("incremental step %d: re-solve under core %v = %v, want Unsat", upto, core, stc)
 				}
+				checkOrder(inc, fmt.Sprintf("incremental step %d core re-solve", upto))
 			}
 		}
 	})

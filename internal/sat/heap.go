@@ -2,8 +2,9 @@ package sat
 
 // varHeap is a binary max-heap of variables ordered by VSIDS activity,
 // with an index map for decrease-key. It holds a pointer to the
-// solver's activity slice so bumps are visible without copying. Both
-// arrays hold int32s, 8 bytes per variable between them.
+// solver's activity slice so bumps are visible without copying. The
+// solver keeps only bumped variables in it (see Solver.next); indices
+// has one entry per variable, which NewVar appends.
 type varHeap struct {
 	activity *[]float64
 	heap     []int32 // variables
@@ -42,9 +43,6 @@ func (h *varHeap) inHeap(v Var) bool {
 }
 
 func (h *varHeap) insert(v Var) {
-	for int(v) >= len(h.indices) {
-		h.indices = append(h.indices, -1)
-	}
 	if h.indices[v] >= 0 {
 		return
 	}

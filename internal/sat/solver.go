@@ -51,7 +51,13 @@ type Solver struct {
 	// carved from (see addWatch).
 	watchBlock []watcher
 
-	heap     *varHeap // VSIDS order
+	// heap orders the variables whose activity is positive (VSIDS);
+	// next is the decision cursor over the rest. Every unassigned
+	// variable is in heap, or has activity 0 and index at most next, so
+	// a never-bumped variable costs no heap operation: it is decided in
+	// descending index order once the heap holds no unassigned variable.
+	heap     *varHeap
+	next     Var
 	trail    []Lit
 	trailLim []int // decision-level boundaries in trail
 	qhead    int
@@ -209,7 +215,8 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false (sign=true)
 	s.seen = append(s.seen, false)
 	s.markBuf = append(s.markBuf, false)
-	s.heap.insert(v)
+	s.heap.indices = append(s.heap.indices, -1)
+	s.next = v
 	return v
 }
 
@@ -597,8 +604,10 @@ func (s *Solver) backtrack(level int) {
 		v := s.trail[i].Var()
 		s.assigns[v] = Undef
 		s.vardata[v].reason = CRefUndef
-		if !s.heap.inHeap(v) {
+		if s.activity[v] > 0 {
 			s.heap.insert(v)
+		} else if v > s.next {
+			s.next = v
 		}
 	}
 	s.trail = s.trail[:bound]
@@ -616,6 +625,8 @@ func (s *Solver) bumpVar(v Var) {
 	}
 	if s.heap.inHeap(v) {
 		s.heap.decrease(v)
+	} else if s.assigns[v] == Undef {
+		s.heap.insert(v)
 	}
 }
 
@@ -640,12 +651,19 @@ const (
 	claDecay = 1.0 / 0.999
 )
 
-// pickBranchVar selects an unassigned variable by VSIDS activity.
+// pickBranchVar selects an unassigned variable by VSIDS activity: the
+// heap's best, or once the heap holds no unassigned variable, the
+// highest-indexed never-bumped one at or below the cursor.
 func (s *Solver) pickBranchVar() Var {
 	for !s.heap.empty() {
 		v := s.heap.pop()
 		if s.assigns[v] == Undef {
 			return v
+		}
+	}
+	for ; s.next > 0; s.next-- {
+		if s.assigns[s.next] == Undef {
+			return s.next
 		}
 	}
 	return 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/aed-net/aed/internal/config"
@@ -415,5 +416,118 @@ func TestInferMatchesPerPair(t *testing.T) {
 	}
 	if blocking == 0 {
 		t.Fatal("no case inferred a blocking policy")
+	}
+}
+
+// referenceCheck is Check as one fixpoint per path: every policy
+// traces its paths with referencePath, and PathPreference's fallback
+// runs on a copy of the simulator with Via disabled too.
+func referenceCheck(s *Simulator, p policy.Policy) *Violation {
+	path, st := referencePath(s, p.Src, p.Dst)
+	switch p.Kind {
+	case policy.Blocking:
+		if st == Delivered {
+			return &Violation{p, "traffic delivered"}
+		}
+		return nil
+	case policy.Isolation:
+		if st == Delivered {
+			return &Violation{p, "forward traffic delivered"}
+		}
+		if _, st := referencePath(s, p.Dst, p.Src); st == Delivered {
+			return &Violation{p, "reverse traffic delivered"}
+		}
+		return nil
+	}
+	if st != Delivered {
+		return &Violation{p, fmt.Sprintf("%s after %v", st, path)}
+	}
+	switch p.Kind {
+	case policy.Waypoint:
+		if !contains(path, p.Via) {
+			return &Violation{p, fmt.Sprintf("path %v avoids waypoint %s", path, p.Via)}
+		}
+	case policy.PathLength:
+		if hops := len(path) - 1; hops > p.MaxLen {
+			return &Violation{p, fmt.Sprintf("path %v has %d hops, bound %d", path, hops, p.MaxLen)}
+		}
+	case policy.PathPreference:
+		if !contains(path, p.Via) {
+			return &Violation{p, fmt.Sprintf("primary path %v avoids preferred transit %s", path, p.Via)}
+		}
+		alt := &Simulator{Net: s.Net, Topo: s.Topo, DisabledRouters: map[string]bool{p.Via: true}}
+		for r := range s.DisabledRouters {
+			alt.DisabledRouters[r] = true
+		}
+		if altPath, altSt := referencePath(alt, p.Src, p.Dst); altSt == Delivered && !contains(altPath, p.Avoid) {
+			return &Violation{p, fmt.Sprintf("fallback path %v avoids %s", altPath, p.Avoid)}
+		}
+	}
+	return nil
+}
+
+// TestCheckAllMatchesCheck checks that CheckAll, which converges each
+// route table once per call, returns exactly the violations of one
+// Check per policy, in order, and that both match referenceCheck. The
+// networks are random ones and the configgen fleets, whose fabrics
+// have the redundant paths a PathPreference fallback takes. The
+// policies are random, of every kind, and drawn so that route tables
+// are shared: sources and destinations from the subnets and one prefix
+// no router owns (Isolation reads both directions), Via and Avoid
+// among the routers, a router outside the network and none, and Via
+// mostly on the primary path (fallbacks on one destination that
+// disable different routers).
+func TestCheckAllMatchesCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sims []*Simulator
+	for i, topo := range configgen.DatacenterFleet(12, 1) {
+		proto := []config.Proto{config.OSPF, config.BGP}[i%2]
+		sims = append(sims, New(configgen.Generate(topo, configgen.Options{Protocol: proto, WithRoleFilters: true}), topo))
+	}
+	for i := 0; i < 400; i++ {
+		s, _ := randomCase(rng)
+		if rng.Intn(4) == 0 {
+			s.DisabledRouters["r0"] = false // listed, not disabled
+		}
+		sims = append(sims, s)
+	}
+	kinds := []policy.Kind{policy.Reachability, policy.Blocking, policy.Waypoint,
+		policy.PathPreference, policy.Isolation, policy.PathLength}
+	violated := map[policy.Kind]int{}
+	for i, s := range sims {
+		pfx := []prefix.Prefix{prefix.MustParse("10.99.0.0/24")}
+		for _, sn := range s.Topo.Subnets {
+			pfx = append(pfx, sn.Prefix)
+		}
+		routers := append(slices.Clone(s.Topo.Routers), "ghost", "")
+		ps := make([]policy.Policy, 1+rng.Intn(24))
+		for j := range ps {
+			ps[j] = policy.Policy{Kind: kinds[rng.Intn(len(kinds))],
+				Src: pfx[rng.Intn(len(pfx))], Dst: pfx[rng.Intn(min(len(pfx), 4))],
+				Via: routers[rng.Intn(len(routers))], Avoid: routers[rng.Intn(len(routers))],
+				MaxLen: rng.Intn(4)}
+			if path, _ := s.Path(ps[j].Src, ps[j].Dst); len(path) > 0 && rng.Intn(4) != 0 {
+				ps[j].Via = path[rng.Intn(len(path))]
+			}
+		}
+		var want []Violation
+		for _, p := range ps {
+			v := s.Check(p)
+			if ref := referenceCheck(s, p); !reflect.DeepEqual(v, ref) {
+				t.Fatalf("case %d: Check(%s) = %v, want %v", i, p, v, ref)
+			}
+			if v != nil {
+				want = append(want, *v)
+				violated[p.Kind]++
+			}
+		}
+		if got := s.CheckAll(ps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: CheckAll = %v, want %v", i, got, want)
+		}
+	}
+	for _, k := range kinds {
+		if violated[k] == 0 {
+			t.Errorf("no %s policy was ever violated", k)
+		}
 	}
 }

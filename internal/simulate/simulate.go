@@ -476,13 +476,7 @@ func (p PathStatus) String() string {
 // the sender's outbound interface and the receiver's inbound interface
 // for every hop (paper Fig. 17: dataFwd = controlFwd ∧ pFil.allow).
 func (s *Simulator) Path(src, dst prefix.Prefix) ([]string, PathStatus) {
-	srcRouter := s.Topo.RouterOfSubnet(src)
-	dstRouter := s.Topo.RouterOfSubnet(dst)
-	if srcRouter == "" || dstRouter == "" {
-		return nil, NoRoute
-	}
-	ix := s.index()
-	return trace(ix, s.bests(ix, dst), srcRouter, dstRouter, src, dst)
+	return checker{s: s}.path(src, routeKey{dst: dst})
 }
 
 // trace follows the converged bests toward dstRouter from srcRouter.
@@ -545,25 +539,87 @@ func (v Violation) String() string {
 
 // Check evaluates a single policy, returning nil if satisfied.
 func (s *Simulator) Check(p policy.Policy) *Violation {
+	return checker{s: s}.check(p)
+}
+
+// CheckAll evaluates a policy set and returns all violations, in
+// policy order. Each route table the policies read converges once per
+// call, however many policies share it.
+func (s *Simulator) CheckAll(ps []policy.Policy) []Violation {
+	c := checker{s: s, tables: map[routeKey][]cell{}}
+	var out []Violation
+	for _, p := range ps {
+		if v := c.check(p); v != nil {
+			out = append(out, *v)
+		}
+	}
+	return out
+}
+
+// routeKey names a converged route table: its destination, and for a
+// PathPreference fallback (alt), the transit router it disables on top
+// of DisabledRouters.
+type routeKey struct {
+	dst prefix.Prefix
+	alt bool
+	via string
+}
+
+// checker evaluates policies against s. With tables non-nil it keeps
+// every route table it converges, for the later policies that read it.
+type checker struct {
+	s      *Simulator
+	tables map[routeKey][]cell
+}
+
+// path traces src → k.dst, as Path does, over the route table k names.
+func (c checker) path(src prefix.Prefix, k routeKey) ([]string, PathStatus) {
+	s, dst := c.s, k.dst
+	srcRouter := s.Topo.RouterOfSubnet(src)
+	dstRouter := s.Topo.RouterOfSubnet(dst)
+	if srcRouter == "" || dstRouter == "" {
+		return nil, NoRoute
+	}
+	ix := s.index()
+	best, ok := c.tables[k]
+	if !ok {
+		sim := s
+		if k.alt {
+			sim = &Simulator{Net: s.Net, Topo: s.Topo,
+				DisabledRouters: map[string]bool{k.via: true}, idx: ix}
+			for r := range s.DisabledRouters {
+				sim.DisabledRouters[r] = true
+			}
+		}
+		best = sim.bests(ix, dst)
+		if c.tables != nil {
+			c.tables[k] = best
+		}
+	}
+	return trace(ix, best, srcRouter, dstRouter, src, dst)
+}
+
+func (c checker) check(p policy.Policy) *Violation {
+	fwd := routeKey{dst: p.Dst}
 	switch p.Kind {
 	case policy.Reachability:
-		path, st := s.Path(p.Src, p.Dst)
+		path, st := c.path(p.Src, fwd)
 		if st != Delivered {
 			return &Violation{p, fmt.Sprintf("%s after %v", st, path)}
 		}
 	case policy.Blocking:
-		if _, st := s.Path(p.Src, p.Dst); st == Delivered {
+		if _, st := c.path(p.Src, fwd); st == Delivered {
 			return &Violation{p, "traffic delivered"}
 		}
 	case policy.Isolation:
-		if _, st := s.Path(p.Src, p.Dst); st == Delivered {
+		if _, st := c.path(p.Src, fwd); st == Delivered {
 			return &Violation{p, "forward traffic delivered"}
 		}
-		if _, st := s.Path(p.Dst, p.Src); st == Delivered {
+		if _, st := c.path(p.Dst, routeKey{dst: p.Src}); st == Delivered {
 			return &Violation{p, "reverse traffic delivered"}
 		}
 	case policy.Waypoint:
-		path, st := s.Path(p.Src, p.Dst)
+		path, st := c.path(p.Src, fwd)
 		if st != Delivered {
 			return &Violation{p, fmt.Sprintf("%s after %v", st, path)}
 		}
@@ -571,7 +627,7 @@ func (s *Simulator) Check(p policy.Policy) *Violation {
 			return &Violation{p, fmt.Sprintf("path %v avoids waypoint %s", path, p.Via)}
 		}
 	case policy.PathLength:
-		path, st := s.Path(p.Src, p.Dst)
+		path, st := c.path(p.Src, fwd)
 		if st != Delivered {
 			return &Violation{p, fmt.Sprintf("%s after %v", st, path)}
 		}
@@ -579,7 +635,7 @@ func (s *Simulator) Check(p policy.Policy) *Violation {
 			return &Violation{p, fmt.Sprintf("path %v has %d hops, bound %d", path, hops, p.MaxLen)}
 		}
 	case policy.PathPreference:
-		path, st := s.Path(p.Src, p.Dst)
+		path, st := c.path(p.Src, fwd)
 		if st != Delivered {
 			return &Violation{p, fmt.Sprintf("%s after %v", st, path)}
 		}
@@ -587,28 +643,12 @@ func (s *Simulator) Check(p policy.Policy) *Violation {
 			return &Violation{p, fmt.Sprintf("primary path %v avoids preferred transit %s", path, p.Via)}
 		}
 		// With the preferred transit down, the fallback must engage.
-		alt := &Simulator{Net: s.Net, Topo: s.Topo,
-			DisabledRouters: map[string]bool{p.Via: true}, idx: s.idx}
-		for r := range s.DisabledRouters {
-			alt.DisabledRouters[r] = true
-		}
-		altPath, altSt := alt.Path(p.Src, p.Dst)
+		altPath, altSt := c.path(p.Src, routeKey{dst: p.Dst, alt: true, via: p.Via})
 		if altSt == Delivered && !contains(altPath, p.Avoid) {
 			return &Violation{p, fmt.Sprintf("fallback path %v avoids %s", altPath, p.Avoid)}
 		}
 	}
 	return nil
-}
-
-// CheckAll evaluates a policy set and returns all violations.
-func (s *Simulator) CheckAll(ps []policy.Policy) []Violation {
-	var out []Violation
-	for _, p := range ps {
-		if v := s.Check(p); v != nil {
-			out = append(out, *v)
-		}
-	}
-	return out
 }
 
 // InferReachability computes the reachability policies that currently
