@@ -200,7 +200,6 @@ func sharedFingerprint(net *config.Network, topo *topology.Topology, opts Option
 	f.bool(opts.Explain)
 	f.bool(opts.Encode.NoPrune)
 	f.bool(opts.Encode.WideIntegers)
-	f.int(opts.Encode.MaxCost)
 	f.sep()
 
 	// Objectives: source text plus the node sets they select over the

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -130,12 +131,6 @@ func (o Options) watchdog(tr *obs.Tracer) *obs.Watchdog {
 	return w
 }
 
-// markSlow flags instances whose solve outlived the watchdog
-// threshold, which is what `aed -stats` renders as the slow column.
-func (o Options) markSlow(d time.Duration) bool {
-	return o.SlowSolveAfter > 0 && d >= o.SlowSolveAfter
-}
-
 // DefaultOptions returns the paper's fully optimized configuration.
 // Since the Options redesign this is a documented alias for the zero
 // value: DefaultOptions() == Options{}.
@@ -180,8 +175,9 @@ type Result struct {
 	// (empty in normal operation; populated only if the symbolic
 	// model and the simulator disagree).
 	Violations []simulate.Violation
-	// Duration is the end-to-end synthesis time; SolveTime the summed
-	// per-instance solver time (= critical path when parallel).
+	// Duration is the end-to-end synthesis time; SolveTime the sum of
+	// the call's per-instance solve durations, which exceeds the wall
+	// time when instances run in parallel.
 	Duration  time.Duration
 	SolveTime time.Duration
 	// Instances describes each per-destination problem.
@@ -259,44 +255,70 @@ type InstanceStats struct {
 // canceled every in-flight CDCL search stops at its next conflict and
 // the call returns ctx.Err().
 func SynthesizeContext(ctx context.Context, net *config.Network, topo *topology.Topology, ps []policy.Policy, opts Options) (*Result, error) {
-	start := time.Now()
 	tr := opts.tracer()
-	root := tr.StartCtx(ctx, "synthesize")
-	defer root.End()
+	c := newCall(tr, tr.StartCtx(ctx, "synthesize"), net, topo, ps, opts)
+	defer c.root.End()
 
-	gsp := root.Child("group")
-	ps, groups, dests := groupDests(ps)
-	gsp.SetInt("policies", int64(len(ps)))
-	gsp.SetInt("destinations", int64(len(dests)))
-	gsp.End()
-
-	wd := opts.watchdog(tr)
-	res := &Result{}
+	var res *Result
+	var err error
 	if opts.Monolithic {
-		if err := solveMonolithic(ctx, net, topo, groups, dests, opts, res, tr, root, wd); err != nil {
-			return nil, err
+		res, err = c.solveMonolithic(ctx)
+	} else {
+		// A one-shot call knows nothing of earlier solves: every
+		// destination is solved from scratch and no instance is kept.
+		out := make([]destSolve, len(c.dests))
+		if _, err = c.solveDests(ctx, out, false); err == nil {
+			res = c.merge(out)
 		}
-	} else if err := solveSplit(ctx, net, topo, groups, dests, opts, res, tr, root, wd); err != nil {
+	}
+	if err != nil {
 		return nil, err
 	}
-	for _, is := range res.Instances {
-		res.Solver = res.Solver.Add(is.Solver)
-	}
 
-	applyAndValidate(net, topo, ps, opts, res, root)
-	res.Duration = time.Since(start)
-	root.SetBool("sat", res.unsat == nil)
-	root.SetInt("decisions", res.Solver.Decisions)
-	root.SetInt("conflicts", res.Solver.Conflicts)
+	c.finish(res)
+	c.root.SetInt("decisions", res.Solver.Decisions)
+	c.root.SetInt("conflicts", res.Solver.Conflicts)
 	tr.Metrics().Counter("synthesize.runs").Add(1)
 	tr.Metrics().Histogram("synthesize.duration_ms", obs.LatencyBuckets).
 		Observe(float64(res.Duration.Microseconds()) / 1000)
 	return res, nil
 }
 
+// call is one SynthesizeContext or Engine.Solve call: its inputs, its
+// policies grouped by destination and its telemetry, shared by the
+// per-destination workers and the merge.
+type call struct {
+	start  time.Time
+	net    *config.Network
+	topo   *topology.Topology
+	opts   Options
+	ps     []policy.Policy // canonical policies, validated after the solve
+	groups map[prefix.Prefix][]policy.Policy
+	dests  []prefix.Prefix // sorted
+	tr     *obs.Tracer
+	root   *obs.Span
+	wd     *obs.Watchdog
+}
+
+// newCall starts a call whose telemetry goes to tr under root, the
+// span its caller opened, and groups ps by destination under a group
+// span.
+func newCall(tr *obs.Tracer, root *obs.Span, net *config.Network, topo *topology.Topology,
+	ps []policy.Policy, opts Options) *call {
+
+	c := &call{start: time.Now(), net: net, topo: topo, opts: opts,
+		tr: tr, root: root, wd: opts.watchdog(tr)}
+	gsp := c.root.Child("group")
+	c.ps, c.groups, c.dests = groupDests(ps)
+	gsp.SetInt("policies", int64(len(c.ps)))
+	gsp.SetInt("destinations", int64(len(c.dests)))
+	gsp.End()
+	return c
+}
+
 // groupDests canonicalizes policies (dedup + isolation subdivision) and
 // groups them per destination prefix, returning the destinations in
-// sorted order. Shared by the one-shot and session paths.
+// sorted order.
 func groupDests(ps []policy.Policy) ([]policy.Policy, map[prefix.Prefix][]policy.Policy, []prefix.Prefix) {
 	ps = policy.SubdividePolicies(policy.Dedup(ps))
 	groups := policy.GroupByDestination(ps)
@@ -308,25 +330,26 @@ func groupDests(ps []policy.Policy) ([]policy.Policy, map[prefix.Prefix][]policy
 	return ps, groups, dests
 }
 
-// applyAndValidate materializes a satisfiable result: apply the merged
-// edits, diff against the input snapshot, and (unless skipped) re-check
-// the updated network with the concrete simulator.
-func applyAndValidate(net *config.Network, topo *topology.Topology, ps []policy.Policy, opts Options, res *Result, root *obs.Span) {
-	if res.unsat != nil {
-		return
+// finish materializes a satisfiable result — apply the merged edits,
+// diff against the input snapshot, and (unless skipped) re-check the
+// updated network with the concrete simulator — then stamps the call's
+// duration and verdict.
+func (c *call) finish(res *Result) {
+	if res.unsat == nil {
+		asp := c.root.Child("apply")
+		res.Updated = encode.Apply(c.net, res.Edits)
+		res.Diff = config.Diff(c.net, res.Updated)
+		asp.SetInt("edits", int64(len(res.Edits)))
+		asp.End()
+		if !c.opts.SkipValidation {
+			vsp := c.root.Child("validate")
+			res.Violations = simulate.New(res.Updated, c.topo).CheckAll(c.ps)
+			vsp.SetInt("violations", int64(len(res.Violations)))
+			vsp.End()
+		}
 	}
-	asp := root.Child("apply")
-	res.Updated = encode.Apply(net, res.Edits)
-	res.Diff = config.Diff(net, res.Updated)
-	asp.SetInt("edits", int64(len(res.Edits)))
-	asp.End()
-	if !opts.SkipValidation {
-		vsp := root.Child("validate")
-		sim := simulate.New(res.Updated, topo)
-		res.Violations = sim.CheckAll(ps)
-		vsp.SetInt("violations", int64(len(res.Violations)))
-		vsp.End()
-	}
+	res.Duration = time.Since(c.start)
+	c.root.SetBool("sat", res.unsat == nil)
 }
 
 // instantiateObjectives builds the desugared instances against the
@@ -337,51 +360,259 @@ func instantiateObjectives(net *config.Network, objs []objective.Objective, delt
 	return objective.InstantiateAll(objs, tree)
 }
 
-func solveMonolithic(ctx context.Context, net *config.Network, topo *topology.Topology,
-	groups map[prefix.Prefix][]policy.Policy, dests []prefix.Prefix,
-	opts Options, res *Result, tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) error {
-
-	msp := root.Child("monolithic")
+// solveMonolithic solves every destination group in one joint MaxSMT
+// problem (the Fig. 14 baseline).
+func (c *call) solveMonolithic(ctx context.Context) (*Result, error) {
+	msp := c.root.Child("monolithic")
 	defer msp.End()
-	stop := wd.Watch(ctx, "monolithic")
+	stop := c.wd.Watch(ctx, "monolithic")
 	defer stop()
-	j := encode.NewJoint(net, topo, opts.Encode)
-	j.Observe(msp, tr.Metrics())
+	j := encode.NewJoint(c.net, c.topo, c.opts.Encode)
+	j.Observe(msp, c.tr.Metrics())
 	esp := msp.Child("encode")
 	total := 0
-	for _, d := range dests {
-		if err := j.AddGroup(d, groups[d]); err != nil {
-			return err
+	for _, d := range c.dests {
+		if err := j.AddGroup(d, c.groups[d]); err != nil {
+			return nil, err
 		}
-		total += len(groups[d])
+		total += len(c.groups[d])
 	}
-	j.AddObjectives(instantiateObjectives(net, opts.Objectives, j.Deltas()))
-	if opts.MinimizeLines {
+	j.AddObjectives(instantiateObjectives(c.net, c.opts.Objectives, j.Deltas()))
+	if c.opts.MinimizeLines {
 		j.PenalizeDeltas(1)
 	}
 	esp.SetInt("vars", int64(j.Ctx.NumSATVars()))
 	esp.SetInt("deltas", int64(len(j.Deltas())))
 	esp.End()
-	r := j.SolveContext(ctx, opts.Strategy)
+	r := j.SolveContext(ctx, c.opts.Strategy)
 	if r.Err != nil {
-		return r.Err
+		return nil, r.Err
 	}
-	res.SolveTime = r.Duration
-	res.Instances = append(res.Instances, InstanceStats{
-		Policies: total, NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
-		Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-		Slow:   opts.markSlow(r.Duration),
-		Solver: r.Stats,
-	})
+	res := &Result{SolveTime: r.Duration, Solver: r.Stats,
+		Instances: []InstanceStats{c.opts.instanceStats(prefix.Prefix{}, total, r)}}
 	if !r.Sat {
-		for _, d := range dests {
+		for _, d := range c.dests {
 			res.setUnsat(d, nil)
 		}
-		return nil
+		return res, nil
 	}
 	res.Edits = r.Edits
 	res.ObjectiveViolations = r.ViolatedWeight
-	return nil
+	return res, nil
+}
+
+// instanceStats reports one instance from its solve result r, flagged
+// Slow when the solve outlived Options.SlowSolveAfter (what `aed
+// -stats` renders as the slow column).
+func (o Options) instanceStats(d prefix.Prefix, policies int, r *encode.Result) InstanceStats {
+	return InstanceStats{
+		Destination: d, Policies: policies,
+		NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
+		Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
+		Slow:   o.SlowSolveAfter > 0 && r.Duration >= o.SlowSolveAfter,
+		Solver: r.Stats,
+	}
+}
+
+// destSolve is one destination of a split call. Before the call, a
+// session fills in what its cache knows (cached, prev, live); in a
+// one-shot call, and for a destination new to the session, they are
+// zero and the destination is solved from scratch. solveDests and
+// merge fill in the rest.
+type destSolve struct {
+	cached bool            // served from the cache as res and conflict; not solved again
+	prev   *cacheEntry     // previous solve: cost estimate and presize; nil when none
+	live   *encode.Encoder // live instance to retarget (tier 2); nil when none
+
+	res      *encode.Result
+	conflict []policy.Policy    // Options.Explain output for an unsat res
+	enc      *encode.Encoder    // parked instance for the session to keep; nil when none
+	size     encSize            // encoded size, reserved by the next re-encode
+	rebound  bool               // re-solved on live
+	rt       encode.Retargeting // what the tier-2 re-solve changed
+	err      error
+}
+
+// solveDests solves every destination that out does not mark cached,
+// through runInstances, and returns the indices of the destinations
+// whose solve panicked with the call's error, chosen in this order:
+// every panic (joined); an interrupted instance's Err, since then the
+// whole call was canceled and a partial result is no answer; ctx.Err();
+// the first per-destination error, in destination order. keep encodes
+// fresh instances retractably and parks them in out[i].enc, for a
+// session to keep (see keepsLive).
+func (c *call) solveDests(ctx context.Context, out []destSolve, keep bool) (panicked []int, err error) {
+	var todo []int
+	for i := range out {
+		if !out[i].cached {
+			todo = append(todo, i)
+		}
+	}
+
+	// Cost estimates for longest-expected-first dispatch: the
+	// destination's last observed solve time when it has one, its last
+	// CNF size as a proxy otherwise, and its policy-group size — the main
+	// driver of CNF size — when it has no history (every destination of
+	// a one-shot call). Mixed units only occur on the first warm call
+	// after new destinations appear, where any history-first ordering is
+	// still better than FIFO.
+	est := make([]int64, len(todo))
+	for k, i := range todo {
+		switch p := out[i].prev; {
+		case p != nil && p.res.Duration > 0:
+			est[k] = int64(p.res.Duration)
+		case p != nil && p.res.NumClauses > 0:
+			est[k] = int64(p.res.NumClauses)
+		default:
+			est[k] = int64(len(c.groups[c.dests[i]]))
+		}
+	}
+
+	var sibling sizeMax
+	panics := runInstances(len(todo), c.opts, est, func(k int) {
+		i := todo[k]
+		c.solveDest(ctx, c.dests[i], &out[i], keep, &sibling)
+	})
+
+	var errs []error
+	for k, err := range panics {
+		if err != nil {
+			panicked = append(panicked, todo[k])
+			errs = append(errs, fmt.Errorf("destination %s: %w", c.dests[todo[k]], err))
+		}
+	}
+	if len(errs) > 0 {
+		return panicked, errors.Join(errs...)
+	}
+	for _, i := range todo {
+		if out[i].err == nil && out[i].res != nil && out[i].res.Err != nil {
+			return nil, out[i].res.Err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, i := range todo {
+		if out[i].err != nil {
+			return nil, fmt.Errorf("destination %s: %w", c.dests[i], out[i].err)
+		}
+	}
+	return nil, nil
+}
+
+// solveDest is the per-destination worker of solveDests. It re-solves
+// d on its live instance when the edit allows it (tier 2, resolveLive)
+// and encodes it from scratch otherwise (solveInstance), all under one
+// destination span (a live instance that refuses the edit re-encodes
+// under it), one watchdog arm and one EvSolveStart/EvSolveEnd pair.
+func (c *call) solveDest(ctx context.Context, d prefix.Prefix, o *destSolve, keep bool, sibling *sizeMax) {
+	if err := ctx.Err(); err != nil {
+		// Canceled before this instance started: skip the encoding work
+		// entirely.
+		o.err = err
+		return
+	}
+	dest := d.String()
+	dsp := c.root.Child("destination")
+	dsp.SetStr("dest", dest)
+	defer dsp.End()
+	stop := c.wd.Watch(ctx, dest)
+	defer stop()
+	ri, _ := obs.RequestFrom(ctx)
+	rec := c.tr.Recorder()
+	rec.RecordRequest(obs.EvSolveStart, dest, ri.ID, 0, 0)
+
+	if o.live != nil && c.resolveLive(ctx, d, o, dsp) {
+		rec.RecordRequest(obs.EvRebind, dest, ri.ID, int64(o.rt.Swapped), o.res.Duration.Milliseconds())
+	} else {
+		// A re-encode (tier 3) reserves the destination's previous
+		// encoded size; a destination without one reserves the largest
+		// size encoded so far in this call.
+		reserve := sibling.load()
+		if o.prev != nil && o.prev.size.vars > 0 {
+			reserve = o.prev.size
+		}
+		c.solveInstance(ctx, d, o, keep, reserve, sibling, dsp)
+	}
+	if o.res != nil {
+		var satBit int64
+		if o.res.Sat {
+			satBit = 1
+		}
+		rec.RecordRequest(obs.EvSolveEnd, dest, ri.ID, satBit, o.res.Duration.Milliseconds())
+	}
+}
+
+// solveInstance encodes and solves destination d from scratch under its
+// destination span dsp, into o: the result, the encoded size and, with
+// keep, the parked encoder, whose policies are asserted retractably
+// (encode.EncodeRetractable) so that a session can later retarget it.
+// It reserves reserve before encoding and notes the encoded size in
+// sibling, the call's running maximum.
+func (c *call) solveInstance(ctx context.Context, d prefix.Prefix, o *destSolve, keep bool,
+	reserve encSize, sibling *sizeMax, dsp *obs.Span) {
+
+	e := encode.New(c.net, c.topo, d, c.opts.Encode)
+	e.Ctx.Reserve(reserve.vars, reserve.words, reserve.clauses)
+	e.Observe(dsp, c.tr.Metrics())
+	esp := dsp.Child("encode")
+	encodePolicies := e.EncodePolicies
+	if keep {
+		encodePolicies = e.EncodeRetractable
+	}
+	if o.err = encodePolicies(c.groups[d]); o.err != nil {
+		esp.End()
+		return
+	}
+	e.AddObjectives(instantiateObjectives(c.net, c.opts.Objectives, e.Deltas()))
+	if c.opts.MinimizeLines {
+		e.PenalizeDeltas(1)
+	}
+	esp.SetInt("vars", int64(e.Ctx.NumSATVars()))
+	esp.SetInt("deltas", int64(len(e.Deltas())))
+	esp.End()
+	o.size.vars, o.size.words, o.size.clauses = e.Ctx.Size()
+	sibling.note(o.size)
+	o.res = e.SolveContext(ctx, c.opts.Strategy)
+	if keep {
+		e.Park() // on the worker, so fresh instances compact in parallel
+		o.enc = e
+	}
+}
+
+// merge assembles the call's Result from out, in destination order.
+// SolveTime and Solver count only work done in this call: a cached
+// instance is free (its InstanceStats keep the original solve's
+// counters, flagged Cached), and a rebound one counts only its
+// incremental search. An unsat destination solved in this call gets a
+// minimal conflicting policy subset when Options.Explain is set, kept
+// in out[i].conflict for the session cache.
+func (c *call) merge(out []destSolve) *Result {
+	res := &Result{}
+	for i, d := range c.dests {
+		o := &out[i]
+		r := o.res
+		is := c.opts.instanceStats(d, len(c.groups[d]), r)
+		if o.cached {
+			is.Cached, is.Slow = true, false
+		} else {
+			if !r.Sat && c.opts.Explain {
+				o.conflict, _ = encode.New(c.net, c.topo, d, c.opts.Encode).ExplainConflict(c.groups[d])
+			}
+			retargeted := o.rt.Added+o.rt.Retracted > 0
+			is.Rebound, is.Retargeted = o.rebound && !retargeted, o.rebound && retargeted
+			res.SolveTime += r.Duration
+			res.Solver = res.Solver.Add(r.Stats)
+		}
+		res.Instances = append(res.Instances, is)
+		if !r.Sat {
+			res.setUnsat(d, o.conflict)
+			continue
+		}
+		res.Edits = append(res.Edits, r.Edits...)
+		res.ObjectiveViolations += r.ViolatedWeight
+	}
+	return res
 }
 
 // encSize is an instance's size right after encoding, as
@@ -413,68 +644,6 @@ func atomicMax(a *atomic.Int64, v int) {
 			return
 		}
 	}
-}
-
-// sizeHint presizes one instance: solveInstance reserves reserve before
-// encoding, then stores the instance's own size in encoded and notes it
-// in shared, the call's running maximum.
-type sizeHint struct {
-	reserve, encoded encSize
-	shared           *sizeMax
-}
-
-// solveInstance encodes and solves one destination group under its
-// destination span dsp: the unit of work shared by the one-shot split
-// path and the session engine. It also returns the live encoder so a
-// session can retain the instance and later re-solve it in place (see
-// resolveLive in session.go); live asserts the policies retractably
-// (encode.EncodeRetractable) so the retained instance can follow
-// policy edits too.
-func solveInstance(ctx context.Context, net *config.Network, topo *topology.Topology,
-	d prefix.Prefix, group []policy.Policy, opts Options, live bool, size *sizeHint,
-	tr *obs.Tracer, dsp *obs.Span, wd *obs.Watchdog) (*encode.Result, *encode.Encoder, error) {
-
-	dest := d.String()
-	stop := wd.Watch(ctx, dest)
-	defer stop()
-	ri, _ := obs.RequestFrom(ctx)
-	rec := tr.Recorder()
-	rec.RecordRequest(obs.EvSolveStart, dest, ri.ID, 0, 0)
-	e := encode.New(net, topo, d, opts.Encode)
-	e.Ctx.Reserve(size.reserve.vars, size.reserve.words, size.reserve.clauses)
-	e.Observe(dsp, tr.Metrics())
-	esp := dsp.Child("encode")
-	encodePolicies := e.EncodePolicies
-	if live {
-		encodePolicies = e.EncodeRetractable
-	}
-	if err := encodePolicies(group); err != nil {
-		esp.End()
-		return nil, nil, err
-	}
-	e.AddObjectives(instantiateObjectives(net, opts.Objectives, e.Deltas()))
-	if opts.MinimizeLines {
-		e.PenalizeDeltas(1)
-	}
-	esp.SetInt("vars", int64(e.Ctx.NumSATVars()))
-	esp.SetInt("deltas", int64(len(e.Deltas())))
-	esp.End()
-	size.encoded.vars, size.encoded.words, size.encoded.clauses = e.Ctx.Size()
-	size.shared.note(size.encoded)
-	r := e.SolveContext(ctx, opts.Strategy)
-	var satBit int64
-	if r.Sat {
-		satBit = 1
-	}
-	rec.RecordRequest(obs.EvSolveEnd, dest, ri.ID, satBit, r.Duration.Milliseconds())
-	return r, e, nil
-}
-
-// destinationSpan opens the span of one destination's solve.
-func destinationSpan(root *obs.Span, d prefix.Prefix) *obs.Span {
-	dsp := root.Child("destination")
-	dsp.SetStr("dest", d.String())
-	return dsp
 }
 
 // runInstances executes n index-addressed solve tasks, concurrently
@@ -561,99 +730,6 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
-
-// explainDest computes a minimal conflicting policy subset for an
-// unsatisfiable destination (Options.Explain).
-func explainDest(net *config.Network, topo *topology.Topology, d prefix.Prefix,
-	group []policy.Policy, opts Options) []policy.Policy {
-	explainer := encode.New(net, topo, d, opts.Encode)
-	conflict, err := explainer.ExplainConflict(group)
-	if err != nil {
-		return nil
-	}
-	return conflict
-}
-
-func solveSplit(ctx context.Context, net *config.Network, topo *topology.Topology,
-	groups map[prefix.Prefix][]policy.Policy, dests []prefix.Prefix,
-	opts Options, res *Result, tr *obs.Tracer, root *obs.Span, wd *obs.Watchdog) error {
-
-	type outcome struct {
-		dest   prefix.Prefix
-		result *encode.Result
-		err    error
-	}
-	outcomes := make([]outcome, len(dests))
-
-	// One-shot runs have no solve history, so the cost estimate is the
-	// policy-group size — the main driver of per-destination CNF size.
-	est := make([]int64, len(dests))
-	for i, d := range dests {
-		est[i] = int64(len(groups[d]))
-	}
-
-	var sizes sizeMax
-	panics := runInstances(len(dests), opts, est, func(i int) {
-		d := dests[i]
-		if err := ctx.Err(); err != nil {
-			// Canceled before this instance started: skip the encoding
-			// work entirely.
-			outcomes[i] = outcome{dest: d, err: err}
-			return
-		}
-		size := sizeHint{reserve: sizes.load(), shared: &sizes}
-		dsp := destinationSpan(root, d)
-		defer dsp.End()
-		r, _, err := solveInstance(ctx, net, topo, d, groups[d], opts, false, &size, tr, dsp, wd)
-		outcomes[i] = outcome{dest: d, result: r, err: err}
-	})
-	for i, err := range panics {
-		if err != nil {
-			return fmt.Errorf("destination %s: %w", dests[i], err)
-		}
-	}
-
-	for _, o := range outcomes {
-		if o.err == nil && o.result != nil && o.result.Err != nil {
-			// An interrupted instance means the whole call was canceled;
-			// report the context's error, not a partial result.
-			return o.result.Err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	var critical time.Duration
-	for i, o := range outcomes {
-		if o.err != nil {
-			return fmt.Errorf("destination %s: %w", o.dest, o.err)
-		}
-		r := o.result
-		res.Instances = append(res.Instances, InstanceStats{
-			Destination: o.dest, Policies: len(groups[dests[i]]),
-			NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
-			Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-			Slow:   opts.markSlow(r.Duration),
-			Solver: r.Stats,
-		})
-		res.SolveTime += r.Duration
-		if r.Duration > critical {
-			critical = r.Duration
-		}
-		if !r.Sat {
-			var conflict []policy.Policy
-			if opts.Explain {
-				conflict = explainDest(net, topo, o.dest, groups[o.dest], opts)
-			}
-			res.setUnsat(o.dest, conflict)
-			continue
-		}
-		res.Edits = append(res.Edits, r.Edits...)
-		res.ObjectiveViolations += r.ViolatedWeight
-	}
-	return nil
-}
 
 // MinLinesOptions enables the exact min-lines objective on opts: one
 // unit-weight penalty per delta variable, so each changed line counts

@@ -3,12 +3,17 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/configgen"
+	"github.com/aed-net/aed/internal/encode"
 	"github.com/aed-net/aed/internal/objective"
 	"github.com/aed-net/aed/internal/policy"
+	"github.com/aed-net/aed/internal/prefix"
+	"github.com/aed-net/aed/internal/sat"
 	"github.com/aed-net/aed/internal/simulate"
 	"github.com/aed-net/aed/internal/topology"
 )
@@ -147,43 +152,7 @@ func TestSessionRandomPolicyEdits(t *testing.T) {
 	}
 	retargeted := 0
 	for iter := 0; iter < 25; iter++ {
-		rng := rand.New(rand.NewSource(int64(iter) * 7919))
-		var topo *topology.Topology
-		switch rng.Intn(3) {
-		case 0:
-			topo = topology.LeafSpine(3+rng.Intn(2), 1+rng.Intn(2), 1)
-		case 1:
-			topo = topology.Zoo(5+rng.Intn(5), int64(iter))
-		default:
-			topo = topology.Line(3 + rng.Intn(3))
-		}
-		proto := config.OSPF
-		if rng.Intn(2) == 0 {
-			proto = config.BGP
-		}
-		net := configgen.Generate(topo, configgen.Options{
-			Protocol: proto, WithRoleFilters: rng.Intn(2) == 0, Seed: int64(iter),
-		})
-		var pool []policy.Policy
-		for _, a := range topo.Subnets {
-			for _, b := range topo.Subnets {
-				if a.Prefix.Equal(b.Prefix) {
-					continue
-				}
-				via := topo.Routers[rng.Intn(len(topo.Routers))]
-				avoid := topo.Routers[rng.Intn(len(topo.Routers))]
-				pool = append(pool,
-					policy.Policy{Kind: policy.Reachability, Src: a.Prefix, Dst: b.Prefix},
-					policy.Policy{Kind: policy.Blocking, Src: a.Prefix, Dst: b.Prefix},
-					policy.Policy{Kind: policy.Isolation, Src: a.Prefix, Dst: b.Prefix},
-					policy.Policy{Kind: policy.Waypoint, Src: a.Prefix, Dst: b.Prefix, Via: via},
-					policy.Policy{Kind: policy.PathLength, Src: a.Prefix, Dst: b.Prefix, MaxLen: 2 + rng.Intn(3)})
-				if avoid != via {
-					pool = append(pool, policy.Policy{Kind: policy.PathPreference,
-						Src: a.Prefix, Dst: b.Prefix, Via: via, Avoid: avoid})
-				}
-			}
-		}
+		rng, topo, net, pool := randomPolicyNetwork(iter)
 		on := make([]bool, len(pool))
 		for i := range on {
 			on[i] = rng.Intn(8) == 0
@@ -237,4 +206,192 @@ func TestSessionRandomPolicyEdits(t *testing.T) {
 	if retargeted == 0 {
 		t.Fatal("no step was retargeted on a live instance")
 	}
+}
+
+// randomPolicyNetwork generates the iter-th random network of the
+// session property tests: a random topology and protocol, and a pool of
+// policies of every kind between its subnets. It returns the generator's
+// rng for the test's further draws.
+func randomPolicyNetwork(iter int) (*rand.Rand, *topology.Topology, *config.Network, []policy.Policy) {
+	rng := rand.New(rand.NewSource(int64(iter) * 7919))
+	var topo *topology.Topology
+	switch rng.Intn(3) {
+	case 0:
+		topo = topology.LeafSpine(3+rng.Intn(2), 1+rng.Intn(2), 1)
+	case 1:
+		topo = topology.Zoo(5+rng.Intn(5), int64(iter))
+	default:
+		topo = topology.Line(3 + rng.Intn(3))
+	}
+	proto := config.OSPF
+	if rng.Intn(2) == 0 {
+		proto = config.BGP
+	}
+	net := configgen.Generate(topo, configgen.Options{
+		Protocol: proto, WithRoleFilters: rng.Intn(2) == 0, Seed: int64(iter),
+	})
+	var pool []policy.Policy
+	for _, a := range topo.Subnets {
+		for _, b := range topo.Subnets {
+			if a.Prefix.Equal(b.Prefix) {
+				continue
+			}
+			via := topo.Routers[rng.Intn(len(topo.Routers))]
+			avoid := topo.Routers[rng.Intn(len(topo.Routers))]
+			pool = append(pool,
+				policy.Policy{Kind: policy.Reachability, Src: a.Prefix, Dst: b.Prefix},
+				policy.Policy{Kind: policy.Blocking, Src: a.Prefix, Dst: b.Prefix},
+				policy.Policy{Kind: policy.Isolation, Src: a.Prefix, Dst: b.Prefix},
+				policy.Policy{Kind: policy.Waypoint, Src: a.Prefix, Dst: b.Prefix, Via: via},
+				policy.Policy{Kind: policy.PathLength, Src: a.Prefix, Dst: b.Prefix, MaxLen: 2 + rng.Intn(3)})
+			if avoid != via {
+				pool = append(pool, policy.Policy{Kind: policy.PathPreference,
+					Src: a.Prefix, Dst: b.Prefix, Via: via, Avoid: avoid})
+			}
+		}
+	}
+	return rng, topo, net, pool
+}
+
+// TestOneShotMatchesFirstSessionSolve is the exact oracle for the
+// per-destination loop that one-shot synthesis and sessions share: on
+// the networks of TestSessionRandomPolicyEdits, with min-lines and with
+// objectives, SynthesizeContext and the first Solve of a session that
+// keeps no live instance return the same outcome — edits, per-instance
+// sizes and search counters, unsat destinations and their conflicts,
+// cost and residual violations — and so does each destination encoded
+// and solved through package encode directly, outside the worker and
+// the merge.
+func TestOneShotMatchesFirstSessionSolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	objs, err := objective.Named("min-devices")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	unsat := 0
+	for iter := 0; iter < 25; iter++ {
+		rng, topo, net, pool := randomPolicyNetwork(iter)
+		var ps []policy.Policy
+		for _, p := range pool {
+			if rng.Intn(8) == 0 {
+				ps = append(ps, p)
+			}
+		}
+		if len(ps) == 0 {
+			continue
+		}
+		for _, opts := range []Options{
+			{Sequential: true, MinimizeLines: true, Explain: true, NoLiveInstances: true},
+			{Objectives: objs, Explain: true},
+		} {
+			oneShot, err := SynthesizeContext(ctx, net, topo, ps, opts)
+			if err != nil {
+				t.Fatalf("iter %d (%s): one-shot: %v", iter, topo.Name, err)
+			}
+			first, err := NewEngine(net, topo, opts).Solve(ctx, ps)
+			if err != nil {
+				t.Fatalf("iter %d (%s): session: %v", iter, topo.Name, err)
+			}
+			want := outcomeOf(oneShot)
+			if got := outcomeOf(first); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d (%s, objectives %v): first session solve\n%+v\none-shot\n%+v",
+					iter, topo.Name, len(opts.Objectives) > 0, got, want)
+			}
+			if got := directOutcome(t, net, topo, ps, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d (%s, objectives %v): direct encode\n%+v\none-shot\n%+v",
+					iter, topo.Name, len(opts.Objectives) > 0, got, want)
+			}
+			if oneShot.Unsat() != nil {
+				unsat++
+			}
+		}
+	}
+	if unsat == 0 {
+		t.Fatal("no call was unsat: conflicts went unchecked")
+	}
+}
+
+// outcome is the part of a synthesis Result that does not depend on
+// timing: Duration, SolveTime and the Slow flags are left out.
+type outcome struct {
+	Edits      []string // sorted
+	Cost       int
+	Instances  []instanceOutcome
+	Unsat      []prefix.Prefix
+	Conflicts  map[prefix.Prefix][]policy.Policy
+	Violations []simulate.Violation
+}
+
+type instanceOutcome struct {
+	Dest                             prefix.Prefix
+	Policies, Vars, Clauses, Deltas  int
+	Iterations                       int
+	Sat, Cached, Rebound, Retargeted bool
+	Solver                           sat.Stats
+}
+
+func outcomeOf(res *Result) outcome {
+	o := outcome{Edits: sortedEdits(res.Edits), Cost: res.ObjectiveViolations, Violations: res.Violations}
+	for _, is := range res.Instances {
+		o.Instances = append(o.Instances, instanceOutcome{is.Destination, is.Policies,
+			is.NumVars, is.NumClauses, is.NumDeltas, is.Iterations,
+			is.Sat, is.Cached, is.Rebound, is.Retargeted, is.Solver})
+	}
+	if u := res.Unsat(); u != nil {
+		o.Unsat, o.Conflicts = u.Destinations, u.Conflicts
+	}
+	return o
+}
+
+// directOutcome solves each destination group of ps through package
+// encode alone, in destination order, and merges the results by hand.
+func directOutcome(t *testing.T, net *config.Network, topo *topology.Topology, ps []policy.Policy, opts Options) outcome {
+	t.Helper()
+	ps, groups, dests := groupDests(ps)
+	var o outcome
+	var edits []encode.Edit
+	for _, d := range dests {
+		e := encode.New(net, topo, d, opts.Encode)
+		if err := e.EncodePolicies(groups[d]); err != nil {
+			t.Fatal(err)
+		}
+		e.AddObjectives(instantiateObjectives(net, opts.Objectives, e.Deltas()))
+		if opts.MinimizeLines {
+			e.PenalizeDeltas(1)
+		}
+		r := e.SolveContext(context.Background(), opts.Strategy)
+		o.Instances = append(o.Instances, instanceOutcome{Dest: d, Policies: len(groups[d]),
+			Vars: r.NumVars, Clauses: r.NumClauses, Deltas: r.NumDeltas, Iterations: r.Iterations,
+			Sat: r.Sat, Solver: r.Stats})
+		if !r.Sat {
+			o.Unsat = append(o.Unsat, d)
+			if conflict, _ := encode.New(net, topo, d, opts.Encode).ExplainConflict(groups[d]); len(conflict) > 0 {
+				if o.Conflicts == nil {
+					o.Conflicts = map[prefix.Prefix][]policy.Policy{}
+				}
+				o.Conflicts[d] = conflict
+			}
+			continue
+		}
+		edits = append(edits, r.Edits...)
+		o.Cost += r.ViolatedWeight
+	}
+	o.Edits = sortedEdits(edits)
+	if o.Unsat == nil {
+		o.Violations = simulate.New(encode.Apply(net, edits), topo).CheckAll(ps)
+	}
+	return o
+}
+
+func sortedEdits(edits []encode.Edit) []string {
+	edits = slices.Clone(edits)
+	SortEdits(edits)
+	out := make([]string, len(edits))
+	for i, e := range edits {
+		out[i] = e.String()
+	}
+	return out
 }

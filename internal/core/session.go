@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/aed-net/aed/internal/config"
 	"github.com/aed-net/aed/internal/encode"
@@ -129,213 +125,82 @@ func (s *Engine) Solve(ctx context.Context, ps []policy.Policy) (*Result, error)
 	if s.opts.Monolithic {
 		return SynthesizeContext(ctx, s.net, s.topo, ps, s.opts)
 	}
-
-	start := time.Now()
 	tr := s.opts.tracer()
-	root := tr.StartCtx(ctx, "session.solve")
-	defer root.End()
-	ri, _ := obs.RequestFrom(ctx)
-
-	gsp := root.Child("group")
-	ps, groups, dests := groupDests(ps)
-	gsp.SetInt("policies", int64(len(ps)))
-	gsp.SetInt("destinations", int64(len(dests)))
-	gsp.End()
+	c := newCall(tr, tr.StartCtx(ctx, "session.solve"), s.net, s.topo, ps, s.opts)
+	defer c.root.End()
 
 	// Fingerprint every destination unit and split clean from dirty.
 	// Cache classification is also streamed into the flight recorder so
 	// a live /recorder drain shows which destinations stayed warm.
-	fsp := root.Child("fingerprint")
+	fsp := c.root.Child("fingerprint")
+	ri, _ := obs.RequestFrom(ctx)
 	rec := tr.Recorder()
-	shared, fps := fingerprints(s.net, s.topo, dests, groups, s.opts)
-	results := make([]*encode.Result, len(dests))
-	cached := make([]bool, len(dests))
-	conflicts := make([][]policy.Policy, len(dests))
-	liveable := make([]*cacheEntry, len(dests))
-	encs := make([]*encode.Encoder, len(dests))
-	sizes := make([]encSize, len(dests))
-	rebound := make([]bool, len(dests))
-	retargeted := make([]bool, len(dests))
-	var dirty []int
+	shared, fps := fingerprints(s.net, s.topo, c.dests, c.groups, s.opts)
+	out := make([]destSolve, len(c.dests))
 	hits, invalidations := 0, 0
-	for i, d := range dests {
+	for i, d := range c.dests {
 		if e, ok := s.cache[d]; ok {
 			if e.fp == fps[i] {
-				results[i] = e.res
-				conflicts[i] = e.conflict
-				cached[i] = true
+				out[i] = destSolve{cached: true, res: e.res, conflict: e.conflict}
 				hits++
 				rec.RecordRequest(obs.EvCacheHit, d.String(), ri.ID, int64(fps[i]), 0)
 				continue
 			}
+			out[i].prev = e
 			// Dirty with a live instance: when the shared inputs are
 			// untouched, only router configuration or the policy group
 			// moved — a tier-2 candidate, which encode.Retarget vets.
 			// (Sessions with objectives keep no live instance; see
 			// keepsLive.)
 			if e.enc != nil && e.shared == shared {
-				liveable[i] = e
+				out[i].live = e.enc
 			}
 			invalidations++
 			rec.RecordRequest(obs.EvCacheInvalidate, d.String(), ri.ID, int64(fps[i]), int64(e.fp))
 		}
 		rec.RecordRequest(obs.EvCacheMiss, d.String(), ri.ID, int64(fps[i]), 0)
-		dirty = append(dirty, i)
 	}
+	misses := len(c.dests) - hits
 	fsp.SetInt("hits", int64(hits))
-	fsp.SetInt("misses", int64(len(dirty)))
+	fsp.SetInt("misses", int64(misses))
 	fsp.End()
 
-	// Re-solve only the dirty destinations: by rebinding the live
-	// instance when the configuration delta allows it, from scratch
-	// otherwise.
-	wd := s.opts.watchdog(tr)
-	errs := make([]error, len(dests))
-	var rebinds, ineligible, added, retracted int64
-
-	// Cost estimates for longest-expected-first dispatch: the
-	// destination's last observed solve time when the session has one,
-	// its last CNF size as a proxy otherwise, and the policy-group size
-	// on a fully cold start. Mixed units only occur on the first warm
-	// call after new destinations appear, where any history-first
-	// ordering is still better than FIFO.
-	est := make([]int64, len(dirty))
-	for k, i := range dirty {
-		if e, ok := s.cache[dests[i]]; ok && e.res != nil {
-			if d := e.res.Duration; d > 0 {
-				est[k] = int64(d)
-				continue
-			}
-			if e.res.NumClauses > 0 {
-				est[k] = int64(e.res.NumClauses)
-				continue
-			}
-		}
-		est[k] = int64(len(groups[dests[i]]))
+	// Re-solve only the dirty destinations. A destination whose solve
+	// panicked may have left its live instance half mutated: drop its
+	// cache entry, live instance and all, so the next call re-encodes it
+	// from scratch.
+	panicked, err := c.solveDests(ctx, out, s.opts.keepsLive())
+	for _, i := range panicked {
+		delete(s.cache, c.dests[i])
 	}
-
-	// A re-encode (tier 3) reserves the destination's previous encoded
-	// size; a destination new to the session reserves the largest one
-	// encoded so far in this call.
-	var sibling sizeMax
-	live := s.opts.keepsLive()
-	panics := runInstances(len(dirty), s.opts, est, func(k int) {
-		i := dirty[k]
-		d := dests[i]
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		// One span covers the destination whichever tier serves it: a
-		// live instance that refuses the edit re-encodes under it.
-		dsp := destinationSpan(root, d)
-		defer dsp.End()
-		if ent := liveable[i]; ent != nil {
-			if r, rt, ok := resolveLive(ctx, ent.enc, s.net, d, groups[d], s.opts, tr, dsp, wd); ok {
-				ent.enc.Park() // compacts again only if the re-solve grew the solver
-				results[i], encs[i], sizes[i] = r, ent.enc, ent.size
-				if rt.Added+rt.Retracted > 0 {
-					retargeted[i] = true
-				} else {
-					rebound[i] = true
-				}
-				atomic.AddInt64(&rebinds, 1)
-				atomic.AddInt64(&added, int64(rt.Added))
-				atomic.AddInt64(&retracted, int64(rt.Retracted))
-				return
-			}
-			atomic.AddInt64(&ineligible, 1)
-		}
-		size := sizeHint{reserve: sibling.load(), shared: &sibling}
-		if e, ok := s.cache[d]; ok && e.size.vars > 0 {
-			size.reserve = e.size
-		}
-		r, enc, err := solveInstance(ctx, s.net, s.topo, d, groups[d], s.opts, live, &size, tr, dsp, wd)
-		sizes[i] = size.encoded
-		if enc != nil && live {
-			enc.Park() // on the worker, so fresh instances compact in parallel
-		} else {
-			enc = nil
-		}
-		results[i], encs[i], errs[i] = r, enc, err
-	})
-
-	// A destination whose solve panicked may have left its live
-	// instance half mutated: drop the cache entry of every such
-	// destination, live instance and all, so the next call re-encodes
-	// it from scratch.
-	var panicked []error
-	for k, err := range panics {
-		if err != nil {
-			d := dests[dirty[k]]
-			delete(s.cache, d)
-			panicked = append(panicked, fmt.Errorf("destination %s: %w", d, err))
-		}
-	}
-	if len(panicked) > 0 {
-		return nil, errors.Join(panicked...)
-	}
-	for _, i := range dirty {
-		if errs[i] == nil && results[i] != nil && results[i].Err != nil {
-			return nil, results[i].Err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	for _, i := range dirty {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("destination %s: %w", dests[i], errs[i])
-		}
-	}
-
-	// Merge cached and fresh results, updating the cache. SolveTime and
-	// Solver count only work done in this call: cached instances are
-	// free (their InstanceStats keep the original solve's counters,
-	// flagged Cached), and rebound instances count only the incremental
-	// search.
-	res := &Result{}
-	for i, d := range dests {
-		r := results[i]
-		if !cached[i] {
-			if !r.Sat && s.opts.Explain {
-				conflicts[i] = explainDest(s.net, s.topo, d, groups[d], s.opts)
-			}
-			s.cache[d] = &cacheEntry{
-				fp: fps[i], shared: shared,
-				res: r, conflict: conflicts[i], enc: encs[i], size: sizes[i],
-			}
-			res.SolveTime += r.Duration
-		}
-		res.Instances = append(res.Instances, InstanceStats{
-			Destination: d, Policies: len(groups[d]),
-			NumVars: r.NumVars, NumClauses: r.NumClauses, NumDeltas: r.NumDeltas,
-			Iterations: r.Iterations, Duration: r.Duration, Sat: r.Sat,
-			Cached: cached[i], Rebound: rebound[i], Retargeted: retargeted[i],
-			Slow:   !cached[i] && s.opts.markSlow(r.Duration),
-			Solver: r.Stats,
-		})
-		if !cached[i] {
-			res.Solver = res.Solver.Add(r.Stats)
-		}
-		if !r.Sat {
-			res.setUnsat(d, conflicts[i])
+	res := c.merge(out)
+	var rebinds, ineligible, added, retracted int64
+	for i, d := range c.dests {
+		o := &out[i]
+		if o.cached {
 			continue
 		}
-		res.Edits = append(res.Edits, r.Edits...)
-		res.ObjectiveViolations += r.ViolatedWeight
+		s.cache[d] = &cacheEntry{fp: fps[i], shared: shared,
+			res: o.res, conflict: o.conflict, enc: o.enc, size: o.size}
+		if o.rebound {
+			rebinds++
+			added += int64(o.rt.Added)
+			retracted += int64(o.rt.Retracted)
+		} else if o.live != nil {
+			ineligible++
+		}
 	}
+	c.finish(res)
 
-	applyAndValidate(s.net, s.topo, ps, s.opts, res, root)
-	res.Duration = time.Since(start)
-
-	root.SetBool("sat", res.unsat == nil)
-	root.SetInt("cache_hits", int64(hits))
-	root.SetInt("cache_misses", int64(len(dirty)))
-	root.SetInt("rebinds", rebinds)
+	c.root.SetInt("cache_hits", int64(hits))
+	c.root.SetInt("cache_misses", int64(misses))
+	c.root.SetInt("rebinds", rebinds)
 	m := tr.Metrics()
 	m.Counter("session.cache.hits").Add(int64(hits))
-	m.Counter("session.cache.misses").Add(int64(len(dirty)))
+	m.Counter("session.cache.misses").Add(int64(misses))
 	m.Counter("session.cache.invalidations").Add(int64(invalidations))
 	m.Counter("session.rebind.resolves").Add(rebinds)
 	m.Counter("session.rebind.ineligible").Add(ineligible)
@@ -361,38 +226,25 @@ func (o Options) keepsLive() bool {
 	return !o.NoLiveInstances && len(o.Objectives) == 0
 }
 
-// resolveLive attempts a tier-2 re-solve under the destination span
-// dsp: retarget the destination's live encoder at the session's current
-// network and at the destination's policy group (encode.Retarget), then
-// re-run the MaxSAT search on the warm solver. Returns ok=false —
-// leaving the instance untouched — when the configuration delta is not
-// rebindable or the group holds a policy the instance has not encoded,
-// in which case the caller falls back to a full re-encode.
-func resolveLive(ctx context.Context, enc *encode.Encoder, net *config.Network,
-	d prefix.Prefix, group []policy.Policy, opts Options, tr *obs.Tracer, dsp *obs.Span,
-	wd *obs.Watchdog) (*encode.Result, encode.Retargeting, bool) {
-
-	dest := d.String()
-	stop := wd.Watch(ctx, dest)
-	defer stop()
-	enc.Observe(dsp, tr.Metrics())
-	rt, ok := enc.Retarget(net, group)
+// resolveLive attempts a tier-2 re-solve of destination d under its
+// destination span dsp: retarget the live instance o.live at the
+// call's network and at d's policy group (encode.Retarget), re-run the
+// MaxSAT search on the warm solver and park it again, into o. Returns
+// false, leaving the instance untouched, when the configuration delta
+// is not rebindable or the group holds a policy the instance has not
+// encoded; the worker then re-encodes.
+func (c *call) resolveLive(ctx context.Context, d prefix.Prefix, o *destSolve, dsp *obs.Span) bool {
+	o.live.Observe(dsp, c.tr.Metrics())
+	rt, ok := o.live.Retarget(c.net, c.groups[d])
 	if !ok {
-		return nil, rt, false
+		return false
 	}
 	dsp.SetBool("rebind", true)
 	dsp.SetInt("bindings_swapped", int64(rt.Swapped))
 	dsp.SetInt("policies_added", int64(rt.Added))
 	dsp.SetInt("policies_retracted", int64(rt.Retracted))
-	ri, _ := obs.RequestFrom(ctx)
-	rec := tr.Recorder()
-	rec.RecordRequest(obs.EvSolveStart, dest, ri.ID, 0, 0)
-	r := enc.ReSolveContext(ctx, opts.Strategy)
-	rec.RecordRequest(obs.EvRebind, dest, ri.ID, int64(rt.Swapped), r.Duration.Milliseconds())
-	var satBit int64
-	if r.Sat {
-		satBit = 1
-	}
-	rec.RecordRequest(obs.EvSolveEnd, dest, ri.ID, satBit, r.Duration.Milliseconds())
-	return r, rt, true
+	o.res = o.live.ReSolveContext(ctx, c.opts.Strategy)
+	o.live.Park() // compacts again only if the re-solve grew the solver
+	o.enc, o.size, o.rt, o.rebound = o.live, o.prev.size, rt, true
+	return true
 }

@@ -104,7 +104,7 @@ func (e *Encoder) packetFilterChain(r *config.Router, filterName string, src pre
 			if !e.opts.NoPrune && !matches {
 				continue
 			}
-			if !e.opts.Joint && e.coversOtherSubnet(rule.Dst) {
+			if !e.joint && e.coversOtherSubnet(rule.Dst) {
 				// Broad rule (matches other destinations' traffic):
 				// fixed in split mode; the prepended class-specific
 				// rule can still override it.

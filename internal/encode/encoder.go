@@ -28,18 +28,6 @@ type Options struct {
 	// preference and instead uses a wide 0..255 domain (§8 "Replacing
 	// integer variables with booleans", inverted for ablation).
 	WideIntegers bool
-	// MaxCost bounds the cost domain; 0 derives it from the topology.
-	MaxCost int
-	// Joint marks a monolithic encoding that shares delta variables
-	// across all destination copies (the Fig. 14 baseline); NewJoint
-	// sets it. The default (false) is a per-destination split instance
-	// (§8 "Grouping policies based on a destination address"): deltas
-	// that would affect traffic of other destinations — adjacency
-	// removals, removals/flips of filter rules whose match range
-	// covers other subnets — are suppressed, so independently solved
-	// instances cannot conflict: every remaining update mechanism is
-	// specific to this instance's prefix.
-	Joint bool
 }
 
 // DefaultOptions returns the paper's optimized configuration. Since
@@ -69,6 +57,17 @@ type Encoder struct {
 	// encoding or wide), shared by all lp variables of the instance.
 	lpDomain []int
 	maxCost  int
+
+	// joint marks a copy inside a monolithic encoding that shares delta
+	// variables across all destination copies (the Fig. 14 baseline);
+	// NewJoint's AddGroup sets it. A New encoder is a per-destination
+	// split instance (§8 "Grouping policies based on a destination
+	// address"): deltas that would affect traffic of other destinations
+	// — adjacency removals, removals/flips of filter rules whose match
+	// range covers other subnets — are suppressed, so independently
+	// solved instances cannot conflict: every remaining update mechanism
+	// is specific to this instance's prefix.
+	joint bool
 
 	// envs holds one control-plane copy per environment. envs[0] is
 	// the normal network; additional environments model single-router
@@ -173,18 +172,17 @@ func New(net *config.Network, topo *topology.Topology, dst prefix.Prefix, opts O
 		pfChainCache: make(map[pfChainKey]sat.Lit),
 		rfChainCache: make(map[rfChainKey]rfChain),
 		ruleBind:     make(map[ruleKey]*ruleBinding),
+		maxCost:      costBound(net),
 	}
 	e.lpDomain = e.buildLPDomain()
-	e.maxCost = opts.MaxCost
-	if e.maxCost == 0 {
-		// Hop-count bound: the longest useful path visits each router
-		// at most once; cap to keep order encodings small.
-		e.maxCost = len(net.Routers) + 2
-		if e.maxCost > 40 {
-			e.maxCost = 40
-		}
-	}
 	return e
+}
+
+// costBound bounds the cost domain of net's instances by hop count: the
+// longest useful path visits each router at most once, capped to keep
+// order encodings small.
+func costBound(net *config.Network) int {
+	return min(len(net.Routers)+2, 40)
 }
 
 // Park readies a solved instance for its life as a live instance
@@ -757,7 +755,7 @@ func (e *Encoder) encodeRouterSelection(v *env, r *config.Router) {
 			continue
 		}
 		var valid sat.Lit
-		if !e.opts.Joint && e.coversOtherSubnet(s.Prefix) {
+		if !e.joint && e.coversOtherSubnet(s.Prefix) {
 			// A covering static also steers other destinations: fixed
 			// in split mode.
 			valid = e.Ctx.True()

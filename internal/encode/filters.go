@@ -18,7 +18,7 @@ func (e *Encoder) originationLit(r *config.Router, p *config.Process) sat.Lit {
 		if !o.Prefix.Covers(e.dst) {
 			continue
 		}
-		if !e.opts.Joint && e.coversOtherSubnet(o.Prefix) {
+		if !e.joint && e.coversOtherSubnet(o.Prefix) {
 			// Removing a covering aggregate would strand other
 			// destinations; keep it fixed in split mode.
 			out = append(out, e.Ctx.True())
@@ -57,7 +57,7 @@ func (e *Encoder) adjacencySide(r *config.Router, p *config.Process, peer string
 	path := fmt.Sprintf("%s/RoutingProcess[%s:%d]/Adjacency[%s]", r.Name, p.Protocol, p.ID, peer)
 	var f sat.Lit
 	if p.Adjacency(peer) != nil {
-		if !e.opts.Joint {
+		if !e.joint {
 			// Removing an adjacency affects every destination, so a
 			// per-destination instance may not do it; denying the
 			// destination's route with a filter achieves the same
@@ -239,7 +239,7 @@ func (e *Encoder) filterChain(r *config.Router, filterName, self, other, dir str
 				// Pruned: this conditional cannot affect dst.
 				continue
 			}
-			if !e.opts.Joint && e.coversOtherSubnet(rule.Prefix) {
+			if !e.joint && e.coversOtherSubnet(rule.Prefix) {
 				// The rule also filters other destinations' routes, so
 				// a per-destination instance must treat it as fixed;
 				// the prepended dst-specific rule can still override.

@@ -36,11 +36,10 @@ func (j *Joint) Observe(span *obs.Span, reg *obs.Registry) {
 	j.Ctx.Observe(reg, span)
 }
 
-// NewJoint prepares a monolithic encoder. Options.Joint is forced on:
-// broad deltas are consistently modeled across every destination copy,
-// so the split-mode suppression is unnecessary.
+// NewJoint prepares a monolithic encoder. Its copies are joint (see
+// Encoder.joint): broad deltas are consistently modeled across every
+// destination copy, so the split-mode suppression is unnecessary.
 func NewJoint(net *config.Network, topo *topology.Topology, opts Options) *Joint {
-	opts.Joint = true
 	return &Joint{
 		Ctx:  smt.NewContext(),
 		net:  net,
@@ -65,15 +64,10 @@ func (j *Joint) AddGroup(dst prefix.Prefix, ps []policy.Policy) error {
 		pfAllowCache: make(map[hopKey]sat.Lit),
 		pfChainCache: make(map[pfChainKey]sat.Lit),
 		rfChainCache: make(map[rfChainKey]rfChain),
+		maxCost:      costBound(j.net),
+		joint:        true,
 	}
 	e.lpDomain = e.buildLPDomain()
-	e.maxCost = j.opts.MaxCost
-	if e.maxCost == 0 {
-		e.maxCost = len(j.net.Routers) + 2
-		if e.maxCost > 40 {
-			e.maxCost = 40
-		}
-	}
 	// Distinguish per-destination control-plane variable names by
 	// tagging the environment suffix via the destination; variable
 	// names are only debug labels, so collisions are harmless, but the

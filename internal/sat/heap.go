@@ -15,19 +15,26 @@ func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{activity: act, indices: make([]int32, 1)}
 }
 
-// grow preallocates heap storage for variables up to index n-1, the
-// varHeap half of Solver.Grow.
+// grow preallocates the index map for variables up to index n-1, the
+// varHeap half of Solver.Grow. The heap array holds only bumped
+// variables and grows with append.
 func (h *varHeap) grow(n int) {
 	h.indices = growCap(h.indices, n)
-	h.heap = growCap(h.heap, n)
 }
 
-// compact trims the heap's storage for a solver with numVars
-// variables: indices to its length, and the heap array to the most
-// entries it can hold, so backtracking never has to regrow it.
-func (h *varHeap) compact(numVars int) {
+// compact trims the heap's storage: indices to its length, and the
+// heap array to the variables with positive activity — the only ones
+// backtracking re-inserts — so it never has to regrow before the next
+// bump.
+func (h *varHeap) compact() {
 	h.indices = exact(h.indices)
-	heap := make([]int32, len(h.heap), numVars)
+	bumped := 0
+	for _, a := range *h.activity {
+		if a > 0 {
+			bumped++
+		}
+	}
+	heap := make([]int32, len(h.heap), max(len(h.heap), bumped))
 	copy(heap, h.heap)
 	h.heap = heap
 }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -107,5 +108,41 @@ func TestBumpedVariableDecidedFirst(t *testing.T) {
 	}
 	if got := decisions(t, s); fmt.Sprint(got) != fmt.Sprint([]Var{4, 2, 6, 5, 3, 1}) {
 		t.Fatalf("decided %v, want 4, 2, then the rest descending", got)
+	}
+}
+
+// TestCompactHeapHoldsOnlyBumpedVariables: the heap holds only bumped
+// variables, so a compacted solver reserves heap room for those alone,
+// not one slot per variable. Conflicts come from a dense random 3-SAT
+// core over the first 60 variables, at the hard clause ratio; the other
+// variables only appear in sparse clauses.
+func TestCompactHeapHoldsOnlyBumpedVariables(t *testing.T) {
+	const n = 3601
+	rng := rand.New(rand.NewSource(5))
+	for _, dense := range []int{0, 255} {
+		s := newSolver(n)
+		for _, cl := range randomClauses(rng, 60, dense) {
+			s.AddClause(cl...)
+		}
+		for _, cl := range randomClauses(rng, n, 1000) {
+			s.AddClause(cl...)
+		}
+		s.Solve()
+		s.Compact()
+		bumped := 0
+		for _, a := range s.activity {
+			if a > 0 {
+				bumped++
+			}
+		}
+		if dense > 0 && bumped == 0 {
+			t.Fatalf("%d dense clauses: no variable was bumped", dense)
+		}
+		if c := cap(s.heap.heap); c > bumped {
+			t.Errorf("%d dense clauses: heap capacity %d after Compact, %d bumped variables", dense, c, bumped)
+		}
+		if err := orderInvariant(s); err != nil {
+			t.Errorf("%d dense clauses: %v", dense, err)
+		}
 	}
 }

@@ -1,13 +1,9 @@
 package sat
 
 import (
-	"errors"
 	"slices"
 	"sort"
 )
-
-// ErrBudget is returned by Solve when the conflict budget is exhausted.
-var ErrBudget = errors.New("sat: conflict budget exhausted")
 
 type watcher struct {
 	cref    CRef
@@ -84,9 +80,6 @@ type Solver struct {
 	levelStamp []int32 // per-level stamps for LBD computation, grown on demand
 	lbdStamp   int32
 
-	// Budget limits a single Solve call; 0 means unlimited.
-	Budget int64
-
 	// Stop, if non-nil, is polled from the solving goroutine at every
 	// conflict (and before each restart round). When it returns true
 	// the current Solve call gives up promptly and returns Unknown with
@@ -95,8 +88,7 @@ type Solver struct {
 	// context.Done channel is the intended use.
 	Stop func() bool
 	// interrupted records that the last Solve call returned Unknown
-	// because Stop fired, distinguishing cancellation from Budget
-	// exhaustion (both yield Unknown).
+	// because Stop fired.
 	interrupted bool
 
 	model []Tribool // assignment snapshot from the last Sat result
@@ -796,7 +788,7 @@ func (s *Solver) Compact() {
 	s.polarity = exact(s.polarity)
 	s.seen = exact(s.seen)
 	s.markBuf = exact(s.markBuf)
-	s.heap.compact(s.numVars)
+	s.heap.compact()
 }
 
 // exact returns a copy of s whose capacity equals its length.
@@ -880,7 +872,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		maxLearnts = s.learntLimit
 	}
 	var restartN int64 = 1
-	conflictsAtStart := s.Stats.Conflicts
 
 	for {
 		budget := luby(100, restartN)
@@ -894,9 +885,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return st
 		}
 		if s.interrupted {
-			return Unknown
-		}
-		if s.Budget > 0 && s.Stats.Conflicts-conflictsAtStart >= s.Budget {
 			return Unknown
 		}
 		s.Stats.Restarts++
@@ -1039,7 +1027,7 @@ func (s *Solver) stopRequested() bool {
 }
 
 // Interrupted reports whether the last Solve call returned Unknown
-// because the Stop hook fired (as opposed to Budget exhaustion).
+// because the Stop hook fired.
 func (s *Solver) Interrupted() bool { return s.interrupted }
 
 // Conflict returns the final conflict clause from the last Unsat Solve

@@ -97,7 +97,7 @@ type Status int
 
 // Solver outcomes.
 const (
-	// Unknown means the solver was interrupted by budget limits.
+	// Unknown means the search was interrupted: the Stop hook fired.
 	Unknown Status = iota
 	// Sat means a satisfying assignment was found.
 	Sat
