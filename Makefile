@@ -43,13 +43,13 @@ bench:
 
 # The allocation-guarded microbenchmarks only: the nil tracer, CDCL
 # propagation and conflict analysis (BenchmarkPropagate must report 0
-# allocs/op), the AEDT codec (BenchmarkReaderNext must report 0
-# allocs/op), and a session step on the 12x3 fabric: the post-solve
+# allocs/op), the flight recorder's drain, and a session step on the
+# 12x3 fabric: the post-solve
 # diff and simulator check (TestPostSolveAllocs bounds them), one
 # call's fingerprint pass (TestSessionFingerprintAllocs), and one
 # tier-2 rebind plus warm re-solve of its 10.0.0.0/24 instance.
 bench-quick:
-	$(GO) test -run '^$$' -bench='NilTracer|SolveProgressOverhead|Propagate|ConflictAnalysis|ReaderNext|WriterAppend|RecorderEventsAppend' -benchmem ./internal/sat/ ./internal/obs/...
+	$(GO) test -run '^$$' -bench='NilTracer|SolveProgressOverhead|Propagate|ConflictAnalysis|RecorderEventsAppend' -benchmem ./internal/sat/ ./internal/obs/...
 	$(GO) test -run '^$$' -bench='^Benchmark(Diff|CheckAll|SessionFingerprint|WarmResolve)$$' -benchmem ./internal/bench/ ./internal/core/
 
 # Short fuzz passes on every gate: ten seconds of differential CDCL
@@ -77,9 +77,10 @@ bench-quick:
 # five seconds each on the untrusted-input parsers — policy, objective
 # and config text round trips, and api.Request.Materialize never
 # panicking and wrapping every error in ErrInvalidRequest; then five
-# seconds each on the AEDT telemetry codec — round-trip equality and
-# decoder robustness on arbitrary bytes (`go test -fuzz` takes one
-# target per invocation).
+# seconds on the telemetry reader — arbitrary bytes, raw or
+# gzip-wrapped, decode or fail without a panic, and generated event
+# streams survive JSONL → gzip → ReadEvents unchanged (`go test -fuzz`
+# takes one target per invocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSolver -fuzztime 10s ./internal/sat/
 	$(GO) test -run '^$$' -fuzz FuzzMaxSAT -fuzztime 5s ./internal/smt/
@@ -92,6 +93,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzObjectiveParse -fuzztime 5s ./internal/objective/
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 5s ./internal/config/
 	$(GO) test -run '^$$' -fuzz FuzzMaterialize -fuzztime 5s ./internal/api/
-	$(GO) test -run '^$$' -fuzz FuzzAEDTRoundTrip -fuzztime 5s ./internal/obs/aedt/
-	$(GO) test -run '^$$' -fuzz FuzzAEDTDecode -fuzztime 5s ./internal/obs/aedt/
+	$(GO) test -run '^$$' -fuzz FuzzReadEvents -fuzztime 5s ./internal/obs/
 

@@ -239,21 +239,11 @@ func WriteTrace(w io.Writer, t *Tracer) error { return obs.WriteJSONL(w, t) }
 // human-readable report.
 func WriteTraceSummary(w io.Writer, t *Tracer) { obs.WriteSummary(w, t) }
 
-// ReadTrace decodes a JSONL trace produced by WriteTrace.
+// ReadTrace decodes a JSONL trace produced by WriteTrace, plain or
+// gzip-compressed (a retention segment, or a trace piped through
+// gzip). Decoding is strict: truncated, corrupt, or mixed input
+// returns an error rather than a partial trace.
 func ReadTrace(r io.Reader) ([]TraceEvent, error) { return obs.ReadEvents(r) }
-
-// WriteTraceBinary exports a tracer's spans and metrics in the AEDT
-// binary format — the columnar, CRC-checksummed container described in
-// docs/OBSERVABILITY.md, ~8x smaller than the JSONL sink and decodable
-// allocation-free at steady state. `aed -trace-out x.aedt` and
-// `aedtrace` speak the same format.
-func WriteTraceBinary(w io.Writer, t *Tracer) error { return obs.WriteAEDT(w, t) }
-
-// ReadTraceAuto decodes a trace in either format — JSONL (WriteTrace)
-// or AEDT binary (WriteTraceBinary) — detecting the format from the
-// file magic. Both decoders are strict: truncated, corrupt, or
-// mixed-format input returns an error rather than a partial trace.
-func ReadTraceAuto(r io.Reader) ([]TraceEvent, error) { return obs.ReadEventsAuto(r) }
 
 // DeploymentPlan is an ordered per-device rollout of synthesized
 // edits, checked for transient policy violations.

@@ -2,6 +2,7 @@ package aed
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"reflect"
 	"strings"
@@ -200,36 +201,41 @@ func TestPublicAPIPlanDeployment(t *testing.T) {
 	}
 }
 
-// TestPublicAPIBinaryTrace pins the binary-trace surface: a tracer
-// exported with WriteTraceBinary decodes via ReadTraceAuto to the same
-// analysis the JSONL path yields.
+// TestPublicAPIBinaryTrace pins the compressed-trace surface: a
+// WriteTrace stream piped through gzip, the form retention segments
+// take, decodes via ReadTrace to the same events and analysis as the
+// plain stream.
 func TestPublicAPIBinaryTrace(t *testing.T) {
 	tr := NewTracer()
 	sp := tr.Start("synthesize")
 	sp.SetInt("destinations", 2)
 	sp.End()
 
-	var jbuf, bbuf bytes.Buffer
+	var jbuf, zbuf bytes.Buffer
 	if err := WriteTrace(&jbuf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTraceBinary(&bbuf, tr); err != nil {
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(jbuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if bbuf.Len() >= jbuf.Len() {
-		t.Errorf("binary trace (%d bytes) not smaller than JSONL (%d bytes)", bbuf.Len(), jbuf.Len())
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	jEvents, err := ReadTraceAuto(bytes.NewReader(jbuf.Bytes()))
+	jEvents, err := ReadTrace(bytes.NewReader(jbuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bEvents, err := ReadTraceAuto(bytes.NewReader(bbuf.Bytes()))
+	zEvents, err := ReadTrace(&zbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp, bp := AnalyzeTrace(jEvents).Phases(), AnalyzeTrace(bEvents).Phases()
-	if !reflect.DeepEqual(jp, bp) {
-		t.Errorf("phase tables differ across formats:\njsonl:  %+v\nbinary: %+v", jp, bp)
+	if len(jEvents) == 0 || !reflect.DeepEqual(jEvents, zEvents) {
+		t.Errorf("events differ across forms:\nplain: %+v\ngzip:  %+v", jEvents, zEvents)
+	}
+	jp, zp := AnalyzeTrace(jEvents).Phases(), AnalyzeTrace(zEvents).Phases()
+	if len(jp) == 0 || !reflect.DeepEqual(jp, zp) {
+		t.Errorf("phase tables differ across forms:\nplain: %+v\ngzip:  %+v", jp, zp)
 	}
 }
 

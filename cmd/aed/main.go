@@ -13,12 +13,11 @@
 // conflicts, restarts, iterations, time) plus the network-wide totals,
 // and -trace-out FILE (alias: -trace) writes the full span tree (parse
 // → encode → solve → extract → validate) and metrics registry as
-// telemetry events — JSONL by default, or the compact AEDT binary
-// format when FILE ends in .aedt (see docs/OBSERVABILITY.md for the
-// taxonomy and both formats). -record-out FILE drains the flight
-// recorder to disk at exit under the same extension rule, and
-// -retain DIR continuously spills spans and recorder events to a
-// size-capped ring of rotating AEDT segments (cap: -retain-max-mb).
+// JSONL telemetry events (see docs/OBSERVABILITY.md for the taxonomy).
+// -record-out FILE drains the flight recorder to disk at exit as
+// JSONL, and -retain DIR continuously spills spans and recorder events
+// to a size-capped ring of rotating gzip-compressed JSONL segments
+// (cap: -retain-max-mb).
 //
 // -debug-addr starts an HTTP debug endpoint (e.g. ":6060") serving
 // /metrics, /spans (including in-flight spans), /recorder (the solver
@@ -95,13 +94,13 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /spans, /recorder and /debug/pprof on this address (e.g. :6060)")
 		slowSolve = flag.Duration("slow-solve", 0, "record an incident when a solve runs longer than this (0 = half of -timeout, or off)")
 		incidents = flag.String("incidents", "", "append watchdog incidents as JSONL to FILE (default: human dump to stderr only)")
-		recordOut = flag.String("record-out", "", "write the flight-recorder drain to FILE at exit (.aedt = AEDT binary, else JSONL)")
-		retainDir = flag.String("retain", "", "continuously spill telemetry to rotating AEDT segments in DIR")
+		recordOut = flag.String("record-out", "", "write the flight-recorder drain to FILE at exit as JSONL")
+		retainDir = flag.String("retain", "", "continuously spill telemetry to rotating gzip JSONL segments in DIR")
 		retainMB  = flag.Int("retain-max-mb", 64, "total on-disk cap for -retain segments, in MiB")
 	)
 	var traceFile string
 	flag.StringVar(&traceFile, "trace-out", "",
-		"write a telemetry trace (spans + metrics) to FILE (.aedt = AEDT binary, else JSONL)")
+		"write a telemetry trace (spans + metrics) to FILE as JSONL")
 	flag.StringVar(&traceFile, "trace", "", "alias for -trace-out")
 	flag.Parse()
 	if *configDir == "" || *topoFile == "" || *policyFile == "" {
@@ -129,9 +128,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aed: retaining telemetry segments in %s (cap %d MiB)\n", *retainDir, *retainMB)
 	}
 	// Telemetry must reach disk on every path, including the early
-	// os.Exit ones (unsat, residual violations). The file extension
-	// picks the format: .aedt writes the binary format, anything else
-	// JSONL (see docs/OBSERVABILITY.md §AEDT).
+	// os.Exit ones (unsat, residual violations).
 	writeTrace := func() {
 		if err := retention.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "aed: retention:", err)
@@ -147,10 +144,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "aed: %s written to %s\n", what, path)
 		}
 		writeOut(traceFile, "telemetry trace", func(f *os.File) error {
-			return obs.SinkForPath(traceFile).WriteTrace(f, tracer)
+			return obs.WriteJSONL(f, tracer)
 		})
 		writeOut(*recordOut, "flight-recorder drain", func(f *os.File) error {
-			return obs.SinkForPath(*recordOut).WriteRecorder(f, tracer.Recorder())
+			return obs.WriteRecorderJSONL(f, tracer.Recorder())
 		})
 	}
 

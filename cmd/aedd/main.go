@@ -67,7 +67,7 @@ func main() {
 		maxSessions    = flag.Int("max-sessions", 0, "cap on live sessions across tenants, LRU-evicted (0 = 64)")
 		accessLog      = flag.String("access-log", "", "append one JSON line per request to FILE (\"-\" = stderr)")
 		drainTimeout   = flag.Duration("drain-timeout", 5*time.Minute, "how long shutdown waits for in-flight solves")
-		retainDir      = flag.String("retain", "", "continuously spill telemetry to rotating AEDT segments in DIR")
+		retainDir      = flag.String("retain", "", "continuously spill telemetry to rotating gzip JSONL segments in DIR")
 		retainMB       = flag.Int("retain-max-mb", 64, "total on-disk cap for -retain segments, in MiB")
 		debugAddr      = flag.String("debug-addr", "", "serve the debug surface on a second address (it is always on -addr too)")
 	)

@@ -1,12 +1,12 @@
 // Command aedtrace analyzes telemetry traces written by aed
-// -trace-out, aedbench -metrics-out, or aed.WriteTrace — in either the
-// JSONL or the AEDT binary format (detected automatically by magic).
+// -trace-out, aedbench -metrics-out, or aed.WriteTrace, and the
+// retention segments of -retain: JSONL events, plain or
+// gzip-compressed (the gzip magic selects decompression).
 //
 // Usage:
 //
 //	aedtrace [-tree] [-phases] [-flame] [-top N] [-metrics] [-recorder] TRACE
 //	aedtrace -request ID TRACE
-//	aedtrace -convert OUT.aedt TRACE
 //	aedtrace -diff OLD NEW
 //
 // With no mode flags aedtrace prints the phase table and the critical
@@ -24,11 +24,12 @@
 //	           path of the spans whose request_id attribute matches ID
 //	           (a request's whole subtree inherits the attribute, so
 //	           this is the end-to-end trace of exactly that request)
-//	-convert   re-encode the trace to OUT (.aedt = binary, else JSONL)
 //	-diff      compare two traces' per-phase totals (new - old)
 //
-// A truncated, corrupt, or mixed-format input fails loudly with a
-// non-zero exit instead of yielding a silent partial analysis.
+// A truncated, corrupt, or mixed plain/gzip input fails loudly with a
+// non-zero exit instead of yielding a silent partial analysis. A
+// retention segment still being written reads up to its last flush;
+// `gzip -dc` turns a segment back into plain JSONL.
 //
 // Phase totals here match the per-span durations WriteTraceSummary
 // prints (aggregated by span name), so the two views can be
@@ -60,7 +61,6 @@ func run(argv []string) int {
 		metrics  = fs.Bool("metrics", false, "print the trace's metric events")
 		recorder = fs.Bool("recorder", false, "print the trace's flight-recorder events")
 		request  = fs.String("request", "", "filter to one request ID: print its span tree and critical path")
-		convert  = fs.String("convert", "", "re-encode the trace to FILE (.aedt = AEDT binary, else JSONL)")
 		diff     = fs.Bool("diff", false, "compare two traces' per-phase totals (OLD NEW)")
 	)
 	fs.Parse(argv)
@@ -88,21 +88,6 @@ func run(argv []string) int {
 	events, err := loadEvents(fs.Arg(0))
 	if err != nil {
 		return fail(err)
-	}
-	if *convert != "" {
-		f, err := os.Create(*convert)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.WriteEventsTo(f, *convert, events); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "aedtrace: %d events converted to %s\n", len(events), *convert)
-		return 0
 	}
 	if *request != "" {
 		filtered := filterRequest(events, *request)
@@ -169,17 +154,17 @@ func fail(err error) int {
 	return 1
 }
 
-// loadEvents reads a trace in either format: the AEDT magic selects
-// the binary decoder, anything else parses as JSONL. Both decoders are
-// strict — truncated blocks, checksum mismatches, binary garbage in a
-// JSONL file, or JSONL lines after AEDT blocks all surface as errors.
+// loadEvents reads a plain or gzip JSONL trace (obs.ReadEvents). The
+// decoder is strict: torn gzip members, checksum mismatches, binary
+// garbage in a plain file, or text after a gzip member all surface as
+// errors.
 func loadEvents(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	events, err := obs.ReadEventsAuto(f)
+	events, err := obs.ReadEvents(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -189,7 +174,7 @@ func loadEvents(path string) ([]obs.Event, error) {
 // filterRequest keeps the span events attributed to one request ID.
 // Every span started under a request context carries the request_id
 // attribute (children inherit it), so the filter yields the request's
-// complete span subtree — identically from a JSONL or an AEDT stream.
+// complete span subtree — identically from a plain or a gzip stream.
 func filterRequest(events []obs.Event, id string) []obs.Event {
 	var out []obs.Event
 	for _, ev := range events {

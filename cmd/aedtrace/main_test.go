@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"io"
 	"os"
@@ -31,10 +32,12 @@ func captureRun(t *testing.T, args ...string) (int, string) {
 	return code, string(out)
 }
 
-// writeTestTrace produces a JSONL trace with a span tree and metrics.
-func writeTestTrace(t *testing.T, path string) {
-	t.Helper()
+// testTracer records a span tree, metrics and two flight-recorder
+// events.
+func testTracer() *obs.Tracer {
 	tr := obs.NewTracer()
+	rec := obs.NewRecorder(16)
+	tr.SetRecorder(rec)
 	root := tr.Start("synthesize")
 	root.SetInt("destinations", 3)
 	root.SetStr("policy", "reachability")
@@ -45,9 +48,18 @@ func writeTestTrace(t *testing.T, path string) {
 	solve.SetDur("budget", 250*time.Millisecond)
 	solve.End()
 	root.End()
+	rec.RecordLabeled(obs.EvCacheMiss, "10.9.0.0/16", 1, 2)
+	rec.Record(obs.EvSolveEnd, 1, 12)
 	tr.Metrics().Counter("solver.conflicts").Add(17)
 	tr.Metrics().Gauge("solver.trail").Set(5)
 	tr.Metrics().Histogram("solve.ms", []float64{1, 10}).Observe(2)
+	return tr
+}
+
+// writeJSONL writes tr as a plain JSONL trace to dir/trace.jsonl.
+func writeJSONL(t *testing.T, dir string, tr *obs.Tracer) string {
+	t.Helper()
+	path := filepath.Join(dir, "trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -58,134 +70,160 @@ func writeTestTrace(t *testing.T, path string) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
 }
 
-// TestPhasesIdenticalAcrossFormats is the acceptance pin: a JSONL
-// trace and its -convert'ed AEDT twin must print byte-identical
-// -phases output.
-func TestPhasesIdenticalAcrossFormats(t *testing.T) {
-	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	writeTestTrace(t, jsonl)
+// spillSegment spills tr's spans and recorder events through a manual
+// retention ring under dir and returns the ring, flushed but still
+// open, with the path of its one segment.
+func spillSegment(t *testing.T, tr *obs.Tracer, dir string) (*obs.Retention, string) {
+	t.Helper()
+	ret, err := obs.NewRetention(tr, obs.RetentionOptions{Dir: filepath.Join(dir, "retain"), FlushEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ret.Close() })
+	if err := ret.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs := ret.Segments()
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v, want one", segs)
+	}
+	return ret, segs[0]
+}
 
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatalf("-convert exited %d", code)
+// gzipFile writes a gzip-compressed copy of path (what `gzip -k` makes)
+// and returns its name.
+func gzipFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	codeJ, outJ := captureRun(t, "-phases", jsonl)
-	codeA, outA := captureRun(t, "-phases", aedtPath)
-	if codeJ != 0 || codeA != 0 {
-		t.Fatalf("-phases exits: jsonl %d, aedt %d", codeJ, codeA)
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(data)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if outJ != outA {
-		t.Fatalf("-phases output differs across formats:\n--- jsonl ---\n%s--- aedt ---\n%s", outJ, outA)
+	out := path + ".gz"
+	if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(outJ, "synthesize") || !strings.Contains(outJ, "solve") {
-		t.Errorf("-phases output missing phases:\n%s", outJ)
-	}
+	return out
+}
 
-	// The other span views must agree too.
-	for _, view := range []string{"-tree", "-flame", "-metrics"} {
-		_, vj := captureRun(t, view, jsonl)
-		_, va := captureRun(t, view, aedtPath)
-		if vj != va {
-			t.Errorf("%s output differs across formats:\n--- jsonl ---\n%s--- aedt ---\n%s", view, vj, va)
+// sameOutput fails t unless aedtrace prints the same, with exit 0,
+// for each view over both inputs.
+func sameOutput(t *testing.T, a, b string, views ...[]string) {
+	t.Helper()
+	for _, view := range views {
+		codeA, outA := captureRun(t, append(view, a)...)
+		codeB, outB := captureRun(t, append(view, b)...)
+		if codeA != 0 || codeB != 0 {
+			t.Fatalf("%v exits: %s %d, %s %d", view, filepath.Base(a), codeA, filepath.Base(b), codeB)
+		}
+		if outA != outB {
+			t.Errorf("%v output differs:\n--- %s ---\n%s--- %s ---\n%s",
+				view, filepath.Base(a), outA, filepath.Base(b), outB)
 		}
 	}
 }
 
-// TestConvertRoundTripsBothWays pins AEDT→JSONL conversion as well.
-func TestConvertRoundTripsBothWays(t *testing.T) {
+// TestPhasesIdenticalAcrossFormats is the acceptance pin: a plain JSONL
+// trace and the retention segment spilled from the same tracer print
+// byte-identical span views, while the segment is still open and
+// again after Close; the metrics view reads the same from a gzip copy
+// of the trace (retention spills no metrics).
+func TestPhasesIdenticalAcrossFormats(t *testing.T) {
 	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	back := filepath.Join(dir, "back.jsonl")
-	writeTestTrace(t, jsonl)
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatal("jsonl→aedt conversion failed")
+	tr := testTracer()
+	jsonl := writeJSONL(t, dir, tr)
+	ret, seg := spillSegment(t, tr, dir)
+
+	spanViews := [][]string{{"-phases"}, {"-tree"}, {"-flame"}, {"-recorder"}}
+	sameOutput(t, jsonl, seg, spanViews...)
+	if err := ret.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if code, _ := captureRun(t, "-convert", back, aedtPath); code != 0 {
-		t.Fatal("aedt→jsonl conversion failed")
-	}
-	_, outOrig := captureRun(t, "-phases", jsonl)
-	_, outBack := captureRun(t, "-phases", back)
-	if outOrig != outBack {
-		t.Fatalf("double conversion changed -phases output:\n%s\nvs\n%s", outOrig, outBack)
+	sameOutput(t, jsonl, seg, spanViews...)
+	sameOutput(t, jsonl, gzipFile(t, jsonl), []string{"-metrics"})
+
+	_, out := captureRun(t, "-phases", seg)
+	if !strings.Contains(out, "synthesize") || !strings.Contains(out, "solve") {
+		t.Errorf("-phases output missing phases:\n%s", out)
 	}
 }
 
-func TestTruncatedAEDTFailsLoudly(t *testing.T) {
-	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	writeTestTrace(t, jsonl)
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatal("conversion failed")
+// closedSegment spills testTracer through a closed retention ring and
+// returns the segment's bytes with the plain trace's path.
+func closedSegment(t *testing.T, dir string) ([]byte, string) {
+	t.Helper()
+	tr := testTracer()
+	jsonl := writeJSONL(t, dir, tr)
+	ret, seg := spillSegment(t, tr, dir)
+	if err := ret.Close(); err != nil {
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(aedtPath)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := filepath.Join(dir, "cut.aedt")
+	return data, jsonl
+}
+
+func TestTruncatedGzipFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	data, _ := closedSegment(t, dir)
+	cut := filepath.Join(dir, "cut.jsonl.gz")
 	if err := os.WriteFile(cut, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := captureRun(t, "-phases", cut); code == 0 {
-		t.Error("truncated AEDT input must exit non-zero")
+		t.Error("a torn gzip member must exit non-zero")
 	}
 }
 
-func TestCorruptAEDTFailsLoudly(t *testing.T) {
+func TestCorruptGzipFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	writeTestTrace(t, jsonl)
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatal("conversion failed")
-	}
-	data, err := os.ReadFile(aedtPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[20] ^= 0x55 // inside the first block body: CRC must catch it
-	bad := filepath.Join(dir, "bad.aedt")
+	data, _ := closedSegment(t, dir)
+	data[len(data)-8] ^= 0x55 // the member's CRC-32 trailer
+	bad := filepath.Join(dir, "bad.jsonl.gz")
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := captureRun(t, "-phases", bad); code == 0 {
-		t.Error("checksum-corrupt AEDT input must exit non-zero")
+		t.Error("checksum-corrupt gzip input must exit non-zero")
 	}
 }
 
 func TestMixedFormatFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	writeTestTrace(t, jsonl)
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatal("conversion failed")
+	segData, jsonl := closedSegment(t, dir)
+	jsonData, err := os.ReadFile(jsonl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	jsonData, _ := os.ReadFile(jsonl)
-	aedtData, _ := os.ReadFile(aedtPath)
 
-	// JSONL with binary garbage appended: the JSONL parser must reject
-	// the binary tail rather than silently stopping at it.
+	// JSONL with gzip bytes appended: the JSONL parser must reject the
+	// binary tail rather than silently stopping at it.
 	mixed1 := filepath.Join(dir, "mixed1.jsonl")
-	if err := os.WriteFile(mixed1, append(append([]byte{}, jsonData...), aedtData...), 0o644); err != nil {
+	if err := os.WriteFile(mixed1, append(append([]byte{}, jsonData...), segData...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := captureRun(t, "-phases", mixed1); code == 0 {
-		t.Error("JSONL+AEDT concatenation must exit non-zero")
+		t.Error("JSONL+gzip concatenation must exit non-zero")
 	}
 
-	// AEDT with JSONL appended: the block framing must reject the text
-	// tail.
-	mixed2 := filepath.Join(dir, "mixed2.aedt")
-	if err := os.WriteFile(mixed2, append(append([]byte{}, aedtData...), jsonData...), 0o644); err != nil {
+	// A gzip member with JSONL appended: the multistream reader must
+	// reject the text tail as a bad member header.
+	mixed2 := filepath.Join(dir, "mixed2.jsonl.gz")
+	if err := os.WriteFile(mixed2, append(append([]byte{}, segData...), jsonData...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := captureRun(t, "-phases", mixed2); code == 0 {
-		t.Error("AEDT+JSONL concatenation must exit non-zero")
+		t.Error("gzip+JSONL concatenation must exit non-zero")
 	}
 }
 
@@ -202,9 +240,9 @@ func TestRecorderView(t *testing.T) {
 	rec := obs.NewRecorder(16)
 	rec.RecordLabeled(obs.EvCacheMiss, "10.9.0.0/16", 1, 2)
 	rec.Record(obs.EvSolveEnd, 1, 12)
-	path := filepath.Join(dir, "rec.aedt")
+	path := filepath.Join(dir, "rec.jsonl")
 	var buf bytes.Buffer
-	if err := (obs.BinarySink{}).WriteRecorder(&buf, rec); err != nil {
+	if err := obs.WriteRecorderJSONL(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -238,26 +276,23 @@ func TestRecorderView(t *testing.T) {
 
 func TestDiffAcrossFormats(t *testing.T) {
 	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	writeTestTrace(t, jsonl)
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatal("conversion failed")
-	}
-	code, out := captureRun(t, "-diff", jsonl, aedtPath)
+	tr := testTracer()
+	jsonl := writeJSONL(t, dir, tr)
+	_, seg := spillSegment(t, tr, dir)
+	code, out := captureRun(t, "-diff", jsonl, seg)
 	if code != 0 {
 		t.Fatalf("-diff exited %d", code)
 	}
-	// A trace diffed against its own conversion must show zero change.
+	// A trace diffed against its own retention segment must show zero
+	// change.
 	if strings.Contains(out, "+0.001ms") || !strings.Contains(out, "phase diff") {
 		t.Errorf("-diff output:\n%s", out)
 	}
 }
 
-// writeRequestTrace produces a JSONL trace holding two requests' span
-// trees plus an attributed recorder event and a histogram exemplar.
-func writeRequestTrace(t *testing.T, path string) {
-	t.Helper()
+// requestTracer records two requests' span trees plus an attributed
+// recorder event and a histogram exemplar.
+func requestTracer() *obs.Tracer {
 	tr := obs.NewTracer()
 	rec := obs.NewRecorder(16)
 	tr.SetRecorder(rec)
@@ -273,61 +308,39 @@ func writeRequestTrace(t *testing.T, path string) {
 	rootB.End()
 	rec.RecordRequest(obs.EvSolveEnd, "10.0.0.0/24", "req-a", 1, 7)
 	tr.Metrics().Histogram("aedd.solve_ms", obs.LatencyBuckets).ObserveExemplar(3, "req-a")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteJSONL(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return tr
 }
 
-// TestRequestViewIdenticalAcrossFormats is the tentpole acceptance pin
-// for per-request trace views: -request filters a trace to exactly one
+// TestRequestViewIdenticalAcrossFormats is the acceptance pin for
+// per-request trace views: -request filters a trace to exactly one
 // request's span tree, and the output is byte-identical whether the
-// stream is JSONL or its AEDT conversion (the request attributes ride
-// the existing format version).
+// stream is the plain JSONL trace or the retention segment spilled from
+// the same tracer.
 func TestRequestViewIdenticalAcrossFormats(t *testing.T) {
 	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "trace.jsonl")
-	aedtPath := filepath.Join(dir, "trace.aedt")
-	writeRequestTrace(t, jsonl)
-	if code, _ := captureRun(t, "-convert", aedtPath, jsonl); code != 0 {
-		t.Fatal("conversion failed")
-	}
+	tr := requestTracer()
+	jsonl := writeJSONL(t, dir, tr)
+	_, seg := spillSegment(t, tr, dir)
 
-	codeJ, outJ := captureRun(t, "-request", "req-a", jsonl)
-	codeA, outA := captureRun(t, "-request", "req-a", aedtPath)
-	if codeJ != 0 || codeA != 0 {
-		t.Fatalf("-request exits: jsonl %d, aedt %d", codeJ, codeA)
-	}
-	if outJ != outA {
-		t.Fatalf("-request output differs across formats:\n--- jsonl ---\n%s--- aedt ---\n%s", outJ, outA)
-	}
+	sameOutput(t, jsonl, seg, []string{"-request", "req-a"}, []string{"-recorder"})
+	_, out := captureRun(t, "-request", "req-a", seg)
 	for _, want := range []string{"req-a", "session.solve", "sat.solve", "critical path"} {
-		if !strings.Contains(outJ, want) {
-			t.Errorf("-request output missing %q:\n%s", want, outJ)
+		if !strings.Contains(out, want) {
+			t.Errorf("-request output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(outJ, "req-b") {
-		t.Errorf("-request req-a output leaks another request's spans:\n%s", outJ)
+	if strings.Contains(out, "req-b") {
+		t.Errorf("-request req-a output leaks another request's spans:\n%s", out)
 	}
 
-	// -metrics surfaces the exemplar on both formats identically.
-	_, metJ := captureRun(t, "-metrics", jsonl)
-	_, metA := captureRun(t, "-metrics", aedtPath)
-	if metJ != metA {
-		t.Errorf("-metrics output differs across formats:\n--- jsonl ---\n%s--- aedt ---\n%s", metJ, metA)
-	}
-	if !strings.Contains(metJ, "exemplars=[req-a]") {
-		t.Errorf("-metrics missing exemplar annotation:\n%s", metJ)
+	// -metrics surfaces the exemplar identically from a gzip copy.
+	sameOutput(t, jsonl, gzipFile(t, jsonl), []string{"-metrics"})
+	if _, met := captureRun(t, "-metrics", jsonl); !strings.Contains(met, "exemplars=[req-a]") {
+		t.Errorf("-metrics missing exemplar annotation:\n%s", met)
 	}
 
 	// An ID absent from the trace is a loud failure, not empty output.
-	if code, _ := captureRun(t, "-request", "req-nope", jsonl); code == 0 {
+	if code, _ := captureRun(t, "-request", "req-nope", seg); code == 0 {
 		t.Error("-request with an unknown ID must exit non-zero")
 	}
 }

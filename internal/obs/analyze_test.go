@@ -252,28 +252,27 @@ func TestAnalyzeSelfParent(t *testing.T) {
 }
 
 // TestAnalyzePhasesIdenticalAcrossFormats is the obs-level twin of the
-// aedtrace acceptance pin: one tracer exported through both sinks must
-// analyze to deep-equal phase tables and identical tree shapes.
+// aedtrace acceptance pin: one tracer exported as plain JSONL and as
+// gzip-compressed JSONL must analyze to deep-equal phase tables and
+// identical tree shapes.
 func TestAnalyzePhasesIdenticalAcrossFormats(t *testing.T) {
 	tr := tracedRun()
-	var jbuf, abuf bytes.Buffer
+	var jbuf bytes.Buffer
 	if err := WriteJSONL(&jbuf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteAEDT(&abuf, tr); err != nil {
-		t.Fatal(err)
-	}
-	jEvents, err := ReadEventsAuto(&jbuf)
+	zipped := gzipMembers(t, jbuf.Bytes())
+	jEvents, err := ReadEvents(&jbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aEvents, err := ReadEventsAuto(&abuf)
+	aEvents, err := ReadEvents(bytes.NewReader(zipped))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ja, aa := Analyze(jEvents), Analyze(aEvents)
 	if !reflect.DeepEqual(ja.Phases(), aa.Phases()) {
-		t.Errorf("phase tables differ:\njsonl: %+v\naedt:  %+v", ja.Phases(), aa.Phases())
+		t.Errorf("phase tables differ:\njsonl: %+v\ngzip:  %+v", ja.Phases(), aa.Phases())
 	}
 	shape := func(a *Analysis) []string {
 		var out []string
@@ -290,7 +289,7 @@ func TestAnalyzePhasesIdenticalAcrossFormats(t *testing.T) {
 		return out
 	}
 	if !reflect.DeepEqual(shape(ja), shape(aa)) {
-		t.Errorf("tree shapes differ:\njsonl: %v\naedt:  %v", shape(ja), shape(aa))
+		t.Errorf("tree shapes differ:\njsonl: %v\ngzip:  %v", shape(ja), shape(aa))
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 //	                  histograms with mean + p50/p95/p99)
 //	GET /spans        span tree as JSON: finished spans plus in-flight
 //	                  ones (open=true, elapsed-so-far durations)
-//	GET /recorder     flight-recorder drain (oldest first) + drop count;
-//	                  ?format=aedt downloads it as an AEDT binary stream
+//	GET /recorder     flight-recorder drain (oldest first) + drop count
 //	GET /debug/pprof/ stdlib profiling (CPU/heap of the CDCL hot path)
 //
 // Every route is safe to hit during a live solve: snapshots are taken
@@ -40,18 +39,7 @@ func DebugMux(t *Tracer) *http.ServeMux {
 		writeJSON(w, spansPayload(t))
 	})
 	mux.HandleFunc("/recorder", func(w http.ResponseWriter, r *http.Request) {
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "json":
-			writeJSON(w, recorderPayload(t.Recorder()))
-		case "aedt":
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition", `attachment; filename="recorder.aedt"`)
-			if err := (BinarySink{}).WriteRecorder(w, t.Recorder()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		default:
-			http.Error(w, "unknown format "+format+" (want json or aedt)", http.StatusBadRequest)
-		}
+		writeJSON(w, recorderPayload(t.Recorder()))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -142,45 +141,6 @@ func TestDebugRecorderPayload(t *testing.T) {
 	getJSON(t, srv.URL+"/recorder", &r)
 	if r.Capacity != 32 || len(r.Events) != 1 || r.Events[0].Kind != "restart" {
 		t.Errorf("recorder payload = %+v", r)
-	}
-}
-
-// TestDebugRecorderAEDTDownload pins the binary download path:
-// /recorder?format=aedt serves a decodable AEDT stream carrying the
-// same events the JSON payload reports.
-func TestDebugRecorderAEDTDownload(t *testing.T) {
-	tr, open := newDebugTracer()
-	defer open.End()
-	srv := httptest.NewServer(DebugMux(tr))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/recorder?format=aedt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /recorder?format=aedt = %d:\n%s", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("content type = %q", ct)
-	}
-	events, err := ReadAEDT(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("download does not decode as AEDT: %v", err)
-	}
-	if len(events) != 1 || events[0].Type != "recorder" || events[0].Name != "restart" {
-		t.Errorf("downloaded events = %+v", events)
-	}
-
-	resp, err = http.Get(srv.URL + "/recorder?format=protobuf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown format = %d, want 400", resp.StatusCode)
 	}
 }
 

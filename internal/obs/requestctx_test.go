@@ -120,10 +120,10 @@ func TestObserveExemplar(t *testing.T) {
 	}
 }
 
-// TestRequestEventsRoundTrip pins the wire contract for the new
-// attributed kinds: request IDs on recorder events and histogram
-// exemplars survive JSONL and AEDT round trips intact, without an AEDT
-// format version bump.
+// TestRequestEventsRoundTrip pins the wire contract for the
+// attributed kinds: request IDs on spans and recorder events and
+// histogram exemplars survive the plain and the gzip JSONL round trip
+// intact.
 func TestRequestEventsRoundTrip(t *testing.T) {
 	tr := NewTracer()
 	rec := NewRecorder(8)
@@ -135,12 +135,12 @@ func TestRequestEventsRoundTrip(t *testing.T) {
 	rec.RecordRequest(EvSolveEnd, "10.0.0.0/24", "req-rt", 1, 5)
 	tr.Metrics().Histogram("aedd.solve_ms", LatencyBuckets).ObserveExemplar(2, "req-rt")
 
-	for name, sink := range map[string]Sink{"jsonl": JSONLSink{}, "aedt": BinarySink{}} {
-		var buf bytes.Buffer
-		if err := sink.WriteTrace(&buf, tr); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		events, err := ReadEventsAuto(&buf)
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	for name, stream := range map[string][]byte{"jsonl": buf.Bytes(), "gzip": gzipMembers(t, buf.Bytes())} {
+		events, err := ReadEvents(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

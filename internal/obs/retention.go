@@ -1,14 +1,14 @@
 package obs
 
 import (
+	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/aed-net/aed/internal/obs/aedt"
 )
 
 // RetentionOptions configures an on-disk telemetry retention writer.
@@ -33,19 +33,20 @@ type RetentionOptions struct {
 const (
 	defaultSegmentBytes = 4 << 20
 	defaultMaxBytes     = 64 << 20
-	segmentPattern      = "aed-%06d.aedt"
+	segmentPattern      = "aed-%06d.jsonl.gz"
 )
 
 // Retention continuously spills a tracer's telemetry to disk as a ring
-// of AEDT segments: finished spans (drained incrementally via
-// Tracer.SpansFrom) and flight-recorder events (drained via
-// Recorder.EventsSinceAppend) interleave into StreamMixed segment
-// files named aed-NNNNNN.aedt. Segments rotate at SegmentBytes; when
-// the directory exceeds MaxBytes the oldest closed segments are
-// deleted, so a long-running daemon keeps a bounded, recent window of
-// telemetry that survives a crash (each flushed block is
-// self-contained and CRC-framed, so a torn final block loses only
-// itself).
+// of gzip-compressed JSONL segments: finished spans (drained
+// incrementally via Tracer.SpansFrom) and flight-recorder events
+// (drained via Recorder.EventsSinceAppend) interleave as Event lines
+// in segment files named aed-NNNNNN.jsonl.gz. Each Flush writes one
+// gzip member and closes it, so every flushed member is
+// self-contained and CRC-framed and a segment still being written
+// decodes (ReadEvents, aedtrace, gzip -d) up to its last flush.
+// Segments rotate at SegmentBytes; when the directory exceeds MaxBytes
+// the oldest closed segments are deleted, so a long-running daemon
+// keeps a bounded, recent window of telemetry that survives a crash.
 //
 // Accounting (in the tracer's registry):
 //
@@ -61,7 +62,8 @@ type Retention struct {
 
 	mu       sync.Mutex
 	cw       *countingWriter
-	w        *aedt.Writer
+	zw       *gzip.Writer  // one member per Flush, Reset onto cw
+	enc      *json.Encoder // encodes into zw
 	curPath  string
 	nextIdx  int
 	closed   []retSegment // closed segments, oldest first
@@ -83,8 +85,8 @@ type retSegment struct {
 }
 
 // countingWriter tracks how many bytes reached the segment file, so
-// rotation decisions see the real on-disk size (the aedt.Writer's
-// internal buffer flushes through here).
+// rotation decisions see the real on-disk size (the gzip writer's
+// compressed output flushes through here).
 type countingWriter struct {
 	f *os.File
 	n int64
@@ -97,10 +99,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // NewRetention opens (or resumes) a retention ring under opts.Dir for
-// t's spans and attached flight recorder. Existing aed-*.aedt segments
-// in the directory are adopted: numbering continues after them and
-// they count against MaxBytes. Call Close to stop the background
-// spiller and seal the current segment.
+// t's spans and attached flight recorder. Existing aed-*.jsonl.gz
+// segments in the directory are adopted: numbering continues after
+// them and they count against MaxBytes. Call Close to stop the
+// background spiller and close the current segment.
 func NewRetention(t *Tracer, opts RetentionOptions) (*Retention, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("obs: retention needs a directory")
@@ -183,7 +185,12 @@ func (r *Retention) openSegment() error {
 	r.nextIdx++
 	r.curPath = path
 	r.cw = &countingWriter{f: f}
-	r.w = aedt.NewWriter(r.cw, aedt.StreamMixed)
+	if r.zw == nil {
+		r.zw = gzip.NewWriter(r.cw)
+		r.enc = json.NewEncoder(r.zw)
+	} else {
+		r.zw.Reset(r.cw)
+	}
 	return nil
 }
 
@@ -216,15 +223,14 @@ func (r *Retention) Flush() error {
 		return os.ErrClosed
 	}
 
-	var rec aedt.Record
 	spans, next := r.t.SpansFrom(r.spanFrom)
 	if first := next - len(spans); first > r.spanFrom {
 		r.cLost.Add(int64(first - r.spanFrom))
 	}
 	r.spanFrom = next
 	for _, sp := range spans {
-		if eventToRecord(spanEvent(sp, r.t.Epoch()), &rec) {
-			r.w.Append(&rec)
+		if err := r.enc.Encode(spanEvent(sp, r.t.Epoch())); err != nil {
+			return err
 		}
 	}
 	r.cSpans.Add(int64(len(spans)))
@@ -237,16 +243,19 @@ func (r *Retention) Flush() error {
 	}
 	r.evSeq = nextSeq
 	for _, ev := range evs {
-		rec = aedt.Record{
-			Kind: aedt.KindEvent, Time: ev.Time.UnixMicro(), Seq: ev.Seq,
-			Name: ev.Kind, Label: ev.Label, A: ev.A, B: ev.B,
+		if err := r.enc.Encode(recorderToEvent(ev)); err != nil {
+			return err
 		}
-		r.w.Append(&rec)
 	}
 	r.cEvents.Add(int64(len(evs)))
 
-	if err := r.w.Flush(); err != nil {
-		return err
+	// Seal this flush's member; an empty flush writes nothing, so an
+	// idle daemon does not grow its segment.
+	if len(spans)+len(evs) > 0 {
+		if err := r.zw.Close(); err != nil {
+			return err
+		}
+		r.zw.Reset(r.cw)
 	}
 	if r.cw.n >= r.opts.SegmentBytes {
 		if err := r.rotateLocked(); err != nil {
@@ -257,11 +266,8 @@ func (r *Retention) Flush() error {
 	return nil
 }
 
-// rotateLocked seals the current segment and opens the next.
+// rotateLocked closes the current segment and opens the next.
 func (r *Retention) rotateLocked() error {
-	if err := r.w.Close(); err != nil {
-		return err
-	}
 	if err := r.cw.f.Close(); err != nil {
 		return err
 	}
@@ -307,7 +313,7 @@ func (r *Retention) Segments() []string {
 }
 
 // Close stops the background spiller (if any), performs a final Flush,
-// and seals the current segment. Safe to call more than once.
+// and closes the current segment. Safe to call more than once.
 func (r *Retention) Close() error {
 	if r == nil {
 		return nil
@@ -330,10 +336,6 @@ func (r *Retention) Close() error {
 		return nil
 	}
 	r.down = true
-	if err := r.w.Close(); err != nil {
-		r.cw.f.Close()
-		return err
-	}
 	err := r.cw.f.Close()
 	r.closed = append(r.closed, retSegment{path: r.curPath, size: r.cw.n})
 	return err

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,6 +17,30 @@ func manualRetention(t *testing.T, tr *Tracer, dir string, segBytes, maxBytes in
 		t.Fatalf("NewRetention: %v", err)
 	}
 	return ret
+}
+
+// readSegment decodes one retention segment, failing t if it does not.
+func readSegment(t *testing.T, path string) []Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := ReadEvents(f)
+	if err != nil {
+		t.Fatalf("segment %s does not decode: %v", filepath.Base(path), err)
+	}
+	return events
+}
+
+func segmentSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
 }
 
 func TestRetentionSpillsSpansAndEvents(t *testing.T) {
@@ -44,14 +67,7 @@ func TestRetentionSpillsSpansAndEvents(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("got %d segments, want 1: %v", len(segs), segs)
 	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadAEDT(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("segment does not decode: %v", err)
-	}
+	events := readSegment(t, segs[0])
 	var spans, recs int
 	for _, ev := range events {
 		switch ev.Type {
@@ -88,6 +104,19 @@ func TestRetentionIncrementalDrain(t *testing.T) {
 	if err := ret.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// The open segment decodes up to its last flush, and a flush with
+	// nothing new writes nothing.
+	seg := ret.Segments()[0]
+	if events := readSegment(t, seg); len(events) != 1 {
+		t.Fatalf("open segment holds %d events after one flush, want 1", len(events))
+	}
+	size := segmentSize(t, seg)
+	if err := ret.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if grown := segmentSize(t, seg); grown != size {
+		t.Errorf("empty flush grew the segment from %d to %d bytes", size, grown)
+	}
 	rec.Record(EvRestart, 2, 0)
 	if err := ret.Flush(); err != nil {
 		t.Fatal(err)
@@ -96,19 +125,32 @@ func TestRetentionIncrementalDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(ret.Segments()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadAEDT(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := readSegment(t, seg)
 	if len(events) != 2 {
 		t.Fatalf("spilled %d events, want 2 (no duplicates across flushes): %+v", len(events), events)
 	}
 	if events[0].Seq != 0 || events[1].Seq != 1 {
 		t.Errorf("event seqs %d,%d", events[0].Seq, events[1].Seq)
+	}
+}
+
+// TestRetentionKeepsRequestIDs pins that a spilled recorder event
+// keeps the request it is attributed to, so `aedtrace -request` and
+// the recorder view see the same attribution in a segment as in a
+// WriteJSONL trace.
+func TestRetentionKeepsRequestIDs(t *testing.T) {
+	tr := NewTracer()
+	rec := NewRecorder(8)
+	tr.SetRecorder(rec)
+	ret := manualRetention(t, tr, t.TempDir(), 1<<20, 1<<22)
+	rec.RecordRequest(EvSolveEnd, "10.0.0.0/24", "req-7", 1, 5)
+	rec.Record(EvRestart, 1, 0)
+	if err := ret.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events := readSegment(t, ret.Segments()[0])
+	if len(events) != 2 || events[0].Req != "req-7" || events[1].Req != "" {
+		t.Fatalf("spilled recorder events = %+v, want req-7 then unattributed", events)
 	}
 }
 
@@ -141,17 +183,10 @@ func TestRetentionRotatesAndCaps(t *testing.T) {
 	}
 
 	var total int64
-	files, _ := filepath.Glob(filepath.Join(dir, "aed-*.aedt"))
+	files, _ := filepath.Glob(filepath.Join(dir, "aed-*.jsonl.gz"))
 	for _, f := range files {
-		info, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += info.Size()
-		data, _ := os.ReadFile(f)
-		if _, err := ReadAEDT(bytes.NewReader(data)); err != nil {
-			t.Errorf("segment %s does not decode: %v", filepath.Base(f), err)
-		}
+		total += segmentSize(t, f)
+		readSegment(t, f)
 	}
 	// The cap is enforced against closed segments; the final segment can
 	// carry up to SegmentBytes past it.
@@ -162,13 +197,19 @@ func TestRetentionRotatesAndCaps(t *testing.T) {
 
 func TestRetentionAdoptsExistingSegments(t *testing.T) {
 	dir := t.TempDir()
+	// A segment of the retired binary format is neither adopted nor
+	// deleted.
+	stale := filepath.Join(dir, "aed-000007.aedt")
+	if err := os.WriteFile(stale, []byte("AEDT"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tr := NewTracer()
 	ret := manualRetention(t, tr, dir, 1<<20, 1<<22)
 	if err := ret.Close(); err != nil {
 		t.Fatal(err)
 	}
 	first := ret.Segments()
-	if len(first) != 1 || filepath.Base(first[0]) != "aed-000000.aedt" {
+	if len(first) != 1 || filepath.Base(first[0]) != "aed-000000.jsonl.gz" {
 		t.Fatalf("first run segments: %v", first)
 	}
 
@@ -178,8 +219,11 @@ func TestRetentionAdoptsExistingSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := ret2.Segments()
-	if len(segs) != 2 || filepath.Base(segs[1]) != "aed-000001.aedt" {
+	if len(segs) != 2 || filepath.Base(segs[1]) != "aed-000001.jsonl.gz" {
 		t.Fatalf("second run must continue numbering after adopted segments: %v", segs)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Errorf("stale .aedt file touched: %v", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,9 +14,9 @@ import (
 
 // Event is one exported telemetry record: a finished span, one
 // metric's final state, or one flight-recorder event. The JSONL sink
-// writes one Event per line; ReadEvents decodes them back, so traces
-// round-trip for tooling and tests. The binary sink (WriteAEDT /
-// ReadAEDT) carries the same records in AEDT form.
+// writes one Event per line; ReadEvents decodes them back, plain or
+// gzip-compressed (retention segments), so traces round-trip for
+// tooling and tests.
 type Event struct {
 	Type string `json:"type"` // "span" | "counter" | "gauge" | "histogram" | "recorder"
 
@@ -119,10 +121,8 @@ func WriteJSONL(w io.Writer, t *Tracer) error {
 		}
 	}
 	if rec := t.Recorder(); rec != nil {
-		for _, ev := range rec.Events() {
-			if err := enc.Encode(recorderToEvent(ev)); err != nil {
-				return err
-			}
+		if err := encodeRecorder(enc, rec); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -137,23 +137,58 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// ReadEvents decodes a JSONL trace produced by WriteJSONL.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, fmt.Errorf("obs: bad trace line %q: %w", line, err)
-		}
-		out = append(out, ev)
+// WriteRecorderJSONL writes one Event line (type "recorder") per
+// retained flight-recorder event, oldest first.
+func WriteRecorderJSONL(w io.Writer, rec *Recorder) error {
+	bw := bufio.NewWriter(w)
+	if err := encodeRecorder(json.NewEncoder(bw), rec); err != nil {
+		return err
 	}
-	return out, sc.Err()
+	return bw.Flush()
+}
+
+func encodeRecorder(enc *json.Encoder, rec *Recorder) error {
+	for _, ev := range rec.Events() {
+		if err := enc.Encode(recorderToEvent(ev)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadEvents decodes a JSONL event stream: a trace written by
+// WriteJSONL, or the same lines compressed as one or more gzip members
+// (a retention segment). The gzip magic 1f 8b in the first two bytes
+// selects decompression. Decoding is strict: a torn member
+// (io.ErrUnexpectedEOF), a CRC mismatch (gzip.ErrChecksum), bytes
+// after the last member, or a line that is not one JSON event fails
+// the whole read instead of returning a partial trace.
+func ReadEvents(r io.Reader) ([]Event, error) {
+	br := bufio.NewReaderSize(r, 64*1024)
+	if head, _ := br.Peek(2); len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
+		zr, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, fmt.Errorf("obs: gzip trace: %w", err)
+		}
+		br = bufio.NewReaderSize(zr, 64*1024)
+	}
+	var out []Event
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("obs: reading trace: %w", err)
+		}
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			var ev Event
+			if jerr := json.Unmarshal(line, &ev); jerr != nil {
+				return nil, fmt.Errorf("obs: bad trace line %q: %w", line, jerr)
+			}
+			out = append(out, ev)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+	}
 }
 
 // WriteSummary renders the span tree and the metrics registry as a
