@@ -142,10 +142,10 @@ func gzipMembers(t testing.TB, parts ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// TestReadEventsPlainAndGzip pins the one reader: plain JSONL and the
-// same lines split across gzip members decode to identical events, and
-// empty input is an empty trace in both forms.
-func TestReadEventsPlainAndGzip(t *testing.T) {
+// TestReadEventsAuto pins the one reader's format detection: plain
+// JSONL and the same lines split across gzip members decode to
+// identical events, and empty input is an empty trace in both forms.
+func TestReadEventsAuto(t *testing.T) {
 	var jbuf bytes.Buffer
 	if err := WriteJSONL(&jbuf, populatedTracer()); err != nil {
 		t.Fatal(err)
